@@ -1,7 +1,7 @@
 /**
  * @file
  * MGW1 wire-codec microbenchmark: zero-copy framing (beginFrame /
- * encodeSubmitInto / endFrame into one reusable buffer) against the
+ * encodeInto / endFrame into one reusable buffer) against the
  * allocate-per-frame encode path, and offset-based frame extraction
  * (takeFrameInto) against the erase-per-frame takeFrame.
  *
@@ -78,7 +78,7 @@ encodeBatchAlloc(const std::vector<WireRequest> &batch)
     Bytes wire;
     for (const WireRequest &r : batch) {
         const Bytes frame =
-            encodeFrame({FrameType::submit, encodeSubmit(r)});
+            encodeFrame({FrameType::submit, encode(r)});
         wire.insert(wire.end(), frame.begin(), frame.end());
     }
     return wire;
@@ -91,7 +91,7 @@ encodeBatchZeroCopy(const std::vector<WireRequest> &batch, Bytes &wire)
     wire.clear();
     for (const WireRequest &r : batch) {
         const std::size_t at = beginFrame(FrameType::submit, wire);
-        encodeSubmitInto(r, wire);
+        encodeInto(r, wire);
         endFrame(wire, at);
     }
 }

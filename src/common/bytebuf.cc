@@ -11,22 +11,22 @@ namespace mintcb
 void
 ByteWriter::u16(std::uint16_t v)
 {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
+    out_.push_back(static_cast<std::uint8_t>(v >> 8));
+    out_.push_back(static_cast<std::uint8_t>(v));
 }
 
 void
 ByteWriter::u32(std::uint32_t v)
 {
     for (int shift = 24; shift >= 0; shift -= 8)
-        buf_.push_back(static_cast<std::uint8_t>(v >> shift));
+        out_.push_back(static_cast<std::uint8_t>(v >> shift));
 }
 
 void
 ByteWriter::u64(std::uint64_t v)
 {
     for (int shift = 56; shift >= 0; shift -= 8)
-        buf_.push_back(static_cast<std::uint8_t>(v >> shift));
+        out_.push_back(static_cast<std::uint8_t>(v >> shift));
 }
 
 void
@@ -40,42 +40,47 @@ void
 ByteWriter::str(const std::string &s)
 {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void
-ByteAppender::u16(std::uint16_t v)
-{
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void
-ByteAppender::u32(std::uint32_t v)
-{
-    for (int shift = 24; shift >= 0; shift -= 8)
-        out_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void
-ByteAppender::u64(std::uint64_t v)
-{
-    for (int shift = 56; shift >= 0; shift -= 8)
-        out_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void
-ByteAppender::lengthPrefixed(const Bytes &b)
-{
-    u32(static_cast<std::uint32_t>(b.size()));
-    raw(b);
-}
-
-void
-ByteAppender::str(const std::string &s)
-{
-    u32(static_cast<std::uint32_t>(s.size()));
     out_.insert(out_.end(), s.begin(), s.end());
+}
+
+std::uint32_t
+loadBe32(const std::uint8_t *at)
+{
+    return static_cast<std::uint32_t>(at[0]) << 24 |
+           static_cast<std::uint32_t>(at[1]) << 16 |
+           static_cast<std::uint32_t>(at[2]) << 8 |
+           static_cast<std::uint32_t>(at[3]);
+}
+
+void
+storeBe32(std::uint8_t *at, std::uint32_t v)
+{
+    at[0] = static_cast<std::uint8_t>(v >> 24);
+    at[1] = static_cast<std::uint8_t>(v >> 16);
+    at[2] = static_cast<std::uint8_t>(v >> 8);
+    at[3] = static_cast<std::uint8_t>(v);
+}
+
+void
+RecordHeader::store(std::uint8_t *at) const
+{
+    storeBe32(at, magic);
+    at[4] = static_cast<std::uint8_t>(version >> 8);
+    at[5] = static_cast<std::uint8_t>(version);
+    at[6] = static_cast<std::uint8_t>(type >> 8);
+    at[7] = static_cast<std::uint8_t>(type);
+    storeBe32(at + lengthOffset, length);
+}
+
+RecordHeader
+RecordHeader::load(const std::uint8_t *at)
+{
+    RecordHeader h;
+    h.magic = loadBe32(at);
+    h.version = static_cast<std::uint16_t>(at[4] << 8 | at[5]);
+    h.type = static_cast<std::uint16_t>(at[6] << 8 | at[7]);
+    h.length = loadBe32(at + lengthOffset);
+    return h;
 }
 
 Error
@@ -109,9 +114,7 @@ ByteReader::u32()
 {
     if (remaining() < 4)
         return truncated("u32");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v = (v << 8) | src_[pos_ + i];
+    const std::uint32_t v = loadBe32(src_.data() + pos_);
     pos_ += 4;
     return v;
 }

@@ -64,7 +64,7 @@ GatewayClient::connect(std::uint16_t port)
     HelloPayload hello;
     hello.nonce = identity_.freshNonce();
     hello.clientName = config_.name;
-    if (auto s = channel_->send({FrameType::hello, encodeHello(hello)});
+    if (auto s = channel_->send({FrameType::hello, encode(hello)});
         !s.ok()) {
         close();
         return s;
@@ -117,7 +117,7 @@ GatewayClient::connect(std::uint16_t port)
     }
     AuthPayload auth;
     auth.attestation = attestation->encode();
-    if (auto s = channel_->send({FrameType::auth, encodeAuth(auth)});
+    if (auto s = channel_->send({FrameType::auth, encode(auth)});
         !s.ok()) {
         close();
         return s;
@@ -153,7 +153,7 @@ GatewayClient::submit(const WireRequest &request)
     if (!connected())
         return Error(Errc::failedPrecondition, "not connected");
     txBuf_.clear();
-    encodeSubmitInto(request, txBuf_);
+    encodeInto(request, txBuf_);
     return channel_->send(FrameType::submit, txBuf_);
 }
 
@@ -168,7 +168,7 @@ GatewayClient::migrateInto(store::SealedStore &target,
     MigrateBeginPayload begin;
     begin.storeName = store_name;
     txBuf_.clear();
-    encodeMigrateBeginInto(begin, txBuf_);
+    encodeInto(begin, txBuf_);
     if (auto s = channel_->send(FrameType::migrateBegin, txBuf_);
         !s.ok()) {
         return s;
@@ -202,7 +202,7 @@ GatewayClient::migrateInto(store::SealedStore &target,
     migrate.targetSrk = target.srkPublicEncoded();
     migrate.attestation = attestation->encode();
     txBuf_.clear();
-    encodeMigrateInto(migrate, txBuf_);
+    encodeInto(migrate, txBuf_);
     if (auto s = channel_->send(FrameType::migrate, txBuf_); !s.ok())
         return s;
     auto doneFrame = channel_->recv();
@@ -271,7 +271,7 @@ GatewayClient::runBatch(const std::vector<WireRequest> &requests)
     txBuf_.clear();
     for (const WireRequest &r : requests) {
         const std::size_t at = beginFrame(FrameType::submit, txBuf_);
-        encodeSubmitInto(r, txBuf_);
+        encodeInto(r, txBuf_);
         endFrame(txBuf_, at);
     }
     endFrame(txBuf_, beginFrame(FrameType::flush, txBuf_));

@@ -93,6 +93,7 @@ GatewayStats::str() const
         << "gateway: drains=" << drains
         << " reports delivered=" << reportsDelivered
         << " dropped=" << reportsDropped
+        << " oversized=" << reportsOversized
         << " max-pending=" << maxPendingDepth << "\n"
         << "gateway: migrations served=" << migrationsServed
         << " refused=" << migrationsRefused << "\n";
@@ -390,12 +391,8 @@ Gateway::handleHello(Conn &conn, const Frame &frame)
                attestation.error().message);
         return false;
     }
-    ChallengePayload challenge;
-    challenge.attestation = attestation->encode();
-    challenge.nonce = conn.gatewayNonce;
-    sendEncoded(conn, FrameType::challenge, [&](Bytes &out) {
-        encodeChallengeInto(challenge, out);
-    });
+    sendFrame(conn, FrameType::challenge,
+              ChallengePayload{attestation->encode(), conn.gatewayNonce});
     conn.state = Conn::State::expectAuth;
     return true;
 }
@@ -446,11 +443,8 @@ Gateway::handleAuth(Conn &conn, const Frame &frame)
             conn.session);
         config_.tracer->annotate(id, "client", verdict->palName);
     }
-    AuthOkPayload ok;
-    ok.sessionId = conn.session;
-    ok.subject = config_.subject;
-    sendEncoded(conn, FrameType::authOk,
-                [&](Bytes &out) { encodeAuthOkInto(ok, out); });
+    sendFrame(conn, FrameType::authOk,
+              AuthOkPayload{conn.session, config_.subject});
     return true;
 }
 
@@ -502,24 +496,18 @@ Gateway::handleSubmit(Conn &conn, const Frame &frame)
     const std::uint64_t admit_ms = config_.clock();
     if (!conn.bucket.tryAcquire(admit_ms)) {
         ++stats_.busyRateLimited;
-        BusyPayload busy;
-        busy.sequence = wire->sequence;
-        busy.reason = BusyReason::rateLimited;
-        busy.retryAfterMillis = conn.bucket.millisUntilToken(admit_ms);
-        sendEncoded(conn, FrameType::busy,
-                    [&](Bytes &out) { encodeBusyInto(busy, out); });
+        sendFrame(conn, FrameType::busy,
+                  BusyPayload{wire->sequence, BusyReason::rateLimited,
+                              conn.bucket.millisUntilToken(admit_ms)});
         return true;
     }
     if (config_.maxInflight > 0 &&
         pending_.size() >= config_.maxInflight) {
         ++stats_.busyQueueFull;
-        BusyPayload busy;
-        busy.sequence = wire->sequence;
-        busy.reason = BusyReason::queueFull;
-        busy.retryAfterMillis =
-            static_cast<std::uint32_t>(config_.pollMillis);
-        sendEncoded(conn, FrameType::busy,
-                    [&](Bytes &out) { encodeBusyInto(busy, out); });
+        sendFrame(conn, FrameType::busy,
+                  BusyPayload{wire->sequence, BusyReason::queueFull,
+                              static_cast<std::uint32_t>(
+                                  config_.pollMillis)});
         return true;
     }
     pending_.push_back(
@@ -555,11 +543,8 @@ Gateway::handleMigrateBegin(Conn &conn, const Frame &frame)
         return false;
     }
     conn.migrationNonce = config_.migration->beginChallenge();
-    MigrateChallengePayload challenge;
-    challenge.nonce = conn.migrationNonce;
-    sendEncoded(conn, FrameType::migrateChallenge, [&](Bytes &out) {
-        encodeMigrateChallengeInto(challenge, out);
-    });
+    sendFrame(conn, FrameType::migrateChallenge,
+              MigrateChallengePayload{conn.migrationNonce});
     return true;
 }
 
@@ -598,11 +583,14 @@ Gateway::handleMigrate(Conn &conn, const Frame &frame)
         refuse(conn, bundle.error().code, bundle.error().message);
         return false;
     }
+    if (!sendFrame(conn, FrameType::migrated,
+                   MigratedPayload{bundle.take()})) {
+        ++stats_.migrationsRefused;
+        refuse(conn, Errc::resourceExhausted,
+               "migration bundle exceeds the frame payload limit");
+        return false;
+    }
     ++stats_.migrationsServed;
-    MigratedPayload done;
-    done.bundle = bundle.take();
-    sendEncoded(conn, FrameType::migrated,
-                [&](Bytes &out) { encodeMigratedInto(done, out); });
     return true;
 }
 
@@ -640,14 +628,8 @@ Gateway::drainCycle()
     for (PendingRequest &p : cycle) {
         auto id = service_.submit(std::move(p.request));
         if (!id) {
-            if (Conn *conn = connBySession(p.session)) {
-                ErrorPayload err;
-                err.code = static_cast<std::uint16_t>(id.error().code);
-                err.message = id.error().message;
-                sendEncoded(*conn, FrameType::error, [&](Bytes &out) {
-                    encodeErrorInto(err, out);
-                });
-            }
+            if (Conn *conn = connBySession(p.session))
+                sendError(*conn, id.error());
             continue;
         }
         owners[*id] = Owner{p.session, p.sequence};
@@ -658,15 +640,8 @@ Gateway::drainCycle()
     if (!reports) {
         for (const auto &[id, owner] : owners) {
             (void)id;
-            if (Conn *conn = connBySession(owner.session)) {
-                ErrorPayload err;
-                err.code =
-                    static_cast<std::uint16_t>(reports.error().code);
-                err.message = reports.error().message;
-                sendEncoded(*conn, FrameType::error, [&](Bytes &out) {
-                    encodeErrorInto(err, out);
-                });
-            }
+            if (Conn *conn = connBySession(owner.session))
+                sendError(*conn, reports.error());
         }
         if (tracer)
             tracer->endSpan(span, machine_.now());
@@ -682,41 +657,63 @@ Gateway::drainCycle()
             ++stats_.reportsDropped; // owner hung up mid-cycle
             continue;
         }
-        // The report bytes go straight from the service's encode into
-        // the connection's tx buffer: one copy, no intermediate
-        // ReportPayload or frame vector.
-        const Bytes encoded = report.encode();
-        sendEncoded(*conn, FrameType::report, [&](Bytes &out) {
-            encodeReportInto(it->second.sequence, encoded, out);
-        });
+        // The service's encoded report moves into the payload; its
+        // bytes are copied once, into the connection's tx buffer.
+        const std::uint64_t sequence = it->second.sequence;
+        if (!sendFrame(*conn, FrameType::report,
+                       ReportPayload{sequence, report.encode()})) {
+            // The client's takeFrame would refuse this frame and drop
+            // the connection. Answer the sequence with a typed failure
+            // instead, so the session survives.
+            ++stats_.reportsOversized;
+            sea::ExecutionReport refused = report;
+            refused.status =
+                Error(Errc::resourceExhausted,
+                      "report exceeds the " +
+                          std::to_string(maxFramePayload) +
+                          "-byte frame payload limit");
+            refused.output.clear();
+            refused.quoted = false;
+            sendFrame(*conn, FrameType::report,
+                      ReportPayload{sequence, refused.encode()});
+        }
         ++stats_.reportsDelivered;
     }
     if (tracer)
         tracer->endSpan(span, machine_.now());
 }
 
-template <typename EncodePayload>
-void
-Gateway::sendEncoded(Conn &conn, FrameType type, EncodePayload &&encode)
+template <typename Payload>
+bool
+Gateway::sendFrame(Conn &conn, FrameType type, const Payload &payload)
 {
     if (conn.state == Conn::State::closed)
-        return;
+        return true;
     const std::size_t frame_start = beginFrame(type, conn.tx);
-    encode(conn.tx);
+    encodeInto(payload, conn.tx);
+    if (conn.tx.size() - frame_start - frameHeaderBytes > maxFramePayload) {
+        conn.tx.resize(frame_start); // rewind: nothing of it leaves
+        return false;
+    }
     endFrame(conn.tx, frame_start);
     ++stats_.framesTx;
     stats_.bytesTx += conn.tx.size() - frame_start;
     flushTx(conn); // opportunistic; the rest goes out on POLLOUT
+    return true;
+}
+
+void
+Gateway::sendError(Conn &conn, const Error &error)
+{
+    sendFrame(conn, FrameType::error,
+              ErrorPayload{static_cast<std::uint16_t>(error.code),
+                           error.message});
 }
 
 void
 Gateway::refuse(Conn &conn, Errc code, const std::string &message)
 {
-    ErrorPayload err;
-    err.code = static_cast<std::uint16_t>(code);
-    err.message = message;
-    sendEncoded(conn, FrameType::error,
-                [&](Bytes &out) { encodeErrorInto(err, out); });
+    sendError(conn, Error(code, message));
     conn.closeAfterFlush = true;
 }
 

@@ -144,6 +144,9 @@ struct GatewayStats
     std::uint64_t drains = 0;
     std::uint64_t reportsDelivered = 0;
     std::uint64_t reportsDropped = 0; //!< owner disconnected mid-drain
+    /** Reports whose frame would exceed maxFramePayload, answered with
+     *  a resourceExhausted report instead (counted in delivered). */
+    std::uint64_t reportsOversized = 0;
     std::size_t maxPendingDepth = 0;
 
     std::uint64_t migrationsServed = 0;  //!< bundles handed out
@@ -219,13 +222,15 @@ class Gateway
     bool handleMigrateBegin(Conn &conn, const Frame &frame);
     bool handleMigrate(Conn &conn, const Frame &frame);
     void drainCycle();
-    /** Open a frame of @p type directly inside conn.tx, run @p encode
-     *  (a callable appending the payload bytes to the buffer), patch
-     *  the length, and flush opportunistically. The reactor's only
-     *  send primitive: no temporary frame or payload vector exists. */
-    template <typename EncodePayload>
-    void sendEncoded(Conn &conn, FrameType type,
-                     EncodePayload &&encode);
+    /** Open a frame of @p type directly inside conn.tx, encodeInto()
+     *  @p payload there, patch the length, and flush opportunistically.
+     *  The reactor's only send primitive: no temporary frame vector
+     *  exists. Returns false, with conn.tx rewound to where it was,
+     *  when the payload exceeds maxFramePayload -- a frame the peer
+     *  must refuse never leaves the gateway. */
+    template <typename Payload>
+    bool sendFrame(Conn &conn, FrameType type, const Payload &payload);
+    void sendError(Conn &conn, const Error &error);
     void refuse(Conn &conn, Errc code, const std::string &message);
     void flushTx(Conn &conn);
     void closeConn(Conn &conn);

@@ -74,6 +74,10 @@ bridgeGatewayStats(obs::MetricsRegistry &registry,
     counter("net_reports_dropped_total",
             "Reports dropped because the owner disconnected",
             &GatewayStats::reportsDropped);
+    counter("net_reports_oversized_total",
+            "Reports over the frame payload limit, answered with a "
+            "resourceExhausted report",
+            &GatewayStats::reportsOversized);
     counter("net_migrations_served_total",
             "Attested migration bundles handed out",
             &GatewayStats::migrationsServed);

@@ -225,18 +225,9 @@ Status
 FrameChannel::send(FrameType type, const Bytes &payload)
 {
     std::uint8_t header[frameHeaderBytes];
-    std::size_t at = 0;
-    for (int shift = 24; shift >= 0; shift -= 8)
-        header[at++] = static_cast<std::uint8_t>(frameMagic >> shift);
-    header[at++] = static_cast<std::uint8_t>(wireVersion >> 8);
-    header[at++] = static_cast<std::uint8_t>(wireVersion);
-    const std::uint16_t t = static_cast<std::uint16_t>(type);
-    header[at++] = static_cast<std::uint8_t>(t >> 8);
-    header[at++] = static_cast<std::uint8_t>(t);
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(payload.size());
-    for (int shift = 24; shift >= 0; shift -= 8)
-        header[at++] = static_cast<std::uint8_t>(len >> shift);
+    RecordHeader{frameMagic, wireVersion, static_cast<std::uint16_t>(type),
+                 static_cast<std::uint32_t>(payload.size())}
+        .store(header);
 
     iovec iov[2];
     iov[0].iov_base = header;

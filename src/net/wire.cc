@@ -44,48 +44,35 @@ knownType(std::uint16_t t)
 
 } // namespace
 
-void
-encodeFrameInto(const Frame &frame, Bytes &out)
-{
-    out.reserve(out.size() + frameHeaderBytes + frame.payload.size());
-    ByteAppender a(out);
-    a.u32(frameMagic);
-    a.u16(wireVersion);
-    a.u16(static_cast<std::uint16_t>(frame.type));
-    a.u32(static_cast<std::uint32_t>(frame.payload.size()));
-    a.raw(frame.payload);
-}
-
-Bytes
-encodeFrame(const Frame &frame)
-{
-    Bytes out;
-    encodeFrameInto(frame, out);
-    return out;
-}
-
 std::size_t
 beginFrame(FrameType type, Bytes &out)
 {
     const std::size_t frame_start = out.size();
-    ByteAppender a(out);
-    a.u32(frameMagic);
-    a.u16(wireVersion);
-    a.u16(static_cast<std::uint16_t>(type));
-    a.u32(0); // payload length, patched by endFrame
+    out.resize(frame_start + frameHeaderBytes);
+    // The length field stays zero until endFrame patches it.
+    RecordHeader{frameMagic, wireVersion, static_cast<std::uint16_t>(type),
+                 0}
+        .store(out.data() + frame_start);
     return frame_start;
 }
 
 void
 endFrame(Bytes &out, std::size_t frame_start)
 {
-    const std::size_t payload =
-        out.size() - frame_start - frameHeaderBytes;
-    const std::size_t at = frame_start + frameHeaderBytes - 4;
-    out[at] = static_cast<std::uint8_t>(payload >> 24);
-    out[at + 1] = static_cast<std::uint8_t>(payload >> 16);
-    out[at + 2] = static_cast<std::uint8_t>(payload >> 8);
-    out[at + 3] = static_cast<std::uint8_t>(payload);
+    storeBe32(out.data() + frame_start + RecordHeader::lengthOffset,
+              static_cast<std::uint32_t>(out.size() - frame_start -
+                                         frameHeaderBytes));
+}
+
+Bytes
+encodeFrame(const Frame &frame)
+{
+    Bytes out;
+    out.reserve(frameHeaderBytes + frame.payload.size());
+    const std::size_t at = beginFrame(frame.type, out);
+    out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+    endFrame(out, at);
+    return out;
 }
 
 Result<bool>
@@ -96,27 +83,20 @@ takeFrameInto(const Bytes &buf, std::size_t &offset, Frame &out)
         return false;
 
     const std::uint8_t *h = buf.data() + offset;
-    std::uint32_t magic = 0, length = 0;
-    for (int i = 0; i < 4; ++i) {
-        magic = (magic << 8) | h[i];
-        length = (length << 8) | h[8 + i];
-    }
-    const std::uint16_t version =
-        static_cast<std::uint16_t>(h[4] << 8 | h[5]);
-    const std::uint16_t type =
-        static_cast<std::uint16_t>(h[6] << 8 | h[7]);
-    if (magic != frameMagic)
+    const RecordHeader header = RecordHeader::load(h);
+    if (header.magic != frameMagic)
         return Error(Errc::invalidArgument, "bad frame magic");
-    if (version != wireVersion) {
+    if (header.version != wireVersion) {
         return Error(Errc::failedPrecondition,
                      "protocol version mismatch: peer speaks v" +
-                         std::to_string(version) + ", this side v" +
-                         std::to_string(wireVersion));
+                         std::to_string(header.version) +
+                         ", this side v" + std::to_string(wireVersion));
     }
-    if (!knownType(type)) {
+    if (!knownType(header.type)) {
         return Error(Errc::invalidArgument,
-                     "unknown frame type " + std::to_string(type));
+                     "unknown frame type " + std::to_string(header.type));
     }
+    const std::uint32_t length = header.length;
     if (length > maxFramePayload) {
         return Error(Errc::invalidArgument,
                      "oversized frame: " + std::to_string(length) +
@@ -126,7 +106,7 @@ takeFrameInto(const Bytes &buf, std::size_t &offset, Frame &out)
     if (avail < frameHeaderBytes + length)
         return false; // wait for the rest
 
-    out.type = static_cast<FrameType>(type);
+    out.type = static_cast<FrameType>(header.type);
     // assign() reuses out.payload's capacity: in steady state the
     // reactor's per-connection scratch frame stops allocating.
     out.payload.assign(h + frameHeaderBytes,
@@ -168,20 +148,12 @@ finish(const ByteReader &r, const char *what)
 } // namespace
 
 void
-encodeHelloInto(const HelloPayload &p, Bytes &out)
+encodeInto(const HelloPayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.u16(p.version);
-    a.lengthPrefixed(p.nonce);
-    a.str(p.clientName);
-}
-
-Bytes
-encodeHello(const HelloPayload &p)
-{
-    Bytes out;
-    encodeHelloInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.u16(p.version);
+    w.lengthPrefixed(p.nonce);
+    w.str(p.clientName);
 }
 
 Result<HelloPayload>
@@ -207,19 +179,11 @@ decodeHello(const Bytes &payload)
 }
 
 void
-encodeChallengeInto(const ChallengePayload &p, Bytes &out)
+encodeInto(const ChallengePayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.lengthPrefixed(p.attestation);
-    a.lengthPrefixed(p.nonce);
-}
-
-Bytes
-encodeChallenge(const ChallengePayload &p)
-{
-    Bytes out;
-    encodeChallengeInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.lengthPrefixed(p.attestation);
+    w.lengthPrefixed(p.nonce);
 }
 
 Result<ChallengePayload>
@@ -241,18 +205,10 @@ decodeChallenge(const Bytes &payload)
 }
 
 void
-encodeAuthInto(const AuthPayload &p, Bytes &out)
+encodeInto(const AuthPayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.lengthPrefixed(p.attestation);
-}
-
-Bytes
-encodeAuth(const AuthPayload &p)
-{
-    Bytes out;
-    encodeAuthInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.lengthPrefixed(p.attestation);
 }
 
 Result<AuthPayload>
@@ -270,19 +226,11 @@ decodeAuth(const Bytes &payload)
 }
 
 void
-encodeAuthOkInto(const AuthOkPayload &p, Bytes &out)
+encodeInto(const AuthOkPayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.u64(p.sessionId);
-    a.str(p.subject);
-}
-
-Bytes
-encodeAuthOk(const AuthOkPayload &p)
-{
-    Bytes out;
-    encodeAuthOkInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.u64(p.sessionId);
+    w.str(p.subject);
 }
 
 Result<AuthOkPayload>
@@ -304,27 +252,19 @@ decodeAuthOk(const Bytes &payload)
 }
 
 void
-encodeSubmitInto(const WireRequest &r, Bytes &out)
+encodeInto(const WireRequest &r, Bytes &out)
 {
-    ByteAppender a(out);
-    a.u64(r.sequence);
-    a.u64(r.affinity);
-    a.u32(static_cast<std::uint32_t>(r.priority));
-    a.u8(r.wantQuote ? 1 : 0);
-    a.u32(r.dataPages);
-    a.u64(static_cast<std::uint64_t>(r.slicedComputeTicks));
-    a.u64(r.deadlineTicks);
-    a.str(r.palName);
-    a.str(r.backend);
-    a.lengthPrefixed(r.input);
-}
-
-Bytes
-encodeSubmit(const WireRequest &r)
-{
-    Bytes out;
-    encodeSubmitInto(r, out);
-    return out;
+    ByteWriter w(out);
+    w.u64(r.sequence);
+    w.u64(r.affinity);
+    w.u32(static_cast<std::uint32_t>(r.priority));
+    w.u8(r.wantQuote ? 1 : 0);
+    w.u32(r.dataPages);
+    w.u64(static_cast<std::uint64_t>(r.slicedComputeTicks));
+    w.u64(r.deadlineTicks);
+    w.str(r.palName);
+    w.str(r.backend);
+    w.lengthPrefixed(r.input);
 }
 
 Result<WireRequest>
@@ -378,26 +318,11 @@ decodeSubmit(const Bytes &payload)
 }
 
 void
-encodeReportInto(std::uint64_t sequence, const Bytes &report,
-                 Bytes &out)
+encodeInto(const ReportPayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.u64(sequence);
-    a.lengthPrefixed(report);
-}
-
-void
-encodeReportInto(const ReportPayload &p, Bytes &out)
-{
-    encodeReportInto(p.sequence, p.report, out);
-}
-
-Bytes
-encodeReport(const ReportPayload &p)
-{
-    Bytes out;
-    encodeReportInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.u64(p.sequence);
+    w.lengthPrefixed(p.report);
 }
 
 Result<ReportPayload>
@@ -419,20 +344,12 @@ decodeReport(const Bytes &payload)
 }
 
 void
-encodeBusyInto(const BusyPayload &p, Bytes &out)
+encodeInto(const BusyPayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.u64(p.sequence);
-    a.u16(static_cast<std::uint16_t>(p.reason));
-    a.u32(p.retryAfterMillis);
-}
-
-Bytes
-encodeBusy(const BusyPayload &p)
-{
-    Bytes out;
-    encodeBusyInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.u64(p.sequence);
+    w.u16(static_cast<std::uint16_t>(p.reason));
+    w.u32(p.retryAfterMillis);
 }
 
 Result<BusyPayload>
@@ -463,19 +380,11 @@ decodeBusy(const Bytes &payload)
 }
 
 void
-encodeErrorInto(const ErrorPayload &p, Bytes &out)
+encodeInto(const ErrorPayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.u16(p.code);
-    a.str(p.message);
-}
-
-Bytes
-encodeError(const ErrorPayload &p)
-{
-    Bytes out;
-    encodeErrorInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.u16(p.code);
+    w.str(p.message);
 }
 
 Result<ErrorPayload>
@@ -497,18 +406,10 @@ decodeError(const Bytes &payload)
 }
 
 void
-encodeMigrateBeginInto(const MigrateBeginPayload &p, Bytes &out)
+encodeInto(const MigrateBeginPayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.str(p.storeName);
-}
-
-Bytes
-encodeMigrateBegin(const MigrateBeginPayload &p)
-{
-    Bytes out;
-    encodeMigrateBeginInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.str(p.storeName);
 }
 
 Result<MigrateBeginPayload>
@@ -526,18 +427,10 @@ decodeMigrateBegin(const Bytes &payload)
 }
 
 void
-encodeMigrateChallengeInto(const MigrateChallengePayload &p, Bytes &out)
+encodeInto(const MigrateChallengePayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.lengthPrefixed(p.nonce);
-}
-
-Bytes
-encodeMigrateChallenge(const MigrateChallengePayload &p)
-{
-    Bytes out;
-    encodeMigrateChallengeInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.lengthPrefixed(p.nonce);
 }
 
 Result<MigrateChallengePayload>
@@ -555,21 +448,13 @@ decodeMigrateChallenge(const Bytes &payload)
 }
 
 void
-encodeMigrateInto(const MigratePayload &p, Bytes &out)
+encodeInto(const MigratePayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.str(p.storeName);
-    a.lengthPrefixed(p.nonce);
-    a.lengthPrefixed(p.targetSrk);
-    a.lengthPrefixed(p.attestation);
-}
-
-Bytes
-encodeMigrate(const MigratePayload &p)
-{
-    Bytes out;
-    encodeMigrateInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.str(p.storeName);
+    w.lengthPrefixed(p.nonce);
+    w.lengthPrefixed(p.targetSrk);
+    w.lengthPrefixed(p.attestation);
 }
 
 Result<MigratePayload>
@@ -599,18 +484,10 @@ decodeMigrate(const Bytes &payload)
 }
 
 void
-encodeMigratedInto(const MigratedPayload &p, Bytes &out)
+encodeInto(const MigratedPayload &p, Bytes &out)
 {
-    ByteAppender a(out);
-    a.lengthPrefixed(p.bundle);
-}
-
-Bytes
-encodeMigrated(const MigratedPayload &p)
-{
-    Bytes out;
-    encodeMigratedInto(p, out);
-    return out;
+    ByteWriter w(out);
+    w.lengthPrefixed(p.bundle);
 }
 
 Result<MigratedPayload>

@@ -13,10 +13,14 @@
  *     u32 length  (payload bytes that follow; <= maxFramePayload)
  *     ...payload...
  *
- * Payload codecs reuse the TPM big-endian vocabulary (ByteWriter /
- * ByteReader), so every decode path returns a Result and a truncated,
- * oversized, or garbage frame surfaces as a clean protocol error --
- * never a crash, never a hang (tests/net/wire_test.cc fuzzes this).
+ * The header is the RecordHeader shared with the MWL1 log (both are
+ * stored and loaded by common/bytebuf's one header codec). Payload
+ * codecs reuse the TPM big-endian vocabulary (ByteWriter / ByteReader):
+ * each payload has exactly one encoder, encodeInto(), which appends in
+ * place; encode() wraps it. Every decode path returns a Result, so a
+ * truncated, oversized, or garbage frame surfaces as a clean protocol
+ * error -- never a crash, never a hang (tests/net/wire_test.cc fuzzes
+ * this; tests/net/golden_frames_test.cc pins every frame type's bytes).
  */
 
 #ifndef MINTCB_NET_WIRE_HH
@@ -26,6 +30,7 @@
 #include <optional>
 #include <string>
 
+#include "common/bytebuf.hh"
 #include "common/result.hh"
 #include "common/simtime.hh"
 #include "common/types.hh"
@@ -39,8 +44,8 @@ inline constexpr std::uint32_t frameMagic = 0x4d475731;
 /** Protocol revision carried in every frame header. */
 inline constexpr std::uint16_t wireVersion = 1;
 
-/** Fixed frame-header size on the wire. */
-inline constexpr std::size_t frameHeaderBytes = 12;
+/** Fixed frame-header size on the wire (the shared RecordHeader). */
+inline constexpr std::size_t frameHeaderBytes = RecordHeader::bytes;
 
 /** Upper bound on one frame's payload (DoS guard: a malicious length
  *  field must not make the peer allocate unbounded memory). */
@@ -88,10 +93,7 @@ Bytes encodeFrame(const Frame &frame);
  * The reactor hot path never builds a frame in a temporary vector: it
  * opens a frame directly inside the connection's reusable tx buffer,
  * appends the payload in place, and patches the length afterwards.
- * The bytes produced are identical to encodeFrame's. @{ */
-
-/** Append a whole frame (header + payload) to @p out. */
-void encodeFrameInto(const Frame &frame, Bytes &out);
+ * encodeFrame is the same three steps over a fresh vector. @{ */
 
 /**
  * Open a frame of @p type at the end of @p out: appends the header
@@ -236,63 +238,46 @@ struct MigratedPayload
 
 /** @} */
 
-/** @name Payload codecs (all decoders are total: any byte string in,
- *  clean Result out). Each encoder has an -Into sibling that appends
- *  to a caller-owned buffer (typically between beginFrame/endFrame);
- *  the Bytes-returning form wraps it, so both emit identical bytes. @{ */
-Bytes encodeHello(const HelloPayload &p);
-void encodeHelloInto(const HelloPayload &p, Bytes &out);
+/** @name Payload codecs.
+ * One encoder per payload, appending to a caller-owned buffer
+ * (typically between beginFrame/endFrame); encode() wraps it for
+ * callers that want a fresh vector. All decoders are total: any byte
+ * string in, clean Result out. @{ */
+void encodeInto(const HelloPayload &p, Bytes &out);
+void encodeInto(const ChallengePayload &p, Bytes &out);
+void encodeInto(const AuthPayload &p, Bytes &out);
+void encodeInto(const AuthOkPayload &p, Bytes &out);
+void encodeInto(const WireRequest &r, Bytes &out);
+void encodeInto(const ReportPayload &p, Bytes &out);
+void encodeInto(const BusyPayload &p, Bytes &out);
+void encodeInto(const ErrorPayload &p, Bytes &out);
+void encodeInto(const MigrateBeginPayload &p, Bytes &out);
+void encodeInto(const MigrateChallengePayload &p, Bytes &out);
+void encodeInto(const MigratePayload &p, Bytes &out);
+void encodeInto(const MigratedPayload &p, Bytes &out);
+
+/** Any payload as a fresh vector. */
+template <class P>
+Bytes
+encode(const P &p)
+{
+    Bytes out;
+    encodeInto(p, out);
+    return out;
+}
+
 Result<HelloPayload> decodeHello(const Bytes &payload);
-
-Bytes encodeChallenge(const ChallengePayload &p);
-void encodeChallengeInto(const ChallengePayload &p, Bytes &out);
 Result<ChallengePayload> decodeChallenge(const Bytes &payload);
-
-Bytes encodeAuth(const AuthPayload &p);
-void encodeAuthInto(const AuthPayload &p, Bytes &out);
 Result<AuthPayload> decodeAuth(const Bytes &payload);
-
-Bytes encodeAuthOk(const AuthOkPayload &p);
-void encodeAuthOkInto(const AuthOkPayload &p, Bytes &out);
 Result<AuthOkPayload> decodeAuthOk(const Bytes &payload);
-
-Bytes encodeSubmit(const WireRequest &r);
-void encodeSubmitInto(const WireRequest &r, Bytes &out);
 Result<WireRequest> decodeSubmit(const Bytes &payload);
-
-Bytes encodeReport(const ReportPayload &p);
-void encodeReportInto(const ReportPayload &p, Bytes &out);
-/** Zero-copy variant: append the payload without materializing a
- *  ReportPayload (the report bytes go straight from the service's
- *  encode to the tx buffer). */
-void encodeReportInto(std::uint64_t sequence, const Bytes &report,
-                      Bytes &out);
 Result<ReportPayload> decodeReport(const Bytes &payload);
-
-Bytes encodeBusy(const BusyPayload &p);
-void encodeBusyInto(const BusyPayload &p, Bytes &out);
 Result<BusyPayload> decodeBusy(const Bytes &payload);
-
-Bytes encodeError(const ErrorPayload &p);
-void encodeErrorInto(const ErrorPayload &p, Bytes &out);
 Result<ErrorPayload> decodeError(const Bytes &payload);
-
-Bytes encodeMigrateBegin(const MigrateBeginPayload &p);
-void encodeMigrateBeginInto(const MigrateBeginPayload &p, Bytes &out);
 Result<MigrateBeginPayload> decodeMigrateBegin(const Bytes &payload);
-
-Bytes encodeMigrateChallenge(const MigrateChallengePayload &p);
-void encodeMigrateChallengeInto(const MigrateChallengePayload &p,
-                                Bytes &out);
 Result<MigrateChallengePayload>
 decodeMigrateChallenge(const Bytes &payload);
-
-Bytes encodeMigrate(const MigratePayload &p);
-void encodeMigrateInto(const MigratePayload &p, Bytes &out);
 Result<MigratePayload> decodeMigrate(const Bytes &payload);
-
-Bytes encodeMigrated(const MigratedPayload &p);
-void encodeMigratedInto(const MigratedPayload &p, Bytes &out);
 Result<MigratedPayload> decodeMigrated(const Bytes &payload);
 /** @} */
 

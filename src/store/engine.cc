@@ -337,12 +337,7 @@ SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
                      "corrupt snapshot: short container");
     }
     const std::size_t body = wire.size() - walCrcBytes;
-    const std::uint32_t stored =
-        (static_cast<std::uint32_t>(wire[body]) << 24) |
-        (static_cast<std::uint32_t>(wire[body + 1]) << 16) |
-        (static_cast<std::uint32_t>(wire[body + 2]) << 8) |
-        static_cast<std::uint32_t>(wire[body + 3]);
-    if (stored != crc32(wire, 0, body)) {
+    if (loadBe32(wire.data() + body) != crc32(wire, 0, body)) {
         return Error(Errc::integrityFailure,
                      "corrupt snapshot: container CRC mismatch");
     }
@@ -402,14 +397,13 @@ SealedStore::sealSnapshotTo(const std::string &path,
                                          {17});
     if (!blob)
         return blob.error();
-    ByteWriter w;
+    Bytes wire;
+    ByteWriter w(wire);
     w.u32(snapshotMagic);
     w.u16(snapshotVersion);
     w.u64(at_epoch);
     w.lengthPrefixed(blob->encode());
-    Bytes wire = w.take();
-    ByteAppender a(wire);
-    a.u32(crc32(wire, 0, wire.size()));
+    w.u32(crc32(wire, 0, wire.size()));
     return writeFileDurable(path, wire);
 }
 

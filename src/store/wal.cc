@@ -105,13 +105,13 @@ void
 appendRecord(Bytes &out, RecordType type, const Bytes &payload)
 {
     const std::size_t start = out.size();
-    ByteAppender a(out);
-    a.u32(walMagic);
-    a.u16(walVersion);
-    a.u16(static_cast<std::uint16_t>(type));
-    a.u32(static_cast<std::uint32_t>(payload.size()));
-    a.raw(payload);
-    a.u32(crc32(out, start, out.size() - start));
+    out.resize(start + walHeaderBytes);
+    RecordHeader{walMagic, walVersion, static_cast<std::uint16_t>(type),
+                 static_cast<std::uint32_t>(payload.size())}
+        .store(out.data() + start);
+    ByteWriter w(out);
+    w.raw(payload);
+    w.u32(crc32(out, start, out.size() - start));
 }
 
 WalScan
@@ -128,31 +128,21 @@ scanWal(const Bytes &image)
             stop("short record header");
             break;
         }
-        auto be32 = [&](std::size_t at) {
-            return (static_cast<std::uint32_t>(image[at]) << 24) |
-                   (static_cast<std::uint32_t>(image[at + 1]) << 16) |
-                   (static_cast<std::uint32_t>(image[at + 2]) << 8) |
-                   static_cast<std::uint32_t>(image[at + 3]);
-        };
-        const std::uint32_t magic = be32(pos);
-        if (magic != walMagic) {
+        const RecordHeader header = RecordHeader::load(image.data() + pos);
+        if (header.magic != walMagic) {
             stop("bad record magic");
             break;
         }
-        const std::uint16_t version = static_cast<std::uint16_t>(
-            (image[pos + 4] << 8) | image[pos + 5]);
-        if (version != walVersion) {
+        if (header.version != walVersion) {
             stop("unknown record version");
             break;
         }
-        const std::uint16_t rawType = static_cast<std::uint16_t>(
-            (image[pos + 6] << 8) | image[pos + 7]);
-        if (rawType < 1 ||
-            rawType > static_cast<std::uint16_t>(RecordType::commit)) {
+        if (header.type < 1 ||
+            header.type > static_cast<std::uint16_t>(RecordType::commit)) {
             stop("unknown record type");
             break;
         }
-        const std::uint32_t length = be32(pos + 8);
+        const std::uint32_t length = header.length;
         if (length > maxWalPayload) {
             stop("oversized record payload");
             break;
@@ -162,7 +152,8 @@ scanWal(const Bytes &image)
             stop("short record body");
             break;
         }
-        const std::uint32_t stored = be32(pos + walHeaderBytes + length);
+        const std::uint32_t stored =
+            loadBe32(image.data() + pos + walHeaderBytes + length);
         const std::uint32_t computed =
             crc32(image, pos, walHeaderBytes + length);
         if (stored != computed) {
@@ -170,7 +161,7 @@ scanWal(const Bytes &image)
             break;
         }
         WalRecord record;
-        record.type = static_cast<RecordType>(rawType);
+        record.type = static_cast<RecordType>(header.type);
         record.payload.assign(
             image.begin() +
                 static_cast<std::ptrdiff_t>(pos + walHeaderBytes),

@@ -3,8 +3,9 @@
  * MWL1: the sealed-store write-ahead log record format.
  *
  * The engine's durability story is a log of length-prefixed,
- * CRC-guarded records in the MGW1 framing idiom (net/wire.hh), written
- * append-only and fsync'd at batch-commit boundaries:
+ * CRC-guarded records behind the same 12-byte RecordHeader as MGW1
+ * frames (common/bytebuf.hh, net/wire.hh), written append-only and
+ * fsync'd at batch-commit boundaries:
  *
  *     u32 magic   "MWL1" (0x4d574c31)
  *     u16 version (walVersion; mismatches are refused, never guessed)
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytebuf.hh"
 #include "common/result.hh"
 #include "common/types.hh"
 
@@ -43,8 +45,9 @@ inline constexpr std::uint32_t walMagic = 0x4d574c31;
 /** Record-layout revision carried in every record header. */
 inline constexpr std::uint16_t walVersion = 1;
 
-/** Fixed record-header size on disk (magic + version + type + length). */
-inline constexpr std::size_t walHeaderBytes = 12;
+/** Fixed record-header size on disk (magic + version + type + length):
+ *  the RecordHeader MGW1 frames use too. */
+inline constexpr std::size_t walHeaderBytes = RecordHeader::bytes;
 
 /** Trailing CRC size. */
 inline constexpr std::size_t walCrcBytes = 4;

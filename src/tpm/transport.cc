@@ -178,17 +178,6 @@ TransportClient::resume(const Bytes &key, std::uint64_t epoch)
     return TransportClient(trafficKey(key, epoch));
 }
 
-Result<TransportClient>
-TransportClient::establish(const crypto::RsaPublicKey &srk, Rng &rng,
-                           Bytes &envelope_out)
-{
-    auto opened = open(srk, rng);
-    if (!opened)
-        return opened.error();
-    envelope_out = std::move(opened->envelope);
-    return std::move(opened->client);
-}
-
 WrappedMessage
 TransportClient::wrapCommand(TransportOp op, std::uint32_t pcr,
                              const Bytes &payload)

@@ -104,11 +104,6 @@ class TransportClient
     static Result<TransportClient> resume(const Bytes &key,
                                           std::uint64_t epoch);
 
-    /** @deprecated Out-parameter variant kept for existing callers; new
-     *  code should use open(). */
-    static Result<TransportClient> establish(
-        const crypto::RsaPublicKey &srk, Rng &rng, Bytes &envelope_out);
-
     /** Wrap a single command for the wire. */
     WrappedMessage wrapCommand(TransportOp op, std::uint32_t pcr,
                                const Bytes &payload);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/bytebuf.hh"
 
 namespace mintcb
@@ -28,6 +30,34 @@ TEST(ByteWriter, U64Layout)
     w.u64(0x0102030405060708ull);
     const Bytes expected = {1, 2, 3, 4, 5, 6, 7, 8};
     EXPECT_EQ(w.bytes(), expected);
+}
+
+TEST(ByteWriter, AppendsToACallerBuffer)
+{
+    Bytes buf = {0xff};
+    ByteWriter w(buf);
+    w.u16(0x0102);
+    w.str("a");
+    const Bytes expected = {0xff, 0x01, 0x02, 0, 0, 0, 1, 'a'};
+    EXPECT_EQ(buf, expected);
+    EXPECT_EQ(&w.bytes(), &buf);
+}
+
+TEST(RecordHeader, StoresAndLoadsBigEndian)
+{
+    std::uint8_t raw[RecordHeader::bytes] = {};
+    RecordHeader{0x4d475731, 0x0102, 0x0304, 0x05060708}.store(raw);
+    const std::uint8_t expected[RecordHeader::bytes] = {
+        0x4d, 0x47, 0x57, 0x31, 1, 2, 3, 4, 5, 6, 7, 8};
+    EXPECT_EQ(std::memcmp(raw, expected, sizeof raw), 0);
+    const RecordHeader h = RecordHeader::load(raw);
+    EXPECT_EQ(h.magic, 0x4d475731u);
+    EXPECT_EQ(h.version, 0x0102);
+    EXPECT_EQ(h.type, 0x0304);
+    EXPECT_EQ(h.length, 0x05060708u);
+    EXPECT_EQ(loadBe32(raw + RecordHeader::lengthOffset), 0x05060708u);
+    storeBe32(raw, 0xa1b2c3d4);
+    EXPECT_EQ(loadBe32(raw), 0xa1b2c3d4u);
 }
 
 TEST(RoundTrip, AllFieldTypes)

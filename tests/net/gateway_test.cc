@@ -12,7 +12,9 @@
  *  - rate-limited clients receive explicit busy backpressure on an
  *    open connection, not a disconnect;
  *  - idle connections are reaped; malformed traffic gets a clean
- *    error frame and a close, never a hang.
+ *    error frame and a close, never a hang;
+ *  - a report too large for one frame is a typed failure for its
+ *    sequence, not a frame the client must refuse.
  */
 
 #include <gtest/gtest.h>
@@ -214,7 +216,7 @@ TEST(Gateway, UnattestedQuoteRefusedBeforeAnySubmit)
     ASSERT_TRUE(stream.ok());
     FrameChannel raw(stream.take());
     ASSERT_TRUE(
-        raw.send({FrameType::submit, encodeSubmit(echoRequest(1, "x"))})
+        raw.send({FrameType::submit, encode(echoRequest(1, "x"))})
             .ok());
     auto reply = raw.recv();
     ASSERT_TRUE(reply.ok());
@@ -333,6 +335,44 @@ TEST(Gateway, UnknownPalAndDuplicateSequenceAreCleanErrors)
     fx.gateway.stop();
     EXPECT_EQ(fx.gateway.stats().unknownPal, 1u);
     EXPECT_EQ(fx.gateway.stats().duplicateSequence, 1u);
+}
+
+TEST(Gateway, OversizedReportIsATypedFailureNotABrokenSession)
+{
+    GatewayFixture fx;
+    GatewayClient client(quickClient(65));
+    ASSERT_TRUE(client.connect(fx.gateway.port()).ok());
+
+    // The submit fits the frame limit; its echoed report does not.
+    WireRequest big = echoRequest(1, "big");
+    big.input = Bytes(maxFramePayload - 200, 0x5a);
+    ASSERT_LE(encode(big).size(), maxFramePayload);
+    auto reply = client.call(big);
+    ASSERT_TRUE(reply.ok()) << reply.error().str();
+    EXPECT_EQ(reply->sequence, 1u);
+    auto summary = summarizeReport(reply->report);
+    ASSERT_TRUE(summary.ok()) << summary.error().str();
+    EXPECT_FALSE(summary->ok);
+    EXPECT_EQ(summary->errorCode,
+              static_cast<std::uint16_t>(Errc::resourceExhausted));
+    EXPECT_TRUE(summary->output.empty());
+
+    // The connection survives: the next request on it succeeds.
+    auto next = client.call(echoRequest(2, "after"));
+    ASSERT_TRUE(next.ok()) << next.error().str();
+    auto after = summarizeReport(next->report);
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(after->ok);
+    EXPECT_EQ(after->output, asciiBytes("payload:after"));
+    client.bye();
+    fx.gateway.stop();
+
+    EXPECT_EQ(fx.gateway.stats().reportsOversized, 1u);
+    EXPECT_EQ(fx.gateway.stats().reportsDelivered, 2u);
+    EXPECT_EQ(fx.gateway.stats().protocolErrors, 0u);
+    obs::MetricsRegistry registry;
+    bridgeGatewayStats(registry, fx.gateway.stats(), {});
+    EXPECT_EQ(registry.value("net_reports_oversized_total", {}), 1.0);
 }
 
 TEST(Gateway, MalformedFrameGetsErrorThenClose)

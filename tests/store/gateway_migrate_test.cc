@@ -140,6 +140,34 @@ TEST(GatewayMigrate, UnknownStoreNameIsRefused)
     EXPECT_TRUE(fx.source->alive());
 }
 
+TEST(GatewayMigrate, BundleOverTheFrameLimitIsATypedRefusal)
+{
+    MigrateGatewayFixture fx;
+    // Two values that each fit a WAL record but together make a bundle
+    // larger than one MGW1 frame may carry.
+    const std::size_t half = net::maxFramePayload / 2 + 4096;
+    ASSERT_TRUE(fx.source->put("blob-a", Bytes(half, 0xa5)).ok());
+    ASSERT_TRUE(fx.source->put("blob-b", Bytes(half, 0x5a)).ok());
+    ASSERT_TRUE(fx.source->commit().ok());
+
+    TempDir dstTmp;
+    auto target = fx.openTarget(dstTmp);
+    ASSERT_NE(target, nullptr);
+
+    net::GatewayClient client;
+    ASSERT_TRUE(client.connect(fx.gateway->port()).ok());
+    const Status s = client.migrateInto(*target, "vault");
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.error().code, Errc::resourceExhausted)
+        << s.error().message;
+    client.bye();
+
+    fx.gateway->stop();
+    EXPECT_EQ(fx.gateway->stats().migrationsServed, 0u);
+    EXPECT_EQ(fx.gateway->stats().migrationsRefused, 1u);
+    EXPECT_EQ(fx.gateway->stats().protocolErrors, 0u);
+}
+
 TEST(GatewayMigrate, GatewayWithoutAuthorityRefusesEverything)
 {
     // No authority wired at all: every migrateBegin is a notFound.
@@ -187,7 +215,7 @@ TEST(GatewayMigrate, MigrateWithoutChallengeIsAProtocolError)
     payload.attestation = attestation->encode();
     ASSERT_TRUE(client
                     .sendFrame(net::FrameType::migrate,
-                               net::encodeMigrate(payload))
+                               net::encode(payload))
                     .ok());
     auto reply = client.recvFrame();
     ASSERT_TRUE(reply.ok());

@@ -19,12 +19,10 @@ class TransportTest : public ::testing::Test
   protected:
     TransportTest() : tpm_(TpmVendor::ideal), server_(tpm_), rng_(77)
     {
-        Bytes envelope;
-        auto client = TransportClient::establish(tpm_.srkPublic(), rng_,
-                                                 envelope);
-        EXPECT_TRUE(client.ok());
-        client_.emplace(client.take());
-        EXPECT_TRUE(server_.accept(envelope).ok());
+        auto opened = TransportClient::open(tpm_.srkPublic(), rng_);
+        EXPECT_TRUE(opened.ok());
+        client_.emplace(std::move(opened->client));
+        EXPECT_TRUE(server_.accept(opened->envelope).ok());
     }
 
     Tpm tpm_;
@@ -133,14 +131,12 @@ TEST_F(TransportTest, WrongSessionKeyCannotIssueCommands)
 {
     // A second client with its own key talks to the same server: the
     // server's session key differs, so its messages are rejected.
-    Bytes envelope;
     Rng other_rng(999);
-    auto mallory = TransportClient::establish(tpm_.srkPublic(), other_rng,
-                                              envelope);
+    auto mallory = TransportClient::open(tpm_.srkPublic(), other_rng);
     ASSERT_TRUE(mallory.ok());
     // Server never accepted mallory's envelope.
-    auto wrapped = mallory->wrapCommand(TransportOp::pcrExtend, 17,
-                                        Bytes(20, 0x00));
+    auto wrapped = mallory->client.wrapCommand(TransportOp::pcrExtend, 17,
+                                               Bytes(20, 0x00));
     EXPECT_FALSE(server_.execute(wrapped).ok());
 }
 
