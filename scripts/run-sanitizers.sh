@@ -12,6 +12,11 @@
 # Each configuration builds into build-<name>/ (slashes from commas) so
 # sanitized trees never collide with the developer build/.
 #
+# The sanitized trees keep the default RelWithDebInfo build type but
+# drop its -DNDEBUG (-O2 -g only), so every assert() in src/ -- e.g.
+# Result::value() on an error, the BigNum/RSA preconditions -- runs
+# here even though the developer build compiles them out.
+#
 # Usage: scripts/run-sanitizers.sh [ctest-args...]
 #   SANITIZERS="address,undefined thread" scripts/run-sanitizers.sh
 #   scripts/run-sanitizers.sh -L verify     # only the verify label
@@ -26,7 +31,8 @@ for config in $sanitizers; do
     build_dir="$repo_root/build-$(echo "$config" | tr ',' '-')san"
     echo "== MINTCB_SANITIZE=$config -> $build_dir =="
     cmake -B "$build_dir" -S "$repo_root" \
-        -DMINTCB_SANITIZE="$config" >/dev/null
+        -DMINTCB_SANITIZE="$config" \
+        -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
     cmake --build "$build_dir" -j "$jobs"
     (cd "$build_dir" && ctest --output-on-failure -j "$jobs" "$@")
 done

@@ -576,20 +576,20 @@ Gateway::handleMigrate(Conn &conn, const Frame &frame)
         return false;
     }
     conn.migrationNonce.clear();
+    // The bundle must fit one migrated frame. The authority checks that
+    // before it invalidates the source, so an oversized store is a
+    // typed refusal that leaves the only replica live.
+    const std::size_t maxBundle =
+        maxFramePayload - encode(MigratedPayload{}).size();
     auto bundle = config_.migration->complete(
-        migrate->nonce, migrate->targetSrk, migrate->attestation);
+        migrate->nonce, migrate->targetSrk, migrate->attestation,
+        maxBundle);
     if (!bundle) {
         ++stats_.migrationsRefused;
         refuse(conn, bundle.error().code, bundle.error().message);
         return false;
     }
-    if (!sendFrame(conn, FrameType::migrated,
-                   MigratedPayload{bundle.take()})) {
-        ++stats_.migrationsRefused;
-        refuse(conn, Errc::resourceExhausted,
-               "migration bundle exceeds the frame payload limit");
-        return false;
-    }
+    sendFrame(conn, FrameType::migrated, MigratedPayload{bundle.take()});
     ++stats_.migrationsServed;
     return true;
 }

@@ -150,7 +150,7 @@ struct GatewayStats
     std::size_t maxPendingDepth = 0;
 
     std::uint64_t migrationsServed = 0;  //!< bundles handed out
-    std::uint64_t migrationsRefused = 0; //!< bad nonce/quote/name
+    std::uint64_t migrationsRefused = 0; //!< bad nonce/quote/name/size
 
     /** Multi-line human-readable rendering. */
     std::string str() const;

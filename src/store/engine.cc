@@ -1014,7 +1014,9 @@ SealedStore::attestForMigration(const Bytes &nonce)
 }
 
 Result<Bytes>
-SealedStore::exportForMigration()
+SealedStore::exportForMigration(
+    const std::function<Result<Bytes>(const Bytes &payload,
+                                      std::uint64_t epoch)> &package)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (auto s = requireAlive(); !s.ok())
@@ -1024,7 +1026,9 @@ SealedStore::exportForMigration()
                      "migration with uncommitted mutations; commit "
                      "first");
     }
-    const Bytes payload = encodeMapPayload(epoch_);
+    auto bundle = package(encodeMapPayload(epoch_), epoch_);
+    if (!bundle)
+        return bundle.error(); // refused before anything was advanced
 
     // Invalidate this replica: advance the chip with no matching
     // commit. Every future open of this directory now sees durable
@@ -1049,7 +1053,7 @@ SealedStore::exportForMigration()
         ::close(walFd_);
         walFd_ = -1;
     }
-    return payload;
+    return bundle;
 }
 
 Status

@@ -33,6 +33,7 @@
 #define MINTCB_STORE_ENGINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -217,11 +218,17 @@ class SealedStore final : public sea::SealedStateStore
      *  sha256(nonce || srkPublicEncoded()) -- binding the quoted
      *  launch to the SRK that will receive the re-sealed state. */
     Result<sea::Attestation> attestForMigration(const Bytes &nonce);
-    /** Unseal the full map for re-sealing to a verified target, then
-     *  invalidate this replica: the hardware counter advances with no
-     *  matching commit, so every future open of this directory is a
-     *  typed rollback rejection. Refuses with uncommitted mutations. */
-    Result<Bytes> exportForMigration();
+    /** Unseal the full map and hand it, with its committed epoch, to
+     *  @p package, which re-seals it to a verified target and returns
+     *  the outbound bundle; then invalidate this replica: the hardware
+     *  counter advances with no matching commit, so every future open
+     *  of this directory is a typed rollback rejection. Refuses with
+     *  uncommitted mutations. All of it runs under the store lock, so
+     *  no commit can land in between; if @p package refuses, nothing
+     *  is invalidated. */
+    Result<Bytes> exportForMigration(
+        const std::function<Result<Bytes>(const Bytes &payload,
+                                          std::uint64_t epoch)> &package);
     /** Adopt a verified inbound bundle into an empty store. */
     Status adoptMigrated(const Bytes &snapshot_payload);
     /** @} */

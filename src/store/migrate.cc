@@ -106,7 +106,8 @@ MigrationAuthority::outstandingChallenges() const
 Result<Bytes>
 MigrationAuthority::complete(const Bytes &nonce,
                              const Bytes &target_srk_wire,
-                             const Bytes &attestation_wire)
+                             const Bytes &attestation_wire,
+                             std::size_t max_bundle_bytes)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -135,20 +136,27 @@ MigrationAuthority::complete(const Bytes &nonce,
     if (!verified)
         return verified.error();
 
-    const std::uint64_t sourceEpoch = source_.epoch();
-    auto payload = source_.exportForMigration();
-    if (!payload)
-        return payload.error();
-
-    const tpm::SealPolicy policy = {
-        {17, SealedStore::identityPal().expectedPcr17()}};
-    tpm::SealedBlob blob =
-        tpm::sealBlob(*targetSrk, rng_, *payload, policy);
-
-    MigrationBundle bundle;
-    bundle.sourceEpoch = sourceEpoch;
-    bundle.sealedState = blob.encode();
-    return bundle.encode();
+    return source_.exportForMigration(
+        [&](const Bytes &payload, std::uint64_t sourceEpoch)
+            -> Result<Bytes> {
+            const tpm::SealPolicy policy = {
+                {17, SealedStore::identityPal().expectedPcr17()}};
+            tpm::SealedBlob blob =
+                tpm::sealBlob(*targetSrk, rng_, payload, policy);
+            MigrationBundle bundle;
+            bundle.sourceEpoch = sourceEpoch;
+            bundle.sealedState = blob.encode();
+            Bytes wire = bundle.encode();
+            if (wire.size() > max_bundle_bytes) {
+                return Error(Errc::resourceExhausted,
+                             "migration bundle of " +
+                                 std::to_string(wire.size()) +
+                                 " bytes exceeds the " +
+                                 std::to_string(max_bundle_bytes) +
+                                 "-byte limit");
+            }
+            return wire;
+        });
 }
 
 Status

@@ -79,11 +79,14 @@ class MigrationAuthority
      * return the encoded MigrationBundle re-sealed to the target.
      * Typed refusals: unknown/replayed nonce (permissionDenied),
      * failed quote verification (whatever verifyFresh diagnosed),
-     * uncommitted source mutations (failedPrecondition).
+     * uncommitted source mutations (failedPrecondition), a bundle
+     * larger than @p max_bundle_bytes (resourceExhausted). Every
+     * refusal leaves the source live and its counter untouched.
      */
     Result<Bytes> complete(const Bytes &nonce,
                            const Bytes &target_srk_wire,
-                           const Bytes &attestation_wire);
+                           const Bytes &attestation_wire,
+                           std::size_t max_bundle_bytes = SIZE_MAX);
 
     /** Target-side adoption: unseal @p bundle_wire on @p target (only
      *  possible on the machine whose SRK it was sealed to, inside the

@@ -11,8 +11,8 @@
  * already-bound SECB; and SKILL revokes *everything* a PAL held.
  * Nothing in the simulator may merely assume these -- this header makes
  * each one a named, declarative predicate over a canonical snapshot of
- * the combined memctrl / sePCR / lifecycle state, so the StateExplorer
- * (exhaustive model checking), the test suites (oracle), and the lint
+ * the combined memctrl / sePCR / lifecycle state, so the model checker
+ * (verify/explorer.hh), the test suites (oracle), and the lint
  * driver all check the *same* catalog.
  */
 

@@ -6,10 +6,11 @@
  * table, the *production* SePcrTpm bank, and the *production* lifecycle
  * transition table into the combined SLAUNCH / SYIELD / SFREE / SKILL
  * semantics at component granularity -- the same sequencing as
- * rec::SecureExecutive, minus the timing model. The StateExplorer
- * enumerates every action interleaving over it; a Mutation deliberately
- * breaks one step of one transition so the regression suite can prove
- * the explorer actually finds violations.
+ * rec::SecureExecutive, minus the timing model. verify::bfs over the
+ * ProtectionModel (verify/explorer.hh) enumerates every action
+ * interleaving over it; a Mutation deliberately breaks one step of one
+ * transition so the regression suite can prove the walk actually finds
+ * violations.
  */
 
 #ifndef MINTCB_VERIFY_MODEL_HH

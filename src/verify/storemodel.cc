@@ -1,86 +1,19 @@
 /**
  * @file
- * Store-lifecycle model checker implementation.
- *
- * Unlike the protection-state explorer (replay-based), lifecycle
- * states are tiny plain structs, so the walk copies worlds directly
- * and keeps a parent pointer per discovered state for counterexample
- * reconstruction.
+ * Store-lifecycle model: transitions and state predicates.
  */
 
 #include "verify/storemodel.hh"
 
-#include <deque>
 #include <functional>
 #include <sstream>
-#include <unordered_map>
 
 namespace mintcb::verify
 {
 
-namespace
-{
-
-/** One machine's view of the store: the untrusted disk (epoch), the
- *  trusted chip (counter), and the engine lifecycle bits. */
-struct Replica
-{
-    bool admitted = false;    //!< identity PAL late-launched
-    bool live = false;        //!< engine open and serving
-    bool invalidated = false; //!< counter advanced with no commit
-    bool hasData = false;     //!< disk holds the dataset lineage
-    std::uint64_t diskEpoch = 0;
-    std::uint64_t counter = 0;
-    /** Highest epoch this machine ever served live (history variable
-     *  for the monotonicity invariant; not part of the real engine). */
-    std::uint64_t servedFloor = 0;
-};
-
-struct World
-{
-    std::vector<Replica> replicas;
-
-    std::string key() const
-    {
-        std::ostringstream os;
-        for (const Replica &r : replicas) {
-            os << r.admitted << r.live << r.invalidated << r.hasData
-               << ':' << r.diskEpoch << ':' << r.counter << ':'
-               << r.servedFloor << '|';
-        }
-        return os.str();
-    }
-
-    std::string dump() const
-    {
-        std::ostringstream os;
-        for (std::size_t i = 0; i < replicas.size(); ++i) {
-            const Replica &r = replicas[i];
-            os << "machine " << i << ": "
-               << (r.admitted ? "admitted" : "unadmitted") << ' '
-               << (r.live ? "live" : "closed")
-               << (r.invalidated ? " invalidated" : "")
-               << (r.hasData ? " data" : " empty") << " epoch="
-               << r.diskEpoch << " counter=" << r.counter
-               << " servedFloor=" << r.servedFloor << '\n';
-        }
-        return os.str();
-    }
-};
-
-/** A candidate successor: the action label plus the resulting world.
- *  `violation` is set when the action itself crossed an invariant
- *  (monotonicity is a property of the *act* of going live). */
-struct Successor
-{
-    std::string action;
-    World world;
-    std::string violation;
-};
-
 /** Invariants 1 and 3 are state predicates, checked on every state. */
 std::string
-checkStatePredicates(const World &w)
+StoreLifecycleModel::checkStatePredicates(const World &w)
 {
     std::size_t liveReplicas = 0;
     for (std::size_t i = 0; i < w.replicas.size(); ++i) {
@@ -101,8 +34,8 @@ checkStatePredicates(const World &w)
 }
 
 /** Enumerate every action enabled in @p w. */
-std::vector<Successor>
-successors(const World &w, const StoreModelConfig &cfg)
+std::vector<StoreLifecycleModel::Successor>
+StoreLifecycleModel::successors(const World &w, const StoreModelConfig &cfg)
 {
     std::vector<Successor> out;
     const auto n = w.replicas.size();
@@ -237,8 +170,6 @@ successors(const World &w, const StoreModelConfig &cfg)
     return out;
 }
 
-} // namespace
-
 const char *
 storeMutationName(StoreMutation m)
 {
@@ -256,105 +187,32 @@ storeMutationName(StoreMutation m)
 }
 
 std::string
-StoreCounterexample::str() const
+StoreLifecycleModel::key(const World &w) const
 {
     std::ostringstream os;
-    os << "violation: " << violation << "\ntrace (" << trace.size()
-       << " actions):\n";
-    for (const std::string &a : trace)
-        os << "  " << a << '\n';
+    for (const Replica &r : w.replicas) {
+        os << r.admitted << r.live << r.invalidated << r.hasData
+           << ':' << r.diskEpoch << ':' << r.counter << ':'
+           << r.servedFloor << '|';
+    }
     return os.str();
 }
 
 std::string
-StoreExploreResult::str() const
+StoreLifecycleModel::dump(const World &w) const
 {
     std::ostringstream os;
-    os << "states=" << statesExplored
-       << " transitions=" << transitionsTaken
-       << (truncated ? " TRUNCATED" : "");
-    if (counterexample)
-        os << '\n' << counterexample->str();
-    return os.str();
-}
-
-StoreLifecycleExplorer::StoreLifecycleExplorer(StoreModelConfig config)
-    : config_(config)
-{
-}
-
-StoreExploreResult
-StoreLifecycleExplorer::run()
-{
-    StoreExploreResult result;
-
-    struct Node
-    {
-        World world;
-        std::size_t parent;
-        std::string action;
-    };
-
-    World initial;
-    initial.replicas.resize(
-        static_cast<std::size_t>(config_.machines > 0 ? config_.machines
-                                                      : 1));
-    initial.replicas[0].hasData = true; // machine 0 owns the dataset
-
-    std::vector<Node> nodes;
-    nodes.push_back({initial, 0, {}});
-    std::unordered_map<std::string, std::size_t> seen;
-    seen.emplace(initial.key(), 0);
-    std::deque<std::size_t> frontier{0};
-
-    auto traceTo = [&](std::size_t idx, const std::string &last) {
-        std::vector<std::string> trace;
-        if (!last.empty())
-            trace.push_back(last);
-        while (idx != 0) {
-            trace.push_back(nodes[idx].action);
-            idx = nodes[idx].parent;
-        }
-        std::vector<std::string> fwd(trace.rbegin(), trace.rend());
-        return fwd;
-    };
-
-    while (!frontier.empty()) {
-        const std::size_t at = frontier.front();
-        frontier.pop_front();
-        ++result.statesExplored;
-
-        // Copy: successors() may grow `nodes` and invalidate refs.
-        const World here = nodes[at].world;
-        for (Successor &next : successors(here, config_)) {
-            ++result.transitionsTaken;
-
-            std::string violation = next.violation;
-            if (violation.empty())
-                violation = checkStatePredicates(next.world);
-            if (!violation.empty()) {
-                StoreCounterexample cx;
-                cx.trace = traceTo(at, next.action);
-                cx.violation =
-                    violation + "\n" + next.world.dump();
-                result.counterexample = std::move(cx);
-                return result;
-            }
-
-            const std::string key = next.world.key();
-            if (seen.count(key) != 0)
-                continue;
-            if (nodes.size() >= config_.maxStates) {
-                result.truncated = true;
-                return result;
-            }
-            seen.emplace(key, nodes.size());
-            frontier.push_back(nodes.size());
-            nodes.push_back(
-                {std::move(next.world), at, std::move(next.action)});
-        }
+    for (std::size_t i = 0; i < w.replicas.size(); ++i) {
+        const Replica &r = w.replicas[i];
+        os << "machine " << i << ": "
+           << (r.admitted ? "admitted" : "unadmitted") << ' '
+           << (r.live ? "live" : "closed")
+           << (r.invalidated ? " invalidated" : "")
+           << (r.hasData ? " data" : " empty") << " epoch="
+           << r.diskEpoch << " counter=" << r.counter
+           << " servedFloor=" << r.servedFloor << '\n';
     }
-    return result;
+    return os.str();
 }
 
 } // namespace mintcb::verify

@@ -21,16 +21,18 @@
  * Seeded mutations disable one protection mechanism each, and the
  * regression tests prove the walk then *finds* the violation with a
  * minimal counterexample trace -- the same discipline as
- * verify/explorer.hh applies to the protection state machines.
+ * verify/explorer.hh applies to the protection state machines. Both
+ * are walked by the one engine in verify/bfs.hh.
  */
 
 #ifndef MINTCB_VERIFY_STOREMODEL_HH
 #define MINTCB_VERIFY_STOREMODEL_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
+
+#include "verify/bfs.hh"
 
 namespace mintcb::verify
 {
@@ -62,42 +64,84 @@ struct StoreModelConfig
     bool adversaryReplay = true;
 
     StoreMutation mutation = StoreMutation::none;
-
-    /** State cap; hitting it sets truncated (never silent). */
-    std::size_t maxStates = 250000;
 };
 
-/** A violation with the action sequence that reproduces it. */
-struct StoreCounterexample
-{
-    std::vector<std::string> trace;
-    std::string violation;
-    std::string str() const;
-};
-
-/** Outcome of one exhaustive walk. */
-struct StoreExploreResult
-{
-    std::size_t statesExplored = 0;
-    std::size_t transitionsTaken = 0;
-    bool truncated = false;
-    std::optional<StoreCounterexample> counterexample;
-
-    bool ok() const { return !counterexample && !truncated; }
-    std::string str() const;
-};
-
-/** The store-lifecycle model checker. */
-class StoreLifecycleExplorer
+/** The store lifecycle as a verify::bfs model. States are tiny plain
+ *  structs, so the model copies worlds directly. */
+class StoreLifecycleModel
 {
   public:
-    explicit StoreLifecycleExplorer(StoreModelConfig config = {});
+    /** One machine's view of the store: the untrusted disk (epoch), the
+     *  trusted chip (counter), and the engine lifecycle bits. */
+    struct Replica
+    {
+        bool admitted = false;    //!< identity PAL late-launched
+        bool live = false;        //!< engine open and serving
+        bool invalidated = false; //!< counter advanced with no commit
+        bool hasData = false;     //!< disk holds the dataset lineage
+        std::uint64_t diskEpoch = 0;
+        std::uint64_t counter = 0;
+        /** Highest epoch this machine ever served live (history variable
+         *  for the monotonicity invariant; not part of the real engine). */
+        std::uint64_t servedFloor = 0;
+    };
 
-    /** Enumerate every reachable lifecycle state; stops at the first
-     *  invariant violation (BFS order makes the trace minimal). */
-    StoreExploreResult run();
+    struct World
+    {
+        std::vector<Replica> replicas;
+    };
+
+    /** A candidate successor: the action label plus the resulting world.
+     *  `violation` is set when the action itself crossed an invariant
+     *  (monotonicity is a property of the *act* of going live). */
+    struct Successor
+    {
+        std::string action;
+        World world;
+        std::string violation;
+    };
+
+    using State = World;
+    using Key = std::string;
+
+    explicit StoreLifecycleModel(StoreModelConfig config = {})
+        : config_(config)
+    {
+    }
+
+    template <class Visit>
+    Status
+    initial(Visit &&visit) const
+    {
+        World world;
+        world.replicas.resize(static_cast<std::size_t>(
+            config_.machines > 0 ? config_.machines : 1));
+        world.replicas[0].hasData = true; // machine 0 owns the dataset
+        visit(world, [&] { return world; });
+        return okStatus();
+    }
+
+    template <class Step>
+    Status
+    expand(const World &from, Step &&step) const
+    {
+        for (Successor &s : successors(from, config_)) {
+            if (!step(s.action, s.world, s.violation,
+                      [&] { return std::move(s.world); }))
+                break;
+        }
+        return okStatus();
+    }
+
+    Key key(const World &w) const;
+    std::string check(const World &w) const { return checkStatePredicates(w); }
+    std::string dump(const World &w) const;
 
   private:
+    static std::string checkStatePredicates(const World &w);
+    static std::vector<Successor> successors(const World &w,
+                                             const StoreModelConfig &cfg);
+
     StoreModelConfig config_;
 };
 

@@ -8,6 +8,15 @@
  *    (beginFrame / payload encoder / endFrame);
  *  - one MWL1 record of every RecordType, as appendRecord writes it.
  *
+ * Plus one of each of two formats that still frame themselves:
+ *
+ *  - EXR2, the encoded sea::ExecutionReport a report frame carries;
+ *  - MMB1, the store::MigrationBundle a migrated frame carries.
+ *
+ * The third such format, the MSS1 sealed snapshot, is built inline in
+ * SealedStore::sealSnapshotTo around an RNG-sealed blob; its pin waits
+ * for the change that gives it an encoder of its own.
+ *
  * The hex is pinned, not derived: any codec refactor that changes one
  * byte on the wire or on disk fails here, whatever path produced it.
  */
@@ -20,6 +29,8 @@
 
 #include "common/hex.hh"
 #include "net/wire.hh"
+#include "sea/request.hh"
+#include "store/migrate.hh"
 #include "store/wal.hh"
 
 namespace mintcb::net
@@ -243,6 +254,77 @@ TEST(GoldenWal, AppendRecordEmitsThePinnedBytes)
         EXPECT_EQ(scan.records[i].type, golden[i].type);
         EXPECT_EQ(scan.records[i].payload, golden[i].payload);
     }
+}
+
+TEST(GoldenReport, ExecutionReportEncodeEmitsThePinnedBytes)
+{
+    sea::ExecutionReport report;
+    report.requestId = 7;
+    report.palName = "echo";
+    report.backend = "rec";
+    report.output = asciiBytes("out");
+    report.palMeasurement = asciiBytes("meas");
+    report.quoted = true;
+    report.quote.selection = {17};
+    report.quote.values = {asciiBytes("pcr")};
+    report.quote.nonce = asciiBytes("n");
+    report.quote.signature = asciiBytes("sig");
+    report.phases.launch = Duration::picos(1);
+    report.phases.compute = Duration::picos(2);
+    report.phases.transition = Duration::picos(3);
+    report.phases.attestation = Duration::picos(4);
+    report.phases.teardown = Duration::picos(5);
+    sea::ReportSection &section =
+        report.section(sea::Capability::preemptible);
+    section.addCost("slice", Duration::picos(6));
+    section.addCount("yields", 2);
+    section.addEvidence("pcr17", asciiBytes("ev"));
+    report.submittedAt = TimePoint(Duration::picos(10));
+    report.startedAt = TimePoint(Duration::picos(11));
+    report.finishedAt = TimePoint(Duration::picos(12));
+    report.queueWait = Duration::picos(1);
+    report.total = Duration::picos(1);
+    report.launches = 1;
+    report.yields = 2;
+    report.cpu = 3;
+    report.shard = 4;
+    report.deadlineMet = true;
+    EXPECT_EQ(toHex(report.encode()),
+              "00000004455852320000000000000007000000046563686f00000003"
+              "72656301000000036f7574000000046d656173010000001c00000004"
+              "51554f54000000010000001100000003706372000000016e00000003"
+              "73696700000000000000010000000000000002000000000000000300"
+              "00000000000004000000000000000500000001000000020000000100"
+              "000005736c696365000000000000000600000001000000067969656c"
+              "64730000000000000002000000010000000570637231370000000265"
+              "76000000000000000a000000000000000b000000000000000c000000"
+              "00000000010000000000000001000000000000000100000000000000"
+              "02000000030000000401");
+
+    // The error branch adds the code and message after the status byte.
+    sea::ExecutionReport failed;
+    failed.palName = "echo";
+    failed.status = Error(Errc::resourceExhausted, "big");
+    EXPECT_EQ(toHex(failed.encode()),
+              "00000004455852320000000000000000000000046563686f00000000"
+              "00040000000362696700000000000000000000000000000000000000"
+              "00000000000000000000000000000000000000000000000000000000"
+              "00000000000000000000000000000000000000000000000000000000"
+              "00000000000000000000000000000000000000000000000000000000"
+              "000000000000000000000000000001");
+}
+
+TEST(GoldenBundle, MigrationBundleEncodeEmitsThePinnedBytes)
+{
+    store::MigrationBundle bundle;
+    bundle.sourceEpoch = 3;
+    bundle.sealedState = asciiBytes("sealed");
+    const Bytes wire = bundle.encode();
+    EXPECT_EQ(toHex(wire), "4d4d423100010000000000000003000000067365616c6564");
+    auto back = store::MigrationBundle::decode(wire);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->sourceEpoch, 3u);
+    EXPECT_EQ(back->sealedState, asciiBytes("sealed"));
 }
 
 } // namespace

@@ -166,6 +166,22 @@ TEST(GatewayMigrate, BundleOverTheFrameLimitIsATypedRefusal)
     EXPECT_EQ(fx.gateway->stats().migrationsServed, 0u);
     EXPECT_EQ(fx.gateway->stats().migrationsRefused, 1u);
     EXPECT_EQ(fx.gateway->stats().protocolErrors, 0u);
+
+    // The refusal came before the invalidation: the source is still the
+    // one live replica, it keeps serving and committing, and its
+    // directory reopens (no counter advance left it behind the chip).
+    ASSERT_TRUE(fx.source->alive());
+    auto a = fx.source->get("blob-a");
+    ASSERT_TRUE(a.ok()) << a.error().message;
+    EXPECT_EQ(*a, Bytes(half, 0xa5));
+    ASSERT_TRUE(fx.source->put("after", asciiBytes("refusal")).ok());
+    ASSERT_TRUE(fx.source->commit().ok());
+    const StoreConfig srcCfg = fx.source->config();
+    const auto before = contents(*fx.source);
+    fx.source.reset();
+    auto reopened = SealedStore::open(srcCfg);
+    ASSERT_TRUE(reopened.ok()) << reopened.error().message;
+    EXPECT_EQ(contents(**reopened), before);
 }
 
 TEST(GatewayMigrate, GatewayWithoutAuthorityRefusesEverything)

@@ -190,10 +190,33 @@ TEST(Migration, ExportRefusesUncommittedMutations)
 {
     MigrationFixture fx;
     ASSERT_TRUE(fx.source->put("pending", asciiBytes("x")).ok());
-    auto payload = fx.source->exportForMigration();
+    auto payload = fx.source->exportForMigration(
+        [](const Bytes &p, std::uint64_t) -> Result<Bytes> { return p; });
     ASSERT_FALSE(payload.ok());
     EXPECT_EQ(payload.error().code, Errc::failedPrecondition);
     EXPECT_TRUE(fx.source->alive());
+}
+
+TEST(Migration, OversizedBundleIsRefusedBeforeInvalidation)
+{
+    MigrationFixture fx;
+    const std::uint64_t epoch = fx.source->epoch();
+    MigrationAuthority authority(*fx.source);
+    const Bytes nonce = authority.beginChallenge();
+    auto attestation = fx.target->attestForMigration(nonce);
+    ASSERT_TRUE(attestation.ok()) << attestation.error().message;
+
+    auto bundle = authority.complete(nonce, fx.target->srkPublicEncoded(),
+                                     attestation->encode(), 64);
+    ASSERT_FALSE(bundle.ok());
+    EXPECT_EQ(bundle.error().code, Errc::resourceExhausted);
+    // Nothing advanced: the source is live at its epoch and commits on.
+    EXPECT_TRUE(fx.source->alive());
+    EXPECT_EQ(fx.source->epoch(), epoch);
+    EXPECT_EQ(fx.source->stats().migrationsOut, 0u);
+    ASSERT_TRUE(fx.source->put("later", asciiBytes("y")).ok());
+    ASSERT_TRUE(fx.source->commit().ok());
+    EXPECT_EQ(fx.source->epoch(), epoch + 1);
 }
 
 TEST(Migration, ChallengeFifoIsBounded)

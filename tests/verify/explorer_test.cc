@@ -1,8 +1,8 @@
 /**
  * @file
- * StateExplorer tests: exhaustive enumeration of the protection state
- * machines on small configurations, plus the seeded-mutation
- * regressions that prove the explorer can actually find violations.
+ * Protection-model tests: exhaustive enumeration of the protection
+ * state machines on small configurations, plus the seeded-mutation
+ * regressions that prove the walk can actually find violations.
  */
 
 #include <gtest/gtest.h>
@@ -17,23 +17,23 @@ namespace
 TEST(StateExplorer, DefaultConfigHoldsEveryInvariant)
 {
     // The acceptance configuration: 2 CPUs, 2 PALs, 4 pages, 2 sePCRs.
-    StateExplorer explorer(ModelConfig{});
-    const ExploreResult result = explorer.run();
+    const ExploreResult result = bfs(ProtectionModel(ModelConfig{}));
     EXPECT_TRUE(result.ok()) << result.str();
     EXPECT_FALSE(result.truncated);
     EXPECT_FALSE(result.counterexample.has_value());
     // Exhaustive means the walk saw the real state space, not a stub:
     // every PAL in {Start, Execute-on-cpu0/1, Suspend, Done} x sePCR and
-    // resume-flag combinations. The exact count is pinned to catch
-    // accidental pruning (a model change may legitimately update it).
+    // resume-flag combinations. The exact counts are pinned to catch
+    // accidental pruning (a model change may legitimately update them).
     EXPECT_EQ(result.statesExplored, 80u);
-    EXPECT_GE(result.transitionsTaken, 200u);
+    EXPECT_EQ(result.transitionsTaken, 278u);
+    EXPECT_EQ(result.maxDepthReached, 6u);
 }
 
 TEST(StateExplorer, RunIsDeterministic)
 {
-    const ExploreResult a = StateExplorer(ModelConfig{}).run();
-    const ExploreResult b = StateExplorer(ModelConfig{}).run();
+    const ExploreResult a = bfs(ProtectionModel(ModelConfig{}));
+    const ExploreResult b = bfs(ProtectionModel(ModelConfig{}));
     EXPECT_EQ(a.statesExplored, b.statesExplored);
     EXPECT_EQ(a.transitionsTaken, b.transitionsTaken);
     EXPECT_EQ(a.maxDepthReached, b.maxDepthReached);
@@ -46,9 +46,11 @@ TEST(StateExplorer, ThreeCpuThreePalConfigHolds)
     cfg.pals = 3;
     cfg.pagesPerPal = 2;
     cfg.sePcrs = 3;
-    const ExploreResult result = StateExplorer(cfg).run();
+    const ExploreResult result = bfs(ProtectionModel(cfg));
     EXPECT_TRUE(result.ok()) << result.str();
-    EXPECT_GT(result.statesExplored, 1000u);
+    EXPECT_EQ(result.statesExplored, 2996u);
+    EXPECT_EQ(result.transitionsTaken, 19584u);
+    EXPECT_EQ(result.maxDepthReached, 9u);
 }
 
 TEST(StateExplorer, SepcrContentionConfigHolds)
@@ -60,8 +62,11 @@ TEST(StateExplorer, SepcrContentionConfigHolds)
     cfg.pals = 4;
     cfg.pagesPerPal = 2;
     cfg.sePcrs = 2;
-    const ExploreResult result = StateExplorer(cfg).run();
+    const ExploreResult result = bfs(ProtectionModel(cfg));
     EXPECT_TRUE(result.ok()) << result.str();
+    EXPECT_EQ(result.statesExplored, 2644u);
+    EXPECT_EQ(result.transitionsTaken, 14076u);
+    EXPECT_EQ(result.maxDepthReached, 12u);
 }
 
 TEST(StateExplorer, StateCapTruncatesLoudly)
@@ -69,7 +74,7 @@ TEST(StateExplorer, StateCapTruncatesLoudly)
     ExploreLimits limits;
     limits.maxStates = 10;
     const ExploreResult result =
-        StateExplorer(ModelConfig{}, Mutation::none, limits).run();
+        bfs(ProtectionModel(ModelConfig{}), limits);
     EXPECT_TRUE(result.truncated);
     EXPECT_FALSE(result.ok());
     EXPECT_NE(result.str().find("TRUNCATED"), std::string::npos);
@@ -78,7 +83,7 @@ TEST(StateExplorer, StateCapTruncatesLoudly)
 TEST(StateExplorer, SuspendSkippingNoneIsCaught)
 {
     const ExploreResult result =
-        StateExplorer(ModelConfig{}, Mutation::suspendSkipsNone).run();
+        bfs(ProtectionModel(ModelConfig{}, Mutation::suspendSkipsNone));
     ASSERT_TRUE(result.counterexample.has_value()) << result.str();
     // A suspended PAL whose pages stayed in CPUi is readable by a CPU
     // that is not running it.
@@ -87,39 +92,43 @@ TEST(StateExplorer, SuspendSkippingNoneIsCaught)
               std::string::npos)
         << result.counterexample->str();
     // BFS finds the minimal trace: SLAUNCH then SYIELD.
-    EXPECT_EQ(result.counterexample->trace.size(), 2u);
+    EXPECT_EQ(result.counterexample->trace,
+              (std::vector<std::string>{"SLAUNCH(pal0, cpu0)",
+                                        "SYIELD(pal0)"}));
 }
 
 TEST(StateExplorer, SfreeSkippingReleaseIsCaught)
 {
     const ExploreResult result =
-        StateExplorer(ModelConfig{}, Mutation::sfreeSkipsRelease).run();
+        bfs(ProtectionModel(ModelConfig{}, Mutation::sfreeSkipsRelease));
     ASSERT_TRUE(result.counterexample.has_value()) << result.str();
     EXPECT_NE(result.counterexample->violation.find(
                   "page-ownership-exclusion"),
               std::string::npos)
         << result.counterexample->str();
-    EXPECT_EQ(result.counterexample->trace.size(), 2u);
+    EXPECT_EQ(result.counterexample->trace,
+              (std::vector<std::string>{"SLAUNCH(pal0, cpu0)",
+                                        "SFREE(pal0)"}));
 }
 
 TEST(StateExplorer, SkillLeavingSepcrBoundIsCaught)
 {
     const ExploreResult result =
-        StateExplorer(ModelConfig{}, Mutation::skillLeavesSepcrBound)
-            .run();
+        bfs(ProtectionModel(ModelConfig{}, Mutation::skillLeavesSepcrBound));
     ASSERT_TRUE(result.counterexample.has_value()) << result.str();
     EXPECT_NE(result.counterexample->violation.find(
                   "inactive-pal-fully-revoked"),
               std::string::npos)
         << result.counterexample->str();
-    // SLAUNCH, SYIELD, SKILL.
-    EXPECT_EQ(result.counterexample->trace.size(), 3u);
+    EXPECT_EQ(result.counterexample->trace,
+              (std::vector<std::string>{"SLAUNCH(pal0, cpu0)",
+                                        "SYIELD(pal0)", "SKILL(pal0)"}));
 }
 
 TEST(StateExplorer, CounterexampleRendersTraceAndState)
 {
     const ExploreResult result =
-        StateExplorer(ModelConfig{}, Mutation::suspendSkipsNone).run();
+        bfs(ProtectionModel(ModelConfig{}, Mutation::suspendSkipsNone));
     ASSERT_TRUE(result.counterexample.has_value());
     const std::string text = result.counterexample->str();
     EXPECT_NE(text.find("SLAUNCH"), std::string::npos);
@@ -128,15 +137,29 @@ TEST(StateExplorer, CounterexampleRendersTraceAndState)
     EXPECT_NE(text.find("pages:"), std::string::npos);
 }
 
+TEST(StateExplorer, UnreplayablePathIsAnExpansionError)
+{
+    // A path the World refuses to replay must not be expanded from
+    // whatever state the refusal left behind -- in any build type.
+    Action yield;
+    yield.kind = Action::Kind::syield;
+    const ProtectionModel model(ModelConfig{});
+    const Status s = model.expand({yield}, [](auto &&...) { return true; });
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.error().message.find("stopped replaying at step 1"),
+              std::string::npos)
+        << s.error().str();
+}
+
 TEST(StateExplorer, MutationsAreDistinctFromClean)
 {
     // Every mutation changes reachable-state structure; none is a
     // silent no-op.
-    const ExploreResult clean = StateExplorer(ModelConfig{}).run();
+    const ExploreResult clean = bfs(ProtectionModel(ModelConfig{}));
     for (Mutation m : {Mutation::suspendSkipsNone,
                        Mutation::sfreeSkipsRelease,
                        Mutation::skillLeavesSepcrBound}) {
-        const ExploreResult r = StateExplorer(ModelConfig{}, m).run();
+        const ExploreResult r = bfs(ProtectionModel(ModelConfig{}, m));
         EXPECT_TRUE(r.counterexample.has_value()) << mutationName(m);
         EXPECT_NE(r.statesExplored, clean.statesExplored)
             << mutationName(m);

@@ -16,22 +16,20 @@ namespace
 
 TEST(StoreModel, DefaultConfigHoldsEveryInvariant)
 {
-    StoreLifecycleExplorer explorer{StoreModelConfig{}};
-    const StoreExploreResult result = explorer.run();
+    const ExploreResult result = bfs(StoreLifecycleModel{});
     EXPECT_TRUE(result.ok()) << result.str();
     EXPECT_FALSE(result.truncated);
     // Exhaustive, not a stub: commits, crashes, stale replays, and
-    // migrations in both directions all interleave.
-    EXPECT_GT(result.statesExplored, 50u);
-    EXPECT_GT(result.transitionsTaken, result.statesExplored);
+    // migrations in both directions all interleave. The exact counts
+    // are pinned to catch accidental pruning.
+    EXPECT_EQ(result.statesExplored, 72u);
+    EXPECT_EQ(result.transitionsTaken, 165u);
 }
 
 TEST(StoreModel, RunIsDeterministic)
 {
-    const StoreExploreResult a =
-        StoreLifecycleExplorer{StoreModelConfig{}}.run();
-    const StoreExploreResult b =
-        StoreLifecycleExplorer{StoreModelConfig{}}.run();
+    const ExploreResult a = bfs(StoreLifecycleModel{});
+    const ExploreResult b = bfs(StoreLifecycleModel{});
     EXPECT_EQ(a.statesExplored, b.statesExplored);
     EXPECT_EQ(a.transitionsTaken, b.transitionsTaken);
 }
@@ -40,8 +38,10 @@ TEST(StoreModel, DeeperEpochBoundStillHolds)
 {
     StoreModelConfig cfg;
     cfg.maxEpoch = 3;
-    const StoreExploreResult result = StoreLifecycleExplorer{cfg}.run();
+    const ExploreResult result = bfs(StoreLifecycleModel{cfg});
     EXPECT_TRUE(result.ok()) << result.str();
+    EXPECT_EQ(result.statesExplored, 176u);
+    EXPECT_EQ(result.transitionsTaken, 500u);
 }
 
 TEST(StoreModel, WithoutAdversaryTheSpaceShrinks)
@@ -49,10 +49,12 @@ TEST(StoreModel, WithoutAdversaryTheSpaceShrinks)
     StoreModelConfig adversarial;
     StoreModelConfig benign;
     benign.adversaryReplay = false;
-    const auto a = StoreLifecycleExplorer{adversarial}.run();
-    const auto b = StoreLifecycleExplorer{benign}.run();
+    const auto a = bfs(StoreLifecycleModel{adversarial});
+    const auto b = bfs(StoreLifecycleModel{benign});
     EXPECT_TRUE(a.ok()) << a.str();
     EXPECT_TRUE(b.ok()) << b.str();
+    EXPECT_EQ(b.statesExplored, 33u);
+    EXPECT_EQ(b.transitionsTaken, 59u);
     EXPECT_LT(b.statesExplored, a.statesExplored);
 }
 
@@ -63,15 +65,17 @@ TEST(StoreModel, IgnoringTheCounterAdmitsStaleReplay)
     StoreModelConfig cfg;
     cfg.machines = 1;
     cfg.mutation = StoreMutation::ignoreCounter;
-    const StoreExploreResult result = StoreLifecycleExplorer{cfg}.run();
+    const ExploreResult result = bfs(StoreLifecycleModel{cfg});
     ASSERT_TRUE(result.counterexample.has_value()) << result.str();
     EXPECT_NE(result.counterexample->violation.find("stale replay"),
               std::string::npos)
         << result.counterexample->str();
     // BFS yields a minimal trace; the shortest attack is admit, open,
     // commit, crash, replay the epoch-0 image, reopen.
-    EXPECT_LE(result.counterexample->trace.size(), 6u)
-        << result.counterexample->str();
+    EXPECT_EQ(result.counterexample->trace,
+              (std::vector<std::string>{
+                  "admit(0)", "open(0)", "commit(0)", "crashMidCommit(0)",
+                  "replayStale(0,epoch=0)", "open(0)"}));
 }
 
 TEST(StoreModel, IgnoringTheCounterAlsoResurrectsMigratedSources)
@@ -81,29 +85,35 @@ TEST(StoreModel, IgnoringTheCounterAlsoResurrectsMigratedSources)
     // only the unmatched counter advance bricks it.
     StoreModelConfig cfg;
     cfg.mutation = StoreMutation::ignoreCounter;
-    const StoreExploreResult result = StoreLifecycleExplorer{cfg}.run();
+    const ExploreResult result = bfs(StoreLifecycleModel{cfg});
     ASSERT_TRUE(result.counterexample.has_value()) << result.str();
     EXPECT_NE(result.counterexample->violation.find("live replicas"),
               std::string::npos)
         << result.counterexample->str();
+    EXPECT_EQ(result.counterexample->trace,
+              (std::vector<std::string>{"admit(0)", "open(0)", "admit(1)",
+                                        "migrate(0->1)", "open(0)"}));
 }
 
 TEST(StoreModel, SkippingInvalidationLeavesTwoLiveReplicas)
 {
     StoreModelConfig cfg;
     cfg.mutation = StoreMutation::skipInvalidate;
-    const StoreExploreResult result = StoreLifecycleExplorer{cfg}.run();
+    const ExploreResult result = bfs(StoreLifecycleModel{cfg});
     ASSERT_TRUE(result.counterexample.has_value()) << result.str();
     EXPECT_NE(result.counterexample->violation.find("live replicas"),
               std::string::npos)
         << result.counterexample->str();
+    EXPECT_EQ(result.counterexample->trace,
+              (std::vector<std::string>{"admit(0)", "open(0)", "admit(1)",
+                                        "migrate(0->1)", "open(0)"}));
 }
 
 TEST(StoreModel, OpenWithoutAdmissionIsCaught)
 {
     StoreModelConfig cfg;
     cfg.mutation = StoreMutation::openWithoutAdmission;
-    const StoreExploreResult result = StoreLifecycleExplorer{cfg}.run();
+    const ExploreResult result = bfs(StoreLifecycleModel{cfg});
     ASSERT_TRUE(result.counterexample.has_value()) << result.str();
     EXPECT_NE(
         result.counterexample->violation.find("without an admitted"),
@@ -111,8 +121,8 @@ TEST(StoreModel, OpenWithoutAdmissionIsCaught)
         << result.counterexample->str();
     // No commit is needed: open on the unadmitted machine violates
     // invariant 1 immediately.
-    EXPECT_LE(result.counterexample->trace.size(), 2u)
-        << result.counterexample->str();
+    EXPECT_EQ(result.counterexample->trace,
+              std::vector<std::string>{"open(0)"});
 }
 
 TEST(StoreModel, MutationNamesAreStable)
