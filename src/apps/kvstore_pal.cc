@@ -15,13 +15,8 @@
 namespace mintcb::apps
 {
 
-namespace
-{
-
-using Store = std::map<std::string, Bytes>;
-
 Bytes
-encodeStore(std::uint64_t version, const Store &store)
+encodeKvImage(std::uint64_t version, const KvMap &store)
 {
     ByteWriter w;
     w.u64(version);
@@ -33,8 +28,8 @@ encodeStore(std::uint64_t version, const Store &store)
     return w.take();
 }
 
-Result<std::pair<std::uint64_t, Store>>
-decodeStore(const Bytes &wire)
+Result<std::pair<std::uint64_t, KvMap>>
+decodeKvImage(const Bytes &wire)
 {
     ByteReader r(wire);
     auto version = r.u64();
@@ -43,7 +38,7 @@ decodeStore(const Bytes &wire)
     auto count = r.u32();
     if (!count)
         return count.error();
-    Store store;
+    KvMap store;
     for (std::uint32_t i = 0; i < *count; ++i) {
         auto key = r.str();
         if (!key)
@@ -57,6 +52,9 @@ decodeStore(const Bytes &wire)
         return Error(Errc::integrityFailure, "trailing store bytes");
     return std::make_pair(*version, std::move(store));
 }
+
+namespace
+{
 
 /** Per-op modeled compute. */
 constexpr Duration opCost = Duration::micros(40);
@@ -86,7 +84,7 @@ SecureKvStore::session(Op op, const std::string &key, const Bytes &value,
         [op, key, value, counter,
          state_in](sea::PalContext &ctx) -> Status {
             std::uint64_t version = 0;
-            Store store;
+            KvMap store;
 
             if (op != Op::init) {
                 auto blob = tpm::SealedBlob::decode(state_in);
@@ -95,7 +93,7 @@ SecureKvStore::session(Op op, const std::string &key, const Bytes &value,
                 auto wire = ctx.unsealState(*blob);
                 if (!wire)
                     return wire.error();
-                auto decoded = decodeStore(*wire);
+                auto decoded = decodeKvImage(*wire);
                 if (!decoded)
                     return decoded.error();
                 version = decoded->first;
@@ -153,7 +151,7 @@ SecureKvStore::session(Op op, const std::string &key, const Bytes &value,
                 auto next = ctx.tpm().counterIncrement(counter);
                 if (!next)
                     return next.error();
-                auto blob = ctx.sealState(encodeStore(*next, store));
+                auto blob = ctx.sealState(encodeKvImage(*next, store));
                 if (!blob)
                     return blob.error();
                 out.u8(1);

@@ -24,6 +24,16 @@
 namespace mintcb::apps
 {
 
+/** The store's key/value map, as sealed inside the PAL. */
+using KvMap = std::map<std::string, Bytes>;
+
+/** @name The sealed image: u64 version | u32 count | count x
+ *  (str key, lengthPrefixed value), keys in map order. Only ever
+ *  decoded inside the PAL, after unseal. @{ */
+Bytes encodeKvImage(std::uint64_t version, const KvMap &store);
+Result<std::pair<std::uint64_t, KvMap>> decodeKvImage(const Bytes &wire);
+/** @} */
+
 /** The secure store service (untrusted front end). */
 class SecureKvStore
 {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytebuf.hh"
 #include "common/hex.hh"
 #include "tpm/transport.hh"
 
@@ -194,6 +195,34 @@ TEST_F(TransportTest, WireEncodingRoundTrips)
     ASSERT_TRUE(decoded.ok());
     auto response = server_.execute(*decoded);
     EXPECT_TRUE(response.ok());
+}
+
+TEST_F(TransportTest, TruncatedBatchRunsOnlyItsCompleteSubCommands)
+{
+    // Claims three sub-commands: two complete extends of PCR 5, then a
+    // third extend cut off inside its PCR field.
+    ByteWriter inner;
+    inner.u32(3);
+    for (int i = 0; i < 2; ++i) {
+        inner.u8(static_cast<std::uint8_t>(TransportOp::pcrExtend));
+        inner.u32(5);
+        inner.lengthPrefixed(Bytes(20, 0x5a));
+    }
+    inner.u8(static_cast<std::uint8_t>(TransportOp::pcrExtend));
+    inner.u16(0);
+    const Bytes pcr0 = *tpm_.pcrRead(0);
+    const std::uint64_t batched = server_.stats().batchedCommands;
+
+    auto response = server_.execute(
+        client_->wrapCommand(TransportOp::batch, 0, inner.bytes()));
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.error().code, Errc::integrityFailure);
+    EXPECT_EQ(response.error().message,
+              "truncated blob while reading u32");
+    // The two complete extends ran; the torn third never reached the
+    // TPM (a zero PCR index would have extended PCR 0).
+    EXPECT_EQ(server_.stats().batchedCommands, batched + 2);
+    EXPECT_EQ(*tpm_.pcrRead(0), pcr0);
 }
 
 } // namespace
