@@ -113,16 +113,14 @@ CertificateAuthority::initialize(CpuId cpu)
         return lastReport_.status.error();
 
     ByteReader r(lastReport_.output);
-    auto pub_wire = r.lengthPrefixed();
-    if (!pub_wire)
-        return pub_wire.error();
-    auto blob_wire = r.lengthPrefixed();
-    if (!blob_wire)
-        return blob_wire.error();
-    auto pub = crypto::RsaPublicKey::decode(*pub_wire);
+    const Bytes pub_wire = r.getLengthPrefixed();
+    const Bytes blob_wire = r.getLengthPrefixed();
+    if (!r.ok())
+        return r.error();
+    auto pub = crypto::RsaPublicKey::decode(pub_wire);
     if (!pub)
         return pub.error();
-    auto blob = tpm::SealedBlob::decode(*blob_wire);
+    auto blob = tpm::SealedBlob::decode(blob_wire);
     if (!blob)
         return blob.error();
 

@@ -34,13 +34,12 @@ struct WorkerState
     decode(const Bytes &wire)
     {
         ByteReader r(wire);
-        auto composite = r.u64();
-        if (!composite)
-            return composite.error();
-        auto next = r.u64();
-        if (!next)
-            return next.error();
-        return WorkerState{*composite, *next};
+        WorkerState s;
+        s.composite = r.getU64();
+        s.next = r.getU64();
+        if (!r.ok())
+            return r.error();
+        return s;
     }
 };
 
@@ -152,22 +151,22 @@ DistributedFactoring::step(CpuId cpu)
     ++progress_.sessions;
 
     ByteReader r(s.output);
-    auto found = r.u8();
-    auto factor = r.u64();
-    auto next = r.u64();
-    auto exhausted = r.u8();
-    if (!found || !factor || !next || !exhausted)
+    const bool found = r.getU8() == 1;
+    const std::uint64_t factor = r.getU64();
+    const std::uint64_t next = r.getU64();
+    const bool exhausted = r.getU8() == 1;
+    if (!r.ok())
         return Error(Errc::integrityFailure, "malformed PAL outcome");
-    progress_.found = *found == 1;
-    progress_.factor = *factor;
-    progress_.nextCandidate = *next;
-    progress_.exhausted = *exhausted == 1;
+    progress_.found = found;
+    progress_.factor = factor;
+    progress_.nextCandidate = next;
+    progress_.exhausted = exhausted;
 
     if (!progress_.found && !progress_.exhausted) {
-        auto blob_wire = r.lengthPrefixed();
-        if (!blob_wire)
-            return blob_wire.error();
-        auto blob = tpm::SealedBlob::decode(*blob_wire);
+        const Bytes blob_wire = r.getLengthPrefixed();
+        if (!r.ok())
+            return r.error();
+        auto blob = tpm::SealedBlob::decode(blob_wire);
         if (!blob)
             return blob.error();
         state_ = blob.take();

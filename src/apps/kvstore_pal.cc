@@ -32,25 +32,18 @@ Result<std::pair<std::uint64_t, KvMap>>
 decodeKvImage(const Bytes &wire)
 {
     ByteReader r(wire);
-    auto version = r.u64();
-    if (!version)
-        return version.error();
-    auto count = r.u32();
-    if (!count)
-        return count.error();
+    const std::uint64_t version = r.getU64();
     KvMap store;
-    for (std::uint32_t i = 0; i < *count; ++i) {
-        auto key = r.str();
-        if (!key)
-            return key.error();
-        auto value = r.lengthPrefixed();
-        if (!value)
-            return value.error();
-        store.emplace(key.take(), value.take());
+    const std::uint32_t count = r.getU32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+        std::string key = r.getStr();
+        Bytes value = r.getLengthPrefixed();
+        if (!r.ok())
+            break;
+        store.emplace(std::move(key), std::move(value));
     }
-    if (!r.atEnd())
-        return Error(Errc::integrityFailure, "trailing store bytes");
-    return std::make_pair(*version, std::move(store));
+    return r.finish(std::make_pair(version, std::move(store)),
+                    Errc::integrityFailure, "trailing store bytes");
 }
 
 namespace
@@ -168,19 +161,17 @@ SecureKvStore::session(Op op, const std::string &key, const Bytes &value,
         return report->status.error();
 
     ByteReader r(report->output);
-    auto kind = r.u8();
-    if (!kind)
-        return kind.error();
-    auto payload = r.lengthPrefixed();
-    if (!payload)
-        return payload.error();
-    if (*kind == 1) {
-        sealedImage_ = payload.take();
+    const std::uint8_t kind = r.getU8();
+    Bytes payload = r.getLengthPrefixed();
+    if (!r.ok())
+        return r.error();
+    if (kind == 1) {
+        sealedImage_ = std::move(payload);
         if (auto s = persistNow(); !s.ok())
             return s.error();
         return Bytes{};
     }
-    return payload.take();
+    return payload;
 }
 
 Status
@@ -230,15 +221,16 @@ SecureKvStore::restoreFromPersistence()
     if (!handleWire)
         return handleWire.error();
     ByteReader r(*handleWire);
-    auto handle = r.u32();
-    if (!handle || !r.atEnd()) {
+    const std::uint32_t handle = r.getU32();
+    // Short or overlong, the refusal is the same.
+    if (!r.finish(Errc::integrityFailure, "").ok()) {
         return Error(Errc::integrityFailure,
                      "malformed persisted counter handle");
     }
     auto image = persist_->loadSealedState(kvImageKey);
     if (!image)
         return image.error();
-    counterHandle_ = *handle;
+    counterHandle_ = handle;
     sealedImage_ = image.take();
     initialized_ = true;
     restored_ = true;
@@ -304,10 +296,11 @@ SecureKvStore::size(CpuId cpu)
     if (!out)
         return out.error();
     ByteReader r(*out);
-    auto n = r.u32();
-    if (!n || !r.atEnd())
+    const std::uint32_t n = r.getU32();
+    // Short or overlong, the refusal is the same.
+    if (!r.finish(Errc::integrityFailure, "").ok())
         return Error(Errc::integrityFailure, "malformed size response");
-    return static_cast<std::size_t>(*n);
+    return static_cast<std::size_t>(n);
 }
 
 } // namespace mintcb::apps

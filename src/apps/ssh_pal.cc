@@ -62,16 +62,14 @@ passwordPal(bool enroll, std::string user, std::string password)
             if (!record)
                 return record.error();
             ByteReader r(*record);
-            auto salt = r.lengthPrefixed();
-            if (!salt)
-                return salt.error();
-            auto stored = r.lengthPrefixed();
-            if (!stored)
-                return stored.error();
+            const Bytes salt = r.getLengthPrefixed();
+            const Bytes stored = r.getLengthPrefixed();
+            if (!r.ok())
+                return r.error();
 
-            const Bytes attempt = deriveVerifier(*salt, user, password);
+            const Bytes attempt = deriveVerifier(salt, user, password);
             ctx.compute(kdfCost);
-            const bool match = crypto::constantTimeEqual(attempt, *stored);
+            const bool match = crypto::constantTimeEqual(attempt, stored);
             ctx.setOutput(Bytes{match ? std::uint8_t{1} : std::uint8_t{0}});
             return okStatus();
         });

@@ -83,47 +83,76 @@ RecordHeader::load(const std::uint8_t *at)
     return h;
 }
 
-Error
-ByteReader::truncated(const char *what) const
+bool
+ByteReader::have(std::size_t n, const char *what)
 {
-    return Error(Errc::integrityFailure,
-                 std::string("truncated blob while reading ") + what);
+    if (!ok())
+        return false;
+    if (remaining() < n) {
+        error_ = Error(Errc::integrityFailure,
+                       std::string("truncated blob while reading ") + what);
+        return false;
+    }
+    return true;
 }
 
-Result<std::uint8_t>
-ByteReader::u8()
+template <typename Out>
+Out
+ByteReader::take(std::size_t n)
 {
-    if (remaining() < 1)
-        return truncated("u8");
+    if (!have(n, "raw bytes"))
+        return Out();
+    const auto at = src_.begin() + static_cast<std::ptrdiff_t>(pos_);
+    pos_ += n;
+    return Out(at, at + static_cast<std::ptrdiff_t>(n));
+}
+
+template <typename Out>
+Out
+ByteReader::takePrefixed()
+{
+    const std::size_t start = pos_;
+    const std::uint32_t n = getU32();
+    Out out = take<Out>(n);
+    if (!ok())
+        pos_ = start; // a failed read consumes nothing
+    return out;
+}
+
+std::uint8_t
+ByteReader::getU8()
+{
+    if (!have(1, "u8"))
+        return 0;
     return src_[pos_++];
 }
 
-Result<std::uint16_t>
-ByteReader::u16()
+std::uint16_t
+ByteReader::getU16()
 {
-    if (remaining() < 2)
-        return truncated("u16");
-    std::uint16_t v = static_cast<std::uint16_t>(src_[pos_]) << 8 |
-                      static_cast<std::uint16_t>(src_[pos_ + 1]);
+    if (!have(2, "u16"))
+        return 0;
+    const std::uint16_t v =
+        static_cast<std::uint16_t>(src_[pos_] << 8 | src_[pos_ + 1]);
     pos_ += 2;
     return v;
 }
 
-Result<std::uint32_t>
-ByteReader::u32()
+std::uint32_t
+ByteReader::getU32()
 {
-    if (remaining() < 4)
-        return truncated("u32");
+    if (!have(4, "u32"))
+        return 0;
     const std::uint32_t v = loadBe32(src_.data() + pos_);
     pos_ += 4;
     return v;
 }
 
-Result<std::uint64_t>
-ByteReader::u64()
+std::uint64_t
+ByteReader::getU64()
 {
-    if (remaining() < 8)
-        return truncated("u64");
+    if (!have(8, "u64"))
+        return 0;
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i)
         v = (v << 8) | src_[pos_ + i];
@@ -131,32 +160,32 @@ ByteReader::u64()
     return v;
 }
 
-Result<Bytes>
-ByteReader::raw(std::size_t n)
+Bytes
+ByteReader::getRaw(std::size_t n)
 {
-    if (remaining() < n)
-        return truncated("raw bytes");
-    Bytes out(src_.begin() + pos_, src_.begin() + pos_ + n);
-    pos_ += n;
-    return out;
+    return take<Bytes>(n);
 }
 
-Result<Bytes>
-ByteReader::lengthPrefixed()
+Bytes
+ByteReader::getLengthPrefixed()
 {
-    auto len = u32();
-    if (!len)
-        return len.error();
-    return raw(*len);
+    return takePrefixed<Bytes>();
 }
 
-Result<std::string>
-ByteReader::str()
+std::string
+ByteReader::getStr()
 {
-    auto bytes = lengthPrefixed();
-    if (!bytes)
-        return bytes.error();
-    return std::string(bytes->begin(), bytes->end());
+    return takePrefixed<std::string>();
+}
+
+Status
+ByteReader::finish(Errc trailing, const char *message) const
+{
+    if (!ok())
+        return error_;
+    if (!atEnd())
+        return Error(trailing, message);
+    return okStatus();
 }
 
 } // namespace mintcb

@@ -63,15 +63,11 @@ Result<RsaPublicKey>
 RsaPublicKey::decode(const Bytes &wire)
 {
     ByteReader r(wire);
-    auto n_bytes = r.lengthPrefixed();
-    if (!n_bytes)
-        return n_bytes.error();
-    auto e_bytes = r.lengthPrefixed();
-    if (!e_bytes)
-        return e_bytes.error();
     RsaPublicKey key;
-    key.n = BigNum::fromBytesBE(*n_bytes);
-    key.e = BigNum::fromBytesBE(*e_bytes);
+    key.n = BigNum::fromBytesBE(r.getLengthPrefixed());
+    key.e = BigNum::fromBytesBE(r.getLengthPrefixed());
+    if (!r.ok())
+        return r.error();
     if (key.n.isZero() || key.e.isZero())
         return Error(Errc::invalidArgument, "degenerate RSA public key");
     return key;
@@ -120,27 +116,20 @@ RsaPrivateKey::decode(const Bytes &wire)
 {
     ByteReader r(wire);
     RsaPrivateKey key;
-    BigNum *mandatory[] = {&key.pub.n, &key.pub.e, &key.d};
-    for (BigNum *field : mandatory) {
-        auto bytes = r.lengthPrefixed();
-        if (!bytes)
-            return bytes.error();
-        *field = BigNum::fromBytesBE(*bytes);
-    }
+    key.pub.n = BigNum::fromBytesBE(r.getLengthPrefixed());
+    key.pub.e = BigNum::fromBytesBE(r.getLengthPrefixed());
+    key.d = BigNum::fromBytesBE(r.getLengthPrefixed());
     // Legacy CRT-less keys stop here; the full layout carries p, q and
     // the three CRT values.
-    if (!r.atEnd()) {
-        BigNum *crt[] = {&key.p, &key.q, &key.dP, &key.dQ, &key.qInv};
-        for (BigNum *field : crt) {
-            auto bytes = r.lengthPrefixed();
-            if (!bytes)
-                return bytes.error();
-            *field = BigNum::fromBytesBE(*bytes);
-        }
+    if (r.ok() && !r.atEnd()) {
+        key.p = BigNum::fromBytesBE(r.getLengthPrefixed());
+        key.q = BigNum::fromBytesBE(r.getLengthPrefixed());
+        key.dP = BigNum::fromBytesBE(r.getLengthPrefixed());
+        key.dQ = BigNum::fromBytesBE(r.getLengthPrefixed());
+        key.qInv = BigNum::fromBytesBE(r.getLengthPrefixed());
     }
-    if (!r.atEnd())
-        return Error(Errc::invalidArgument, "trailing bytes in RSA key");
-    return key;
+    return r.finish(std::move(key), Errc::invalidArgument,
+                    "trailing bytes in RSA key");
 }
 
 RsaPrivateKey

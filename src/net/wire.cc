@@ -130,23 +130,6 @@ takeFrame(Bytes &buf)
     return std::optional<Frame>{std::move(frame)};
 }
 
-namespace
-{
-
-/** Every decoder ends with this: trailing bytes mean a codec mismatch
- *  and must be refused, not silently ignored. */
-Status
-finish(const ByteReader &r, const char *what)
-{
-    if (!r.atEnd()) {
-        return Error(Errc::invalidArgument,
-                     std::string("trailing bytes after ") + what);
-    }
-    return okStatus();
-}
-
-} // namespace
-
 void
 encodeInto(const HelloPayload &p, Bytes &out)
 {
@@ -161,21 +144,11 @@ decodeHello(const Bytes &payload)
 {
     ByteReader r(payload);
     HelloPayload p;
-    auto version = r.u16();
-    if (!version)
-        return version.error();
-    p.version = *version;
-    auto nonce = r.lengthPrefixed();
-    if (!nonce)
-        return nonce.error();
-    p.nonce = nonce.take();
-    auto name = r.str();
-    if (!name)
-        return name.error();
-    p.clientName = name.take();
-    if (auto s = finish(r, "hello"); !s.ok())
-        return s.error();
-    return p;
+    p.version = r.getU16();
+    p.nonce = r.getLengthPrefixed();
+    p.clientName = r.getStr();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after hello");
 }
 
 void
@@ -191,17 +164,10 @@ decodeChallenge(const Bytes &payload)
 {
     ByteReader r(payload);
     ChallengePayload p;
-    auto att = r.lengthPrefixed();
-    if (!att)
-        return att.error();
-    p.attestation = att.take();
-    auto nonce = r.lengthPrefixed();
-    if (!nonce)
-        return nonce.error();
-    p.nonce = nonce.take();
-    if (auto s = finish(r, "challenge"); !s.ok())
-        return s.error();
-    return p;
+    p.attestation = r.getLengthPrefixed();
+    p.nonce = r.getLengthPrefixed();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after challenge");
 }
 
 void
@@ -216,13 +182,9 @@ decodeAuth(const Bytes &payload)
 {
     ByteReader r(payload);
     AuthPayload p;
-    auto att = r.lengthPrefixed();
-    if (!att)
-        return att.error();
-    p.attestation = att.take();
-    if (auto s = finish(r, "auth"); !s.ok())
-        return s.error();
-    return p;
+    p.attestation = r.getLengthPrefixed();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after auth");
 }
 
 void
@@ -238,17 +200,10 @@ decodeAuthOk(const Bytes &payload)
 {
     ByteReader r(payload);
     AuthOkPayload p;
-    auto id = r.u64();
-    if (!id)
-        return id.error();
-    p.sessionId = *id;
-    auto subject = r.str();
-    if (!subject)
-        return subject.error();
-    p.subject = subject.take();
-    if (auto s = finish(r, "authOk"); !s.ok())
-        return s.error();
-    return p;
+    p.sessionId = r.getU64();
+    p.subject = r.getStr();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after authOk");
 }
 
 void
@@ -272,49 +227,18 @@ decodeSubmit(const Bytes &payload)
 {
     ByteReader r(payload);
     WireRequest req;
-    auto sequence = r.u64();
-    if (!sequence)
-        return sequence.error();
-    req.sequence = *sequence;
-    auto affinity = r.u64();
-    if (!affinity)
-        return affinity.error();
-    req.affinity = *affinity;
-    auto priority = r.u32();
-    if (!priority)
-        return priority.error();
-    req.priority = static_cast<std::int32_t>(*priority);
-    auto want_quote = r.u8();
-    if (!want_quote)
-        return want_quote.error();
-    req.wantQuote = *want_quote != 0;
-    auto data_pages = r.u32();
-    if (!data_pages)
-        return data_pages.error();
-    req.dataPages = *data_pages;
-    auto compute = r.u64();
-    if (!compute)
-        return compute.error();
-    req.slicedComputeTicks = static_cast<std::int64_t>(*compute);
-    auto deadline = r.u64();
-    if (!deadline)
-        return deadline.error();
-    req.deadlineTicks = *deadline;
-    auto name = r.str();
-    if (!name)
-        return name.error();
-    req.palName = name.take();
-    auto backend = r.str();
-    if (!backend)
-        return backend.error();
-    req.backend = backend.take();
-    auto input = r.lengthPrefixed();
-    if (!input)
-        return input.error();
-    req.input = input.take();
-    if (auto s = finish(r, "submit"); !s.ok())
-        return s.error();
-    return req;
+    req.sequence = r.getU64();
+    req.affinity = r.getU64();
+    req.priority = static_cast<std::int32_t>(r.getU32());
+    req.wantQuote = r.getU8() != 0;
+    req.dataPages = r.getU32();
+    req.slicedComputeTicks = static_cast<std::int64_t>(r.getU64());
+    req.deadlineTicks = r.getU64();
+    req.palName = r.getStr();
+    req.backend = r.getStr();
+    req.input = r.getLengthPrefixed();
+    return r.finish(std::move(req), Errc::invalidArgument,
+                    "trailing bytes after submit");
 }
 
 void
@@ -330,17 +254,10 @@ decodeReport(const Bytes &payload)
 {
     ByteReader r(payload);
     ReportPayload p;
-    auto sequence = r.u64();
-    if (!sequence)
-        return sequence.error();
-    p.sequence = *sequence;
-    auto report = r.lengthPrefixed();
-    if (!report)
-        return report.error();
-    p.report = report.take();
-    if (auto s = finish(r, "report"); !s.ok())
-        return s.error();
-    return p;
+    p.sequence = r.getU64();
+    p.report = r.getLengthPrefixed();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after report");
 }
 
 void
@@ -357,26 +274,17 @@ decodeBusy(const Bytes &payload)
 {
     ByteReader r(payload);
     BusyPayload p;
-    auto sequence = r.u64();
-    if (!sequence)
-        return sequence.error();
-    p.sequence = *sequence;
-    auto reason = r.u16();
-    if (!reason)
-        return reason.error();
-    if (*reason != static_cast<std::uint16_t>(BusyReason::queueFull) &&
-        *reason !=
-            static_cast<std::uint16_t>(BusyReason::rateLimited)) {
+    p.sequence = r.getU64();
+    const std::uint16_t reason = r.getU16();
+    if (r.ok() &&
+        reason != static_cast<std::uint16_t>(BusyReason::queueFull) &&
+        reason != static_cast<std::uint16_t>(BusyReason::rateLimited)) {
         return Error(Errc::invalidArgument, "unknown busy reason");
     }
-    p.reason = static_cast<BusyReason>(*reason);
-    auto retry = r.u32();
-    if (!retry)
-        return retry.error();
-    p.retryAfterMillis = *retry;
-    if (auto s = finish(r, "busy"); !s.ok())
-        return s.error();
-    return p;
+    p.reason = static_cast<BusyReason>(reason);
+    p.retryAfterMillis = r.getU32();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after busy");
 }
 
 void
@@ -392,17 +300,10 @@ decodeError(const Bytes &payload)
 {
     ByteReader r(payload);
     ErrorPayload p;
-    auto code = r.u16();
-    if (!code)
-        return code.error();
-    p.code = *code;
-    auto message = r.str();
-    if (!message)
-        return message.error();
-    p.message = message.take();
-    if (auto s = finish(r, "error"); !s.ok())
-        return s.error();
-    return p;
+    p.code = r.getU16();
+    p.message = r.getStr();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after error");
 }
 
 void
@@ -417,13 +318,9 @@ decodeMigrateBegin(const Bytes &payload)
 {
     ByteReader r(payload);
     MigrateBeginPayload p;
-    auto name = r.str();
-    if (!name)
-        return name.error();
-    p.storeName = name.take();
-    if (auto s = finish(r, "migrateBegin"); !s.ok())
-        return s.error();
-    return p;
+    p.storeName = r.getStr();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after migrateBegin");
 }
 
 void
@@ -438,13 +335,9 @@ decodeMigrateChallenge(const Bytes &payload)
 {
     ByteReader r(payload);
     MigrateChallengePayload p;
-    auto nonce = r.lengthPrefixed();
-    if (!nonce)
-        return nonce.error();
-    p.nonce = nonce.take();
-    if (auto s = finish(r, "migrateChallenge"); !s.ok())
-        return s.error();
-    return p;
+    p.nonce = r.getLengthPrefixed();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after migrateChallenge");
 }
 
 void
@@ -462,25 +355,12 @@ decodeMigrate(const Bytes &payload)
 {
     ByteReader r(payload);
     MigratePayload p;
-    auto name = r.str();
-    if (!name)
-        return name.error();
-    p.storeName = name.take();
-    auto nonce = r.lengthPrefixed();
-    if (!nonce)
-        return nonce.error();
-    p.nonce = nonce.take();
-    auto srk = r.lengthPrefixed();
-    if (!srk)
-        return srk.error();
-    p.targetSrk = srk.take();
-    auto att = r.lengthPrefixed();
-    if (!att)
-        return att.error();
-    p.attestation = att.take();
-    if (auto s = finish(r, "migrate"); !s.ok())
-        return s.error();
-    return p;
+    p.storeName = r.getStr();
+    p.nonce = r.getLengthPrefixed();
+    p.targetSrk = r.getLengthPrefixed();
+    p.attestation = r.getLengthPrefixed();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after migrate");
 }
 
 void
@@ -495,13 +375,9 @@ decodeMigrated(const Bytes &payload)
 {
     ByteReader r(payload);
     MigratedPayload p;
-    auto bundle = r.lengthPrefixed();
-    if (!bundle)
-        return bundle.error();
-    p.bundle = bundle.take();
-    if (auto s = finish(r, "migrated"); !s.ok())
-        return s.error();
-    return p;
+    p.bundle = r.getLengthPrefixed();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after migrated");
 }
 
 Result<ReportSummary>
@@ -509,142 +385,66 @@ summarizeReport(const Bytes &encoded_report)
 {
     // Mirrors sea::ExecutionReport::encode field for field.
     ByteReader r(encoded_report);
+    auto picos = [&r] {
+        return Duration::picos(static_cast<std::int64_t>(r.getU64()));
+    };
     ReportSummary s;
-    auto magic = r.str();
-    if (!magic)
-        return magic.error();
-    if (*magic != "EXR2")
+    const std::string magic = r.getStr();
+    if (r.ok() && magic != "EXR2")
         return Error(Errc::invalidArgument, "not an execution report");
-    auto id = r.u64();
-    if (!id)
-        return id.error();
-    s.requestId = *id;
-    auto name = r.str();
-    if (!name)
-        return name.error();
-    s.palName = name.take();
-    auto backend = r.str();
-    if (!backend)
-        return backend.error();
-    s.backend = backend.take();
-    auto okflag = r.u8();
-    if (!okflag)
-        return okflag.error();
-    s.ok = *okflag != 0;
+    s.requestId = r.getU64();
+    s.palName = r.getStr();
+    s.backend = r.getStr();
+    s.ok = r.getU8() != 0;
     if (!s.ok) {
-        auto code = r.u8();
-        if (!code)
-            return code.error();
-        s.errorCode = *code;
-        auto message = r.str();
-        if (!message)
-            return message.error();
-        s.errorMessage = message.take();
+        s.errorCode = r.getU8();
+        s.errorMessage = r.getStr();
     }
-    auto output = r.lengthPrefixed();
-    if (!output)
-        return output.error();
-    s.output = output.take();
-    auto measurement = r.lengthPrefixed();
-    if (!measurement)
-        return measurement.error();
-    s.palMeasurement = measurement.take();
-    auto quoted = r.u8();
-    if (!quoted)
-        return quoted.error();
-    s.quoted = *quoted != 0;
+    s.output = r.getLengthPrefixed();
+    s.palMeasurement = r.getLengthPrefixed();
+    s.quoted = r.getU8() != 0;
     if (s.quoted) {
-        auto payload = r.lengthPrefixed();
-        if (!payload)
-            return payload.error();
-        auto signature = r.lengthPrefixed();
-        if (!signature)
-            return signature.error();
+        r.getLengthPrefixed(); // quote payload
+        r.getLengthPrefixed(); // quote signature
     }
     // Canonical phases: launch, compute, transition, attestation,
     // teardown.
-    std::int64_t phases[5] = {};
-    for (auto &d : phases) {
-        auto v = r.u64();
-        if (!v)
-            return v.error();
-        d = static_cast<std::int64_t>(*v);
-    }
-    s.launch = Duration::picos(phases[0]);
-    s.palCompute = Duration::picos(phases[1]);
-    s.transition = Duration::picos(phases[2]);
-    s.attestation = Duration::picos(phases[3]);
-    s.teardown = Duration::picos(phases[4]);
+    s.launch = picos();
+    s.palCompute = picos();
+    s.transition = picos();
+    s.attestation = picos();
+    s.teardown = picos();
     // Capability-tagged sections: walked (totality), not surfaced in
     // the scalar summary beyond their count -- the raw bytes stay
     // authoritative for family-specific detail.
-    auto section_count = r.u32();
-    if (!section_count)
-        return section_count.error();
-    s.sectionCount = *section_count;
-    for (std::uint32_t i = 0; i < s.sectionCount; ++i) {
-        if (auto cap = r.u32(); !cap)
-            return cap.error();
-        auto n_costs = r.u32();
-        if (!n_costs)
-            return n_costs.error();
-        for (std::uint32_t j = 0; j < *n_costs; ++j) {
-            if (auto k = r.str(); !k)
-                return k.error();
-            if (auto v = r.u64(); !v)
-                return v.error();
+    s.sectionCount = r.getU32();
+    for (std::uint32_t i = 0; i < s.sectionCount && r.ok(); ++i) {
+        r.getU32(); // capability
+        for (std::uint32_t n = r.getU32(), j = 0; j < n && r.ok(); ++j) {
+            r.getStr(); // cost name
+            r.getU64(); // picoseconds
         }
-        auto n_counts = r.u32();
-        if (!n_counts)
-            return n_counts.error();
-        for (std::uint32_t j = 0; j < *n_counts; ++j) {
-            if (auto k = r.str(); !k)
-                return k.error();
-            if (auto v = r.u64(); !v)
-                return v.error();
+        for (std::uint32_t n = r.getU32(), j = 0; j < n && r.ok(); ++j) {
+            r.getStr(); // count name
+            r.getU64(); // value
         }
-        auto n_evidence = r.u32();
-        if (!n_evidence)
-            return n_evidence.error();
-        for (std::uint32_t j = 0; j < *n_evidence; ++j) {
-            if (auto k = r.str(); !k)
-                return k.error();
-            if (auto v = r.lengthPrefixed(); !v)
-                return v.error();
+        for (std::uint32_t n = r.getU32(), j = 0; j < n && r.ok(); ++j) {
+            r.getStr();            // evidence name
+            r.getLengthPrefixed(); // evidence bytes
         }
     }
-    // submittedAt, startedAt, finishedAt, queueWait, total.
-    std::int64_t times[5] = {};
-    for (auto &d : times) {
-        auto v = r.u64();
-        if (!v)
-            return v.error();
-        d = static_cast<std::int64_t>(*v);
-    }
-    s.queueWait = Duration::picos(times[3]);
-    s.total = Duration::picos(times[4]);
-    auto launches = r.u64();
-    if (!launches)
-        return launches.error();
-    s.launches = *launches;
-    auto yields = r.u64();
-    if (!yields)
-        return yields.error();
-    s.yields = *yields;
-    auto cpu = r.u32();
-    if (!cpu)
-        return cpu.error();
-    auto shard = r.u32();
-    if (!shard)
-        return shard.error();
-    s.shard = *shard;
-    auto deadline_met = r.u8();
-    if (!deadline_met)
-        return deadline_met.error();
-    s.deadlineMet = *deadline_met != 0;
-    if (auto st = finish(r, "execution report"); !st.ok())
-        return st.error();
-    return s;
+    picos(); // submittedAt
+    picos(); // startedAt
+    picos(); // finishedAt
+    s.queueWait = picos();
+    s.total = picos();
+    s.launches = r.getU64();
+    s.yields = r.getU64();
+    r.getU32(); // cpu
+    s.shard = r.getU32();
+    s.deadlineMet = r.getU8() != 0;
+    return r.finish(std::move(s), Errc::invalidArgument,
+                    "trailing bytes after execution report");
 }
 
 } // namespace mintcb::net

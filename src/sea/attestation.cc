@@ -91,48 +91,26 @@ Result<Attestation>
 Attestation::decode(const Bytes &wire)
 {
     ByteReader r(wire);
-    auto magic = r.str();
-    if (!magic)
-        return magic.error();
-    if (*magic != "ATTEST")
+    const std::string magic = r.getStr();
+    if (r.ok() && magic != "ATTEST")
         return Error(Errc::integrityFailure, "not an attestation");
     Attestation a;
-    auto count = r.u32();
-    if (!count)
-        return count.error();
-    for (std::uint32_t i = 0; i < *count; ++i) {
-        auto index = r.u32();
-        if (!index)
-            return index.error();
-        auto value = r.lengthPrefixed();
-        if (!value)
-            return value.error();
-        a.quote.selection.push_back(*index);
-        a.quote.values.push_back(value.take());
+    const std::uint32_t count = r.getU32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint32_t index = r.getU32();
+        Bytes value = r.getLengthPrefixed();
+        if (!r.ok())
+            break;
+        a.quote.selection.push_back(index);
+        a.quote.values.push_back(std::move(value));
     }
-    auto nonce = r.lengthPrefixed();
-    if (!nonce)
-        return nonce.error();
-    a.quote.nonce = nonce.take();
-    auto sig = r.lengthPrefixed();
-    if (!sig)
-        return sig.error();
-    a.quote.signature = sig.take();
-    auto aik = r.lengthPrefixed();
-    if (!aik)
-        return aik.error();
-    a.aikCert.aikPublic = aik.take();
-    auto subject = r.str();
-    if (!subject)
-        return subject.error();
-    a.aikCert.subject = subject.take();
-    auto cert_sig = r.lengthPrefixed();
-    if (!cert_sig)
-        return cert_sig.error();
-    a.aikCert.signature = cert_sig.take();
-    if (!r.atEnd())
-        return Error(Errc::integrityFailure, "trailing attestation bytes");
-    return a;
+    a.quote.nonce = r.getLengthPrefixed();
+    a.quote.signature = r.getLengthPrefixed();
+    a.aikCert.aikPublic = r.getLengthPrefixed();
+    a.aikCert.subject = r.getStr();
+    a.aikCert.signature = r.getLengthPrefixed();
+    return r.finish(std::move(a), Errc::integrityFailure,
+                    "trailing attestation bytes");
 }
 
 Result<Attestation>

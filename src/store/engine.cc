@@ -286,28 +286,23 @@ SealedStore::applyMapPayload(const Bytes &payload,
                              std::uint64_t *out_epoch)
 {
     ByteReader r(payload);
-    auto epoch = r.u64();
-    if (!epoch)
-        return epoch.error();
-    auto count = r.u32();
-    if (!count)
-        return count.error();
+    const std::uint64_t epoch = r.getU64();
     std::map<std::string, Bytes> map;
-    for (std::uint32_t i = 0; i < *count; ++i) {
-        auto key = r.str();
-        if (!key)
-            return key.error();
-        auto value = r.lengthPrefixed();
-        if (!value)
-            return value.error();
-        map.emplace(key.take(), value.take());
+    const std::uint32_t count = r.getU32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+        std::string key = r.getStr();
+        Bytes value = r.getLengthPrefixed();
+        if (!r.ok())
+            break;
+        map.emplace(std::move(key), std::move(value));
     }
-    if (!r.atEnd()) {
-        return Error(Errc::integrityFailure,
-                     "trailing bytes in snapshot payload");
+    if (auto s = r.finish(Errc::integrityFailure,
+                          "trailing bytes in snapshot payload");
+        !s.ok()) {
+        return s;
     }
     map_ = std::move(map);
-    *out_epoch = *epoch;
+    *out_epoch = epoch;
     return okStatus();
 }
 
@@ -344,31 +339,24 @@ SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
     Bytes container(wire.begin(),
                     wire.begin() + static_cast<std::ptrdiff_t>(body));
     ByteReader r(container);
-    auto magic = r.u32();
-    if (!magic)
-        return magic.error();
-    if (*magic != snapshotMagic) {
+    const std::uint32_t magic = r.getU32();
+    if (r.ok() && magic != snapshotMagic) {
         return Error(Errc::integrityFailure,
                      "corrupt snapshot: bad magic");
     }
-    auto version = r.u16();
-    if (!version)
-        return version.error();
-    if (*version != snapshotVersion) {
+    const std::uint16_t version = r.getU16();
+    if (r.ok() && version != snapshotVersion) {
         return Error(Errc::invalidArgument,
                      "unknown snapshot version");
     }
-    auto clearEpoch = r.u64();
-    if (!clearEpoch)
-        return clearEpoch.error();
-    auto sealed = r.lengthPrefixed();
-    if (!sealed)
-        return sealed.error();
-    if (!r.atEnd()) {
-        return Error(Errc::integrityFailure,
-                     "corrupt snapshot: trailing bytes");
+    const std::uint64_t clearEpoch = r.getU64();
+    const Bytes sealed = r.getLengthPrefixed();
+    if (auto s = r.finish(Errc::integrityFailure,
+                          "corrupt snapshot: trailing bytes");
+        !s.ok()) {
+        return s.error();
     }
-    auto blob = tpm::SealedBlob::decode(*sealed);
+    auto blob = tpm::SealedBlob::decode(sealed);
     if (!blob)
         return blob.error();
     auto payload = unsealWithDiagnosis(*blob);
@@ -380,7 +368,7 @@ SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
     // The clear epoch is advisory (the inspect tool reads it without
     // unsealing); the sealed one is authoritative. Disagreement means
     // the container was stitched together from two snapshots.
-    if (sealedEpoch != *clearEpoch) {
+    if (sealedEpoch != clearEpoch) {
         return Error(Errc::integrityFailure,
                      "corrupt snapshot: clear epoch does not match "
                      "the sealed epoch");

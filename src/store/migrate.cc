@@ -39,34 +39,21 @@ Result<MigrationBundle>
 MigrationBundle::decode(const Bytes &wire)
 {
     ByteReader r(wire);
-    auto magic = r.u32();
-    if (!magic)
-        return magic.error();
-    if (*magic != migrationMagic) {
+    const std::uint32_t magic = r.getU32();
+    if (r.ok() && magic != migrationMagic) {
         return Error(Errc::integrityFailure,
                      "not a migration bundle");
     }
-    auto version = r.u16();
-    if (!version)
-        return version.error();
-    if (*version != migrationVersion) {
+    const std::uint16_t version = r.getU16();
+    if (r.ok() && version != migrationVersion) {
         return Error(Errc::invalidArgument,
                      "unknown migration bundle version");
     }
     MigrationBundle bundle;
-    auto epoch = r.u64();
-    if (!epoch)
-        return epoch.error();
-    bundle.sourceEpoch = *epoch;
-    auto sealed = r.lengthPrefixed();
-    if (!sealed)
-        return sealed.error();
-    bundle.sealedState = sealed.take();
-    if (!r.atEnd()) {
-        return Error(Errc::integrityFailure,
-                     "trailing bytes in migration bundle");
-    }
-    return bundle;
+    bundle.sourceEpoch = r.getU64();
+    bundle.sealedState = r.getLengthPrefixed();
+    return r.finish(std::move(bundle), Errc::integrityFailure,
+                    "trailing bytes in migration bundle");
 }
 
 Bytes

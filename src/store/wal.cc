@@ -197,49 +197,31 @@ decodeMutation(const Bytes &log_key, const Bytes &payload,
                bool is_remove)
 {
     ByteReader r(payload);
-    auto seq = r.u64();
-    if (!seq)
-        return seq.error();
-    auto ct = r.lengthPrefixed();
-    if (!ct)
-        return ct.error();
-    auto mac = r.raw(32);
-    if (!mac)
-        return mac.error();
-    if (!r.atEnd()) {
-        return Error(Errc::integrityFailure,
-                     "trailing bytes in mutation record");
+    Mutation m;
+    m.isRemove = is_remove;
+    m.seq = r.getU64();
+    const Bytes ct = r.getLengthPrefixed();
+    const Bytes mac = r.getRaw(32);
+    if (auto s = r.finish(Errc::integrityFailure,
+                          "trailing bytes in mutation record");
+        !s.ok()) {
+        return s.error();
     }
-    if (!crypto::constantTimeEqual(mutationMac(log_key, *seq, *ct),
-                                   *mac)) {
+    if (!crypto::constantTimeEqual(mutationMac(log_key, m.seq, ct), mac)) {
         return Error(Errc::integrityFailure,
                      "mutation record MAC mismatch");
     }
-    const Bytes plain = recordStream(log_key, *seq, *ct);
+    const Bytes plain = recordStream(log_key, m.seq, ct);
     ByteReader pr(plain);
-    auto op = pr.u8();
-    if (!op)
-        return op.error();
-    if (*op != (is_remove ? 2 : 1)) {
+    const std::uint8_t op = pr.getU8();
+    if (pr.ok() && op != (is_remove ? 2 : 1)) {
         return Error(Errc::integrityFailure,
                      "mutation op does not match its record type");
     }
-    Mutation m;
-    m.isRemove = is_remove;
-    m.seq = *seq;
-    auto key = pr.str();
-    if (!key)
-        return key.error();
-    m.key = key.take();
-    auto value = pr.lengthPrefixed();
-    if (!value)
-        return value.error();
-    m.value = value.take();
-    if (!pr.atEnd()) {
-        return Error(Errc::integrityFailure,
+    m.key = pr.getStr();
+    m.value = pr.getLengthPrefixed();
+    return pr.finish(std::move(m), Errc::integrityFailure,
                      "trailing bytes in mutation plaintext");
-    }
-    return m;
 }
 
 Bytes
@@ -276,21 +258,16 @@ Result<CommitMark>
 decodeCommit(const Bytes &log_key, const Bytes &payload)
 {
     ByteReader r(payload);
-    auto epoch = r.u64();
-    if (!epoch)
-        return epoch.error();
-    auto upTo = r.u64();
-    if (!upTo)
-        return upTo.error();
-    auto mac = r.raw(32);
-    if (!mac)
-        return mac.error();
-    if (!r.atEnd()) {
-        return Error(Errc::integrityFailure,
-                     "trailing bytes in commit record");
+    CommitMark mark;
+    mark.epoch = r.getU64();
+    mark.upToSeq = r.getU64();
+    const Bytes mac = r.getRaw(32);
+    if (auto s = r.finish(Errc::integrityFailure,
+                          "trailing bytes in commit record");
+        !s.ok()) {
+        return s.error();
     }
-    CommitMark mark{*epoch, *upTo};
-    if (!crypto::constantTimeEqual(commitMac(log_key, mark), *mac)) {
+    if (!crypto::constantTimeEqual(commitMac(log_key, mark), mac)) {
         return Error(Errc::integrityFailure,
                      "commit record MAC mismatch");
     }

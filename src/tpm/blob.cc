@@ -66,51 +66,25 @@ Result<SealedBlob>
 SealedBlob::decode(const Bytes &wire)
 {
     ByteReader r(wire);
-    auto magic = r.u32();
-    if (!magic)
-        return magic.error();
-    if (*magic != blobMagic)
+    const std::uint32_t magic = r.getU32();
+    if (r.ok() && magic != blobMagic)
         return Error(Errc::integrityFailure, "corrupt blob: not a sealed blob");
-
     SealedBlob blob;
-    auto bound = r.u8();
-    if (!bound)
-        return bound.error();
-    blob.sePcrBound = *bound != 0;
-
-    auto key = r.lengthPrefixed();
-    if (!key)
-        return key.error();
-    blob.encryptedInnerKey = key.take();
-
-    auto count = r.u32();
-    if (!count)
-        return count.error();
-    for (std::uint32_t i = 0; i < *count; ++i) {
-        auto index = r.u32();
-        if (!index)
-            return index.error();
-        auto digest = r.lengthPrefixed();
-        if (!digest)
-            return digest.error();
-        blob.policy.push_back({*index, digest.take()});
+    blob.sePcrBound = r.getU8() != 0;
+    blob.encryptedInnerKey = r.getLengthPrefixed();
+    const std::uint32_t count = r.getU32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+        PcrBinding b;
+        b.index = r.getU32();
+        b.digestAtRelease = r.getLengthPrefixed();
+        if (!r.ok())
+            break;
+        blob.policy.push_back(std::move(b));
     }
-
-    auto ct = r.lengthPrefixed();
-    if (!ct)
-        return ct.error();
-    blob.ciphertext = ct.take();
-
-    auto mac = r.lengthPrefixed();
-    if (!mac)
-        return mac.error();
-    blob.mac = mac.take();
-
-    if (!r.atEnd()) {
-        return Error(Errc::integrityFailure,
-                     "corrupt blob: trailing bytes in blob");
-    }
-    return blob;
+    blob.ciphertext = r.getLengthPrefixed();
+    blob.mac = r.getLengthPrefixed();
+    return r.finish(std::move(blob), Errc::integrityFailure,
+                    "corrupt blob: trailing bytes in blob");
 }
 
 SealedBlob

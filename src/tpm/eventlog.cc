@@ -51,33 +51,23 @@ Result<EventLog>
 EventLog::decode(const Bytes &wire)
 {
     ByteReader r(wire);
-    auto count = r.u32();
-    if (!count)
-        return count.error();
     EventLog log;
-    for (std::uint32_t i = 0; i < *count; ++i) {
-        auto entry = r.lengthPrefixed();
-        if (!entry)
-            return entry.error();
-        ByteReader er(*entry);
+    const std::uint32_t count = r.getU32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const Bytes entry = r.getLengthPrefixed();
+        if (!r.ok())
+            break;
+        ByteReader er(entry);
         MeasuredEvent e;
-        auto index = er.u32();
-        if (!index)
-            return index.error();
-        auto desc = er.str();
-        if (!desc)
-            return desc.error();
-        auto m = er.lengthPrefixed();
-        if (!m)
-            return m.error();
-        e.pcrIndex = *index;
-        e.description = desc.take();
-        e.measurement = m.take();
+        e.pcrIndex = er.getU32();
+        e.description = er.getStr();
+        e.measurement = er.getLengthPrefixed();
+        if (!er.ok())
+            return er.error();
         log.append(std::move(e));
     }
-    if (!r.atEnd())
-        return Error(Errc::integrityFailure, "trailing event-log bytes");
-    return log;
+    return r.finish(std::move(log), Errc::integrityFailure,
+                    "trailing event-log bytes");
 }
 
 } // namespace mintcb::tpm

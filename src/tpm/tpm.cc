@@ -372,66 +372,53 @@ Tpm::importNvState(const Bytes &wire)
                      "cold-boot operation");
     }
     ByteReader r(wire);
-    auto magic = r.u32();
-    if (!magic)
-        return magic.error();
-    if (*magic != nvStateMagic)
+    const std::uint32_t magic = r.getU32();
+    if (r.ok() && magic != nvStateMagic)
         return Error(Errc::integrityFailure, "not a TNV1 NV image");
-    auto version = r.u16();
-    if (!version)
-        return version.error();
-    if (*version != 1)
+    const std::uint16_t version = r.getU16();
+    if (r.ok() && version != 1)
         return Error(Errc::invalidArgument, "unknown NV image version");
 
     std::vector<std::uint64_t> counters;
-    auto counterCount = r.u32();
-    if (!counterCount)
-        return counterCount.error();
-    if (*counterCount > 4)
+    const std::uint32_t counterCount = r.getU32();
+    if (r.ok() && counterCount > 4)
         return Error(Errc::integrityFailure, "NV image counter overflow");
-    for (std::uint32_t i = 0; i < *counterCount; ++i) {
-        auto value = r.u64();
-        if (!value)
-            return value.error();
-        counters.push_back(*value);
+    for (std::uint32_t i = 0; i < counterCount; ++i) {
+        const std::uint64_t value = r.getU64();
+        if (!r.ok())
+            break;
+        counters.push_back(value);
     }
 
     std::vector<NvSpace> spaces;
-    auto spaceCount = r.u32();
-    if (!spaceCount)
-        return spaceCount.error();
-    if (*spaceCount > 8)
+    const std::uint32_t spaceCount = r.getU32();
+    if (r.ok() && spaceCount > 8)
         return Error(Errc::integrityFailure, "NV image space overflow");
-    for (std::uint32_t i = 0; i < *spaceCount; ++i) {
+    for (std::uint32_t i = 0; i < spaceCount; ++i) {
         NvSpace space;
-        auto size = r.u64();
-        if (!size)
-            return size.error();
-        space.size = static_cast<std::size_t>(*size);
-        auto policyCount = r.u32();
-        if (!policyCount)
-            return policyCount.error();
-        for (std::uint32_t j = 0; j < *policyCount; ++j) {
-            auto index = r.u32();
-            if (!index)
-                return index.error();
-            auto digest = r.lengthPrefixed();
-            if (!digest)
-                return digest.error();
-            space.policy.push_back({*index, digest.take()});
+        space.size = static_cast<std::size_t>(r.getU64());
+        const std::uint32_t policyCount = r.getU32();
+        for (std::uint32_t j = 0; j < policyCount; ++j) {
+            PcrBinding b;
+            b.index = r.getU32();
+            b.digestAtRelease = r.getLengthPrefixed();
+            if (!r.ok())
+                break;
+            space.policy.push_back(std::move(b));
         }
-        auto data = r.lengthPrefixed();
-        if (!data)
-            return data.error();
-        space.data = data.take();
+        space.data = r.getLengthPrefixed();
+        if (!r.ok())
+            break;
         if (space.data.size() > space.size) {
             return Error(Errc::integrityFailure,
                          "NV image space data exceeds its size");
         }
         spaces.push_back(std::move(space));
     }
-    if (!r.atEnd())
-        return Error(Errc::integrityFailure, "trailing NV image bytes");
+    if (auto s = r.finish(Errc::integrityFailure, "trailing NV image bytes");
+        !s.ok()) {
+        return s;
+    }
 
     counters_ = std::move(counters);
     nvSpaces_ = std::move(spaces);

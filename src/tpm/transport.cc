@@ -134,18 +134,11 @@ Result<WrappedMessage>
 WrappedMessage::decode(const Bytes &wire)
 {
     ByteReader r(wire);
-    auto ct = r.lengthPrefixed();
-    if (!ct)
-        return ct.error();
-    auto mac = r.lengthPrefixed();
-    if (!mac)
-        return mac.error();
-    if (!r.atEnd())
-        return Error(Errc::integrityFailure, "trailing transport bytes");
     WrappedMessage m;
-    m.ciphertext = ct.take();
-    m.mac = mac.take();
-    return m;
+    m.ciphertext = r.getLengthPrefixed();
+    m.mac = r.getLengthPrefixed();
+    return r.finish(std::move(m), Errc::integrityFailure,
+                    "trailing transport bytes");
 }
 
 Result<TransportClient::Opened>
@@ -217,33 +210,23 @@ TransportClient::unwrapBatchResponse(const WrappedMessage &message)
     if (!plain)
         return plain.error();
     ByteReader r(*plain);
-    auto status = r.u8();
-    if (!status)
-        return status.error();
-    if (*status != 0) {
+    const std::uint8_t status = r.getU8();
+    if (r.ok() && status != 0) {
         return Error(Errc::integrityFailure,
                      "batch exchange rejected by the TPM");
     }
-    auto count = r.u32();
-    if (!count)
-        return count.error();
     std::vector<TransportReply> replies;
-    replies.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-        auto errc = r.u8();
-        if (!errc)
-            return errc.error();
-        auto payload = r.lengthPrefixed();
-        if (!payload)
-            return payload.error();
+    const std::uint32_t count = r.getU32();
+    for (std::uint32_t i = 0; i < count; ++i) {
         TransportReply reply;
-        reply.status = static_cast<Errc>(*errc);
-        reply.payload = payload.take();
+        reply.status = static_cast<Errc>(r.getU8());
+        reply.payload = r.getLengthPrefixed();
+        if (!r.ok())
+            break;
         replies.push_back(std::move(reply));
     }
-    if (!r.atEnd())
-        return Error(Errc::integrityFailure, "trailing batch bytes");
-    return replies;
+    return r.finish(std::move(replies), Errc::integrityFailure,
+                    "trailing batch bytes");
 }
 
 Status
@@ -344,38 +327,28 @@ TpmTransportServer::execute(const WrappedMessage &message)
     ++stats_.exchanges;
 
     ByteReader r(*plain);
-    auto op = r.u8();
-    if (!op)
-        return op.error();
-    auto pcr = r.u32();
-    if (!pcr)
-        return pcr.error();
-    auto payload = r.lengthPrefixed();
-    if (!payload)
-        return payload.error();
+    const auto op = static_cast<TransportOp>(r.getU8());
+    const std::uint32_t pcr = r.getU32();
+    const Bytes payload = r.getLengthPrefixed();
+    if (!r.ok())
+        return r.error();
 
     ByteWriter response;
-    if (static_cast<TransportOp>(*op) == TransportOp::batch) {
-        ByteReader inner(*payload);
-        auto count = inner.u32();
-        if (!count)
-            return count.error();
+    if (op == TransportOp::batch) {
+        ByteReader inner(payload);
+        const std::uint32_t count = inner.getU32();
         response.u8(0);
-        response.u32(*count);
-        for (std::uint32_t i = 0; i < *count; ++i) {
-            auto cop = inner.u8();
-            if (!cop)
-                return cop.error();
-            auto cpcr = inner.u32();
-            if (!cpcr)
-                return cpcr.error();
-            auto cpayload = inner.lengthPrefixed();
-            if (!cpayload)
-                return cpayload.error();
+        response.u32(count);
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const auto cop = static_cast<TransportOp>(inner.getU8());
+            const std::uint32_t cpcr = inner.getU32();
+            const Bytes cpayload = inner.getLengthPrefixed();
+            // Only a sub-command that parsed in full reaches the TPM.
+            if (!inner.ok())
+                break;
             // A refused sub-command (bad PCR index, locked TPM) reports
             // its category in-band; the exchange itself still succeeds.
-            auto result = executeOne(static_cast<TransportOp>(*cop),
-                                     *cpcr, *cpayload);
+            auto result = executeOne(cop, cpcr, cpayload);
             if (result) {
                 response.u8(static_cast<std::uint8_t>(Errc::ok));
                 response.lengthPrefixed(*result);
@@ -387,18 +360,20 @@ TpmTransportServer::execute(const WrappedMessage &message)
             ++stats_.commands;
             ++stats_.batchedCommands;
         }
-        if (!inner.atEnd())
-            return Error(Errc::integrityFailure, "trailing batch bytes");
+        if (auto s = inner.finish(Errc::integrityFailure,
+                                  "trailing batch bytes");
+            !s.ok()) {
+            return s.error();
+        }
     } else {
         ++stats_.commands;
-        const TransportOp top = static_cast<TransportOp>(*op);
-        auto result = executeOne(top, *pcr, *payload);
+        auto result = executeOne(op, pcr, payload);
         if (!result)
             return result.error();
         response.u8(0);
         // Preserve the original single-command framing: extend responses
         // carry no payload field at all.
-        if (top != TransportOp::pcrExtend)
+        if (op != TransportOp::pcrExtend)
             response.lengthPrefixed(*result);
     }
     return wrap(key_, fromTpm, sendCounter_++, response.bytes());

@@ -89,49 +89,33 @@ Result<ExecutionTrace>
 ExecutionTrace::decode(const Bytes &blob)
 {
     ByteReader r(blob);
-    auto magic = r.u32();
-    if (!magic)
-        return magic.error();
-    if (*magic != traceMagicV1 && *magic != traceMagicV2)
+    const std::uint32_t magic = r.getU32();
+    if (r.ok() && magic != traceMagicV1 && magic != traceMagicV2)
         return Error(Errc::integrityFailure, "not a mintcb trace blob");
-    const bool timed = *magic == traceMagicV2;
-    auto count = r.u32();
-    if (!count)
-        return count.error();
+    const bool timed = magic == traceMagicV2;
 
     ExecutionTrace trace;
-    for (std::uint32_t i = 0; i < *count; ++i) {
-        auto kind = r.u8();
-        if (!kind)
-            return kind.error();
-        if (*kind < kindMin || *kind > kindMax) {
+    const std::uint32_t count = r.getU32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint8_t kind = r.getU8();
+        if (r.ok() && (kind < kindMin || kind > kindMax)) {
             return Error(Errc::integrityFailure,
                          "unknown trace event kind " +
-                             std::to_string(*kind));
+                             std::to_string(kind));
         }
-        auto cpu = r.u32();
-        if (!cpu)
-            return cpu.error();
-        auto subject = r.str();
-        if (!subject)
-            return subject.error();
-        auto arg = r.u64();
-        if (!arg)
-            return arg.error();
-        TimePoint at;
-        if (timed) {
-            auto ticks = r.u64();
-            if (!ticks)
-                return ticks.error();
-            at = TimePoint(
-                Duration::picos(static_cast<std::int64_t>(*ticks)));
-        }
-        trace.append(static_cast<TraceEventKind>(*kind), *cpu,
-                     subject.take(), *arg, at);
+        const std::uint32_t cpu = r.getU32();
+        std::string subject = r.getStr();
+        const std::uint64_t arg = r.getU64();
+        const std::uint64_t ticks = timed ? r.getU64() : 0;
+        if (!r.ok())
+            break;
+        trace.append(static_cast<TraceEventKind>(kind), cpu,
+                     std::move(subject), arg,
+                     TimePoint(Duration::picos(
+                         static_cast<std::int64_t>(ticks))));
     }
-    if (!r.atEnd())
-        return Error(Errc::integrityFailure, "trailing trace bytes");
-    return trace;
+    return r.finish(std::move(trace), Errc::integrityFailure,
+                    "trailing trace bytes");
 }
 
 std::string
