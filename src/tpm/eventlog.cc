@@ -62,8 +62,11 @@ EventLog::decode(const Bytes &wire)
         e.pcrIndex = er.getU32();
         e.description = er.getStr();
         e.measurement = er.getLengthPrefixed();
-        if (!er.ok())
-            return er.error();
+        if (auto s = er.finish(Errc::integrityFailure,
+                               "trailing bytes in event-log entry");
+            !s.ok()) {
+            return s.error();
+        }
         log.append(std::move(e));
     }
     return r.finish(std::move(log), Errc::integrityFailure,

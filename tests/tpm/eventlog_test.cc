@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytebuf.hh"
 #include "common/hex.hh"
 #include "crypto/sha1.hh"
 #include "tpm/eventlog.hh"
@@ -73,6 +74,22 @@ TEST(EventLog, DecodeRejectsGarbage)
     Bytes truncated = EventLog().encode();
     truncated.push_back(0x00);
     EXPECT_FALSE(EventLog::decode(truncated).ok());
+}
+
+TEST(EventLog, DecodeRejectsTrailingBytesInsideAnEntry)
+{
+    // An entry whose length prefix covers bytes past its measurement
+    // must not decode as the same log as the canonical encoding.
+    const MeasuredEvent e = event(4, "grub", "stage2");
+    Bytes padded = e.encode();
+    padded.push_back(0x00);
+    ByteWriter w;
+    w.u32(1);
+    w.lengthPrefixed(padded);
+    auto decoded = EventLog::decode(w.bytes());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, Errc::integrityFailure);
+    EXPECT_EQ(decoded.error().message, "trailing bytes in event-log entry");
 }
 
 TEST(EventLog, TamperedEntryChangesReplay)
