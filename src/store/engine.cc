@@ -26,10 +26,6 @@ namespace mintcb::store
 namespace
 {
 
-/** Snapshot container magic: "MSS1". */
-constexpr std::uint32_t snapshotMagic = 0x4d535331;
-constexpr std::uint16_t snapshotVersion = 1;
-
 /** Where the identity SLB is staged for the launch. */
 constexpr PhysAddr storeSlbAddr = 0x10000;
 
@@ -133,6 +129,51 @@ makeDirs(const std::string &path)
 }
 
 } // namespace
+
+Bytes
+SnapshotContainer::encode() const
+{
+    Bytes wire;
+    ByteWriter w(wire);
+    w.u32(snapshotMagic);
+    w.u16(snapshotVersion);
+    w.u64(clearEpoch);
+    w.lengthPrefixed(sealed);
+    w.u32(crc32(wire, 0, wire.size()));
+    return wire;
+}
+
+Result<SnapshotContainer>
+SnapshotContainer::decode(const Bytes &file)
+{
+    if (file.size() < walCrcBytes) {
+        return Error(Errc::integrityFailure,
+                     "corrupt snapshot: short container");
+    }
+    const std::size_t body = file.size() - walCrcBytes;
+    if (loadBe32(file.data() + body) != crc32(file, 0, body)) {
+        return Error(Errc::integrityFailure,
+                     "corrupt snapshot: container CRC mismatch");
+    }
+    const Bytes fields(file.begin(),
+                       file.begin() + static_cast<std::ptrdiff_t>(body));
+    ByteReader r(fields);
+    const std::uint32_t magic = r.getU32();
+    if (r.ok() && magic != snapshotMagic) {
+        return Error(Errc::integrityFailure,
+                     "corrupt snapshot: bad magic");
+    }
+    const std::uint16_t version = r.getU16();
+    if (r.ok() && version != snapshotVersion) {
+        return Error(Errc::invalidArgument,
+                     "unknown snapshot version");
+    }
+    SnapshotContainer c;
+    c.clearEpoch = r.getU64();
+    c.sealed = r.getLengthPrefixed();
+    return r.finish(std::move(c), Errc::integrityFailure,
+                    "corrupt snapshot: trailing bytes");
+}
 
 const char *
 syncPointName(SyncPoint p)
@@ -326,37 +367,10 @@ SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
     auto image = readFileBytes(snapPath_);
     if (!image)
         return image.error();
-    const Bytes &wire = *image;
-    if (wire.size() < walCrcBytes) {
-        return Error(Errc::integrityFailure,
-                     "corrupt snapshot: short container");
-    }
-    const std::size_t body = wire.size() - walCrcBytes;
-    if (loadBe32(wire.data() + body) != crc32(wire, 0, body)) {
-        return Error(Errc::integrityFailure,
-                     "corrupt snapshot: container CRC mismatch");
-    }
-    Bytes container(wire.begin(),
-                    wire.begin() + static_cast<std::ptrdiff_t>(body));
-    ByteReader r(container);
-    const std::uint32_t magic = r.getU32();
-    if (r.ok() && magic != snapshotMagic) {
-        return Error(Errc::integrityFailure,
-                     "corrupt snapshot: bad magic");
-    }
-    const std::uint16_t version = r.getU16();
-    if (r.ok() && version != snapshotVersion) {
-        return Error(Errc::invalidArgument,
-                     "unknown snapshot version");
-    }
-    const std::uint64_t clearEpoch = r.getU64();
-    const Bytes sealed = r.getLengthPrefixed();
-    if (auto s = r.finish(Errc::integrityFailure,
-                          "corrupt snapshot: trailing bytes");
-        !s.ok()) {
-        return s.error();
-    }
-    auto blob = tpm::SealedBlob::decode(sealed);
+    auto container = SnapshotContainer::decode(*image);
+    if (!container)
+        return container.error();
+    auto blob = tpm::SealedBlob::decode(container->sealed);
     if (!blob)
         return blob.error();
     auto payload = unsealWithDiagnosis(*blob);
@@ -368,7 +382,7 @@ SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
     // The clear epoch is advisory (the inspect tool reads it without
     // unsealing); the sealed one is authoritative. Disagreement means
     // the container was stitched together from two snapshots.
-    if (sealedEpoch != clearEpoch) {
+    if (sealedEpoch != container->clearEpoch) {
         return Error(Errc::integrityFailure,
                      "corrupt snapshot: clear epoch does not match "
                      "the sealed epoch");
@@ -385,14 +399,9 @@ SealedStore::sealSnapshotTo(const std::string &path,
                                          {17});
     if (!blob)
         return blob.error();
-    Bytes wire;
-    ByteWriter w(wire);
-    w.u32(snapshotMagic);
-    w.u16(snapshotVersion);
-    w.u64(at_epoch);
-    w.lengthPrefixed(blob->encode());
-    w.u32(crc32(wire, 0, wire.size()));
-    return writeFileDurable(path, wire);
+    return writeFileDurable(path,
+                            SnapshotContainer{at_epoch, blob->encode()}
+                                .encode());
 }
 
 Status

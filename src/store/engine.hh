@@ -51,6 +51,32 @@
 namespace mintcb::store
 {
 
+/** Snapshot container magic: "MSS1". */
+inline constexpr std::uint32_t snapshotMagic = 0x4d535331;
+inline constexpr std::uint16_t snapshotVersion = 1;
+
+/**
+ * The MSS1 snapshot file a checkpoint writes:
+ *
+ *     u32 magic | u16 version | u64 clearEpoch |
+ *     lengthPrefixed(sealed) | u32 crc32 (IEEE, over all before it)
+ *
+ * Like the MWL1 CRC, this one is keyless: it catches bit rot and torn
+ * writes before anything is unsealed, not an adversary.
+ */
+struct SnapshotContainer
+{
+    /** Advisory copy of the sealed epoch (what the inspect tool shows
+     *  without unsealing); the sealed one is authoritative. */
+    std::uint64_t clearEpoch = 0;
+    Bytes sealed; //!< SealedBlob wire of the map payload
+
+    Bytes encode() const;
+    /** CRC first, then the fields; refusals read "corrupt snapshot:
+     *  ..." (or "unknown snapshot version"). */
+    static Result<SnapshotContainer> decode(const Bytes &file);
+};
+
 /** Where the engine is between two durability actions. Observers are
  *  invoked *after* the named action completed. */
 enum class SyncPoint

@@ -8,14 +8,12 @@
  *    (beginFrame / payload encoder / endFrame);
  *  - one MWL1 record of every RecordType, as appendRecord writes it.
  *
- * Plus one of each of two formats that still frame themselves:
+ * Plus one of each of three formats that still frame themselves:
  *
  *  - EXR2, the encoded sea::ExecutionReport a report frame carries;
- *  - MMB1, the store::MigrationBundle a migrated frame carries.
- *
- * The third such format, the MSS1 sealed snapshot, is built inline in
- * SealedStore::sealSnapshotTo around an RNG-sealed blob; its pin waits
- * for the change that gives it an encoder of its own.
+ *  - MMB1, the store::MigrationBundle a migrated frame carries;
+ *  - MSS1, the store::SnapshotContainer a checkpoint writes, around a
+ *    sealed blob of fixed bytes.
  *
  * The hex is pinned, not derived: any codec refactor that changes one
  * byte on the wire or on disk fails here, whatever path produced it.
@@ -30,8 +28,10 @@
 #include "common/hex.hh"
 #include "net/wire.hh"
 #include "sea/request.hh"
+#include "store/engine.hh"
 #include "store/migrate.hh"
 #include "store/wal.hh"
+#include "tpm/blob.hh"
 
 namespace mintcb::net
 {
@@ -325,6 +325,25 @@ TEST(GoldenBundle, MigrationBundleEncodeEmitsThePinnedBytes)
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back->sourceEpoch, 3u);
     EXPECT_EQ(back->sealedState, asciiBytes("sealed"));
+}
+
+TEST(GoldenSnapshot, SnapshotContainerEncodeEmitsThePinnedBytes)
+{
+    tpm::SealedBlob blob;
+    blob.sePcrBound = false;
+    blob.encryptedInnerKey = asciiBytes("key");
+    blob.policy = {{17, asciiBytes("pcr17")}};
+    blob.ciphertext = asciiBytes("ct");
+    blob.mac = asciiBytes("mac");
+    const Bytes wire = store::SnapshotContainer{5, blob.encode()}.encode();
+    EXPECT_EQ(toHex(wire),
+              "4d535331000100000000000000050000002a5345414c00000000036b"
+              "65790000000100000011000000057063723137000000026374000000"
+              "036d6163fff80293");
+    auto back = store::SnapshotContainer::decode(wire);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->clearEpoch, 5u);
+    EXPECT_EQ(back->sealed, blob.encode());
 }
 
 } // namespace

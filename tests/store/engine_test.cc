@@ -207,6 +207,23 @@ TEST(SealedStoreEngine, CorruptSnapshotIsDiagnosedNotServed)
     EXPECT_EQ(reopened.error().code, Errc::integrityFailure);
 }
 
+TEST(SnapshotContainer, CrcFlipIsRefusedBeforeTheFieldsAreRead)
+{
+    const Bytes wire = SnapshotContainer{7, asciiBytes("sealed")}.encode();
+    auto back = SnapshotContainer::decode(wire);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->clearEpoch, 7u);
+    EXPECT_EQ(back->sealed, asciiBytes("sealed"));
+
+    Bytes flipped = wire;
+    flipped.back() ^= 0x01; // last byte of the CRC field
+    auto refused = SnapshotContainer::decode(flipped);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().code, Errc::integrityFailure);
+    EXPECT_EQ(refused.error().message,
+              "corrupt snapshot: container CRC mismatch");
+}
+
 TEST(SealedStoreEngine, StateDigestIsInsertionOrderIndependent)
 {
     TempDir tmpA;

@@ -6,8 +6,10 @@
  *
  *   mintcb-store inspect <dir>    structural WAL/snapshot report --
  *                                 record counts, torn-tail diagnosis,
- *                                 snapshot header, sidecar presence.
- *                                 Reads the raw files; never unseals.
+ *                                 snapshot container (CRC-checked),
+ *                                 sidecar presence. Reads the raw
+ *                                 files; never unseals. Exit 1 on a
+ *                                 torn log or a corrupt snapshot.
  *   mintcb-store verify <dir>     full open: replay, MAC checks, the
  *                                 rollback test against the chip
  *                                 counter. Prints epoch/size/digest;
@@ -36,7 +38,6 @@
 #include <memory>
 #include <string>
 
-#include "common/bytebuf.hh"
 #include "common/hex.hh"
 #include "store/engine.hh"
 #include "store/migrate.hh"
@@ -95,22 +96,23 @@ inspect(const std::string &dir)
     }
 
     const Bytes snap = readFile(snapPath);
+    bool snapCorrupt = false;
     if (snap.empty()) {
         std::printf("snapshot: none\n");
     } else {
         std::printf("snapshot: %s (%zu bytes)\n", snapPath.c_str(),
                     snap.size());
-        ByteReader r(snap);
-        auto magic = r.u32();
-        auto version = r.u16();
-        auto epoch = r.u64();
-        if (magic && *magic == 0x4d535331 && version && epoch) {
+        auto container = store::SnapshotContainer::decode(snap);
+        if (container) {
             std::printf("  MSS1 v%u, clear epoch %llu (advisory; the "
                         "sealed epoch is authoritative)\n",
-                        *version,
-                        static_cast<unsigned long long>(*epoch));
+                        static_cast<unsigned>(store::snapshotVersion),
+                        static_cast<unsigned long long>(
+                            container->clearEpoch));
         } else {
-            std::printf("  UNRECOGNIZED header\n");
+            snapCorrupt = true;
+            std::printf("  CORRUPT: %s\n",
+                        container.error().message.c_str());
         }
     }
 
@@ -120,7 +122,7 @@ inspect(const std::string &dir)
     else
         std::printf("chip NV:  %s (%zu bytes)\n", nvPath.c_str(),
                     nv.size());
-    return scan.torn ? 1 : 0;
+    return scan.torn || snapCorrupt ? 1 : 0;
 }
 
 int
@@ -256,7 +258,8 @@ selftest()
         }
     }
     if (inspect(src) != 0) {
-        std::fprintf(stderr, "FAIL: inspect reported a torn log\n");
+        std::fprintf(stderr, "FAIL: inspect reported a torn log or a "
+                             "corrupt snapshot\n");
         return 1;
     }
     if (compact(src, 0) != 0) {
