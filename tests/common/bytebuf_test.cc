@@ -121,5 +121,38 @@ TEST(ByteReader, EmptyRawReadSucceeds)
     EXPECT_TRUE(r.atEnd());
 }
 
+TEST(ByteReader, FirstFailureLatchesAndConsumesNothing)
+{
+    ByteWriter w;
+    w.u32(9); // claims 9 bytes follow; 2 do
+    w.u16(0xaabb);
+    ByteReader r(w.bytes());
+    EXPECT_TRUE(r.getLengthPrefixed().empty());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.remaining(), 6u);
+    // Bytes remain, but every later read is a zero value.
+    EXPECT_EQ(r.getU8(), 0);
+    EXPECT_EQ(r.getStr(), "");
+    EXPECT_EQ(r.error().message, "truncated blob while reading raw bytes");
+    // The latched error outranks the trailing bytes.
+    const Status s = r.finish(Errc::invalidArgument, "trailing");
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.error().code, Errc::integrityFailure);
+    EXPECT_EQ(s.error().message, r.error().message);
+}
+
+TEST(ByteReader, FinishReportsTrailingBytesWithTheCallersError)
+{
+    const Bytes src = {0x01, 0x02};
+    ByteReader r(src);
+    EXPECT_EQ(r.getU8(), 1);
+    const Status s = r.finish(Errc::invalidArgument, "trailing bytes");
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.error().code, Errc::invalidArgument);
+    EXPECT_EQ(s.error().message, "trailing bytes");
+    EXPECT_EQ(r.getU8(), 2);
+    EXPECT_TRUE(r.finish(Errc::invalidArgument, "trailing bytes").ok());
+}
+
 } // namespace
 } // namespace mintcb
