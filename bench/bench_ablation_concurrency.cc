@@ -57,8 +57,9 @@ runRecommended(int pals, std::uint64_t seed)
     rec::SecureExecutive exec(m, 8);
     rec::OsScheduler sched(exec, Duration::millis(1), /*legacy_cpus=*/1);
     for (int i = 0; i < pals; ++i) {
-        rec::PalProgram prog;
-        prog.name = "conc-pal-" + std::to_string(i);
+        rec::PalProgram prog(sea::Pal::fromLogic(
+            "conc-pal-" + std::to_string(i), 4096,
+            [](sea::PalContext &) { return okStatus(); }));
         prog.totalCompute = workPerPal;
         sched.add(prog);
     }

@@ -34,8 +34,9 @@ run(std::size_t sepcrs, std::uint64_t seed)
     rec::SecureExecutive exec(m, sepcrs);
     rec::OsScheduler sched(exec, Duration::millis(1), /*legacy_cpus=*/1);
     for (int i = 0; i < palCount; ++i) {
-        rec::PalProgram prog;
-        prog.name = "sweep-" + std::to_string(i);
+        rec::PalProgram prog(sea::Pal::fromLogic(
+            "sweep-" + std::to_string(i), 4096,
+            [](sea::PalContext &) { return okStatus(); }));
         prog.totalCompute = workPerPal;
         sched.add(prog);
     }

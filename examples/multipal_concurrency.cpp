@@ -53,8 +53,9 @@ main()
     rec::OsScheduler sched(exec, /*quantum=*/Duration::millis(1),
                            /*legacy_cpus=*/1);
     for (int i = 0; i < pal_count; ++i) {
-        rec::PalProgram prog;
-        prog.name = "rec-pal-" + std::to_string(i);
+        rec::PalProgram prog(sea::Pal::fromLogic(
+            "rec-pal-" + std::to_string(i), 4096,
+            [](sea::PalContext &) { return okStatus(); }));
         prog.totalCompute = work_per_pal;
         if (auto r = sched.add(prog); !r.ok()) {
             std::fprintf(stderr, "add failed: %s\n",

@@ -16,7 +16,6 @@ runPalBody(machine::Machine &machine, const sea::PalRequest &request,
 {
     BodyRun out;
     sea::PalContext ctx(machine, cpu, request.input);
-    ctx.setStateStore(request.stateStore);
     machine::Cpu &core = machine.cpu(cpu);
     const TimePoint body_start = core.now();
     out.status = request.pal.body()(ctx);

@@ -8,16 +8,17 @@
  * adapter exists for direct registry users (the backend-matrix bench,
  * one-off comparisons): it brings up a fresh executive on the given
  * machine and runs one program to completion under the preemption
- * timer, so all five zoo members answer run() uniformly.
+ * timer, so all five zoo members answer run() uniformly. The request
+ * -> program -> report mapping is the service's own (nativerun.hh);
+ * this adapter adds only the phase split and its extra sections.
  */
 
 #include "backend/backends.hh"
 
 #include <algorithm>
 
+#include "backend/nativerun.hh"
 #include "backend/registry.hh"
-#include "crypto/sha1.hh"
-#include "rec/scheduler.hh"
 
 namespace mintcb::backend
 {
@@ -53,54 +54,13 @@ class RecServiceBackend final : public Backend
         rec::OsScheduler sched(exec, Duration::millis(1),
                                /*legacy_cpus=*/1);
 
-        sea::ExecutionReport report;
-        report.palName = request.pal.name();
-        report.backend = defaultBackendName;
-        const TimePoint t0 = machine.now();
-        report.submittedAt = t0;
-
-        const Duration compute =
-            request.slicedCompute > Duration::zero()
-                ? request.slicedCompute
-                : Duration::millis(1);
-
-        struct Slot
-        {
-            TimePoint startedAt;
-            bool started = false;
-            Bytes output;
-        } slot;
-
-        rec::PalProgram prog;
-        prog.name = request.pal.name();
-        prog.codeBytes = request.pal.code().size();
-        prog.dataPages = request.dataPages;
-        prog.totalCompute = compute;
-        prog.priority = request.priority;
-        prog.deadline = request.deadline;
-        prog.wantQuote = request.wantQuote;
-        prog.stateStore = request.stateStore;
-        const Bytes input = request.input;
-        prog.onStart = [&machine, &slot,
-                        &input](rec::PalHooks &hooks) -> Status {
-            slot.started = true;
-            slot.startedAt = machine.cpu(hooks.cpu()).now();
-            return hooks.extend(crypto::Sha1::digestBytes(input));
-        };
-        const sea::SecureBody body = request.secureBody;
-        prog.onFinish = [&slot, &input,
-                         body](rec::PalHooks &hooks) -> Status {
-            if (body) {
-                auto out_bytes = body(hooks, input);
-                if (!out_bytes)
-                    return out_bytes.error();
-                slot.output = out_bytes.take();
-            }
-            return hooks.extend(crypto::Sha1::digestBytes(slot.output));
-        };
-
-        if (auto idx = sched.add(prog); !idx)
+        NativeSlot slot;
+        slot.submittedAt = machine.now();
+        if (auto idx = sched.add(nativeProgram(machine, request,
+                                               Duration::millis(1), slot));
+            !idx) {
             return idx.error();
+        }
 
         bool have_completion = false;
         rec::PalCompletion done;
@@ -117,40 +77,23 @@ class RecServiceBackend final : public Backend
             return Error(Errc::failedPrecondition,
                          "campaign finished without a completion");
 
-        report.status = done.result;
-        report.output = slot.output;
-        report.palMeasurement = done.measurement;
-        report.quote = done.quote;
-        report.quoted = done.quoted;
-        report.startedAt =
-            slot.started ? slot.startedAt : TimePoint(done.finishedAt);
-        report.finishedAt = TimePoint(done.finishedAt);
-        report.queueWait = report.startedAt - report.submittedAt;
-        report.total = report.finishedAt - report.startedAt;
-        report.launches = done.launches;
-        report.yields = done.yields;
-        report.cpu = done.cpu;
-        report.deadlineMet = done.deadlineMet;
+        sea::ExecutionReport report = nativeReport(slot, done);
 
         // Canonical phases. The campaign interleaves them, so the
         // breakdown is reconstructed: transitions are the measured
         // context-switch time, attestation is the post-SFREE tail
         // (sePCR quote), and launch is the remaining non-compute time
         // (first SLAUNCH measurement stream + state init).
-        report.phases.compute = compute;
         report.phases.transition = stats->contextSwitchTime;
         const Duration tail = machine.now() - report.finishedAt;
         report.phases.attestation =
             done.quoted ? tail : Duration::zero();
-        const Duration residual = report.total - compute -
+        const Duration residual = report.total - slot.compute -
                                   stats->contextSwitchTime;
         report.phases.launch = std::max(Duration::zero(), residual);
 
-        sea::ReportSection &pre =
-            report.section(sea::Capability::preemptible);
-        pre.addCount("slaunches", done.launches);
-        pre.addCount("yields", done.yields);
-        pre.addCount("preemptions", done.preemptions);
+        report.section(sea::Capability::preemptible)
+            .addCount("preemptions", done.preemptions);
         report.section(sea::Capability::sePcr)
             .addCount("sepcr_slots", 8);
         if (done.quoted) {

@@ -12,16 +12,16 @@ void
 PalRegistry::add(std::string name, std::size_t code_bytes,
                  sea::PalBody body, sea::SecureBody secure_body)
 {
+    Entry entry{sea::Pal::fromLogic(std::move(name), code_bytes,
+                                    std::move(body)),
+                std::move(secure_body)};
     for (Entry &e : entries_) {
-        if (e.name == name) {
-            e.codeBytes = code_bytes;
-            e.body = std::move(body);
-            e.secureBody = std::move(secure_body);
+        if (e.pal.name() == entry.pal.name()) {
+            e = std::move(entry);
             return;
         }
     }
-    entries_.push_back({std::move(name), code_bytes, std::move(body),
-                        std::move(secure_body)});
+    entries_.push_back(std::move(entry));
 }
 
 void
@@ -42,7 +42,7 @@ const PalRegistry::Entry *
 PalRegistry::find(const std::string &name) const
 {
     for (const Entry &e : entries_) {
-        if (e.name == name)
+        if (e.pal.name() == name)
             return &e;
     }
     return nullptr;
@@ -60,7 +60,7 @@ PalRegistry::names() const
     std::vector<std::string> out;
     out.reserve(entries_.size());
     for (const Entry &e : entries_)
-        out.push_back(e.name);
+        out.push_back(e.pal.name());
     return out;
 }
 
@@ -72,9 +72,7 @@ PalRegistry::build(const WireRequest &wire_request) const
         return Error(Errc::notFound, "no PAL registered under '" +
                                          wire_request.palName + "'");
     }
-    sea::PalRequest req(
-        sea::Pal::fromLogic(entry->name, entry->codeBytes, entry->body),
-        wire_request.input);
+    sea::PalRequest req(entry->pal, wire_request.input);
     req.backend = wire_request.backend.empty() ? defaultBackend_
                                                : wire_request.backend;
     req.affinity = wire_request.affinity;

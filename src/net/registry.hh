@@ -28,7 +28,8 @@ class PalRegistry
 {
   public:
     /** Register @p name with the given SLB code size and behaviors.
-     *  Re-registering a name replaces the entry. */
+     *  The PAL's measured identity is built here, once; every build()
+     *  shares it. Re-registering a name replaces the entry. */
     void add(std::string name, std::size_t code_bytes, sea::PalBody body,
              sea::SecureBody secure_body = nullptr);
 
@@ -49,16 +50,15 @@ class PalRegistry
     }
     const std::string &defaultBackend() const { return defaultBackend_; }
 
-    /** Build the service request described by @p wire_request;
+    /** Build the service request described by @p wire_request around
+     *  the registered Pal (a shared copy, not a rebuild);
      *  Errc::notFound for an unregistered PAL name. */
     Result<sea::PalRequest> build(const WireRequest &wire_request) const;
 
   private:
     struct Entry
     {
-        std::string name;
-        std::size_t codeBytes = 0;
-        sea::PalBody body;
+        sea::Pal pal;
         sea::SecureBody secureBody;
     };
 

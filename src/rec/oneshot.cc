@@ -5,22 +5,15 @@
 
 #include "rec/oneshot.hh"
 
-#include "crypto/sha1.hh"
-#include "sea/pal.hh"
-
 namespace mintcb::rec
 {
 
 Result<OneShotReport>
-runOneShot(SecureExecutive &exec, const std::string &name,
+runOneShot(SecureExecutive &exec, const sea::Pal &pal,
            const OneShotBody &body, const OneShotOptions &options)
 {
     machine::Machine &m = exec.machine();
-    const sea::Pal identity = sea::Pal::fromLogic(
-        name, options.codeBytes,
-        [](sea::PalContext &) { return okStatus(); });
-
-    auto secb = allocateSecb(m, identity, options.base,
+    auto secb = allocateSecb(m, pal, options.base,
                              options.dataPages, Duration::zero());
     if (!secb)
         return secb.error();
@@ -34,7 +27,7 @@ runOneShot(SecureExecutive &exec, const std::string &name,
 
     OneShotReport report;
     report.measurement = launch->measurement;
-    report.palMeasurement = identity.measurement();
+    report.palMeasurement = pal.measurement();
 
     PalHooks hooks(exec, *secb, options.cpu);
     auto output = body(hooks);

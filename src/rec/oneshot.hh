@@ -36,7 +36,6 @@ struct OneShotReport
 /** Options for a one-shot run. */
 struct OneShotOptions
 {
-    std::size_t codeBytes = 4096; //!< identity size of the function
     std::size_t dataPages = 1;    //!< scratch memory
     CpuId cpu = 1;                //!< core to run on
     bool quote = true;            //!< produce attestation evidence
@@ -47,12 +46,11 @@ struct OneShotOptions
 using OneShotBody = std::function<Result<Bytes>(PalHooks &)>;
 
 /**
- * Run @p body as the PAL named @p name under @p exec. The function's
- * sealed state (if it seals) is bound to the (name, codeBytes) identity,
- * so a later one-shot with the same identity can unseal it.
+ * Run @p body as @p pal under @p exec. The function's sealed state (if
+ * it seals) is bound to @p pal's measured identity, so a later one-shot
+ * of the same PAL (same name and code size) can unseal it.
  */
-Result<OneShotReport> runOneShot(SecureExecutive &exec,
-                                 const std::string &name,
+Result<OneShotReport> runOneShot(SecureExecutive &exec, const sea::Pal &pal,
                                  const OneShotBody &body,
                                  const OneShotOptions &options = {});
 

@@ -13,8 +13,6 @@
 
 #include <algorithm>
 
-#include "sea/pal.hh"
-
 namespace mintcb::rec
 {
 
@@ -65,22 +63,15 @@ OsScheduler::OsScheduler(SecureExecutive &exec, Duration quantum,
 Result<std::size_t>
 OsScheduler::add(const PalProgram &program)
 {
-    const sea::Pal identity = sea::Pal::fromLogic(
-        program.name, program.codeBytes,
-        [](sea::PalContext &) { return okStatus(); });
-    auto secb = allocateSecb(exec_.machine(), identity, nextBase_,
+    auto secb = allocateSecb(exec_.machine(), program.pal, nextBase_,
                              program.dataPages, quantum_);
     if (!secb)
         return secb.error();
     nextBase_ += (secb->pages.size() + 1) * pageSize;
-
-    Task task;
-    task.program = program;
-    task.secb = secb.take();
-    task.remaining = program.totalCompute;
-    task.seq = tasks_.size();
-    task.measurement = identity.measurement();
-    tasks_.push_back(std::move(task));
+    tasks_.push_back(Task{.program = program,
+                          .secb = secb.take(),
+                          .remaining = program.totalCompute,
+                          .seq = tasks_.size()});
     return tasks_.size() - 1;
 }
 
@@ -186,7 +177,6 @@ OsScheduler::runAll()
             task->waitRounds = 0;
             progressed = true;
             PalHooks hooks(exec_, task->secb, cpu);
-            hooks.setStateStore(task->program.stateStore);
 
             if (!task->startHookRan) {
                 task->startHookRan = true;
@@ -197,14 +187,14 @@ OsScheduler::runAll()
                         exec_.skill(task->secb);
                         task->finished = true;
                         PalCompletion aborted;
-                        aborted.name = task->program.name;
+                        aborted.name = task->program.pal.name();
                         aborted.result = Status{s.error()};
                         aborted.finishedAt =
                             m.cpu(cpu).now().sinceEpoch();
                         aborted.launches = task->secb.launches;
                         aborted.yields = task->secb.yields;
                         aborted.seq = task->seq;
-                        aborted.measurement = task->measurement;
+                        aborted.measurement = task->program.pal.measurement();
                         aborted.preemptions = task->secb.preemptions;
                         aborted.cpu = cpu;
                         // Same rule as normal completion: only a set
@@ -247,13 +237,13 @@ OsScheduler::runAll()
             }
 
             PalCompletion done;
-            done.name = task->program.name;
+            done.name = task->program.pal.name();
             done.result = finish;
             done.finishedAt = m.cpu(cpu).now().sinceEpoch();
             done.launches = task->secb.launches;
             done.yields = task->secb.yields;
             done.seq = task->seq;
-            done.measurement = task->measurement;
+            done.measurement = task->program.pal.measurement();
             done.preemptions = task->secb.preemptions;
             done.cpu = cpu;
             done.deadlineMet =

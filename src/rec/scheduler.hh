@@ -20,11 +20,7 @@
 
 #include "common/result.hh"
 #include "rec/instructions.hh"
-
-namespace mintcb::sea
-{
-class SealedStateStore; // defined in sea/statestore.hh (layering)
-}
+#include "sea/pal.hh"
 
 namespace mintcb::rec
 {
@@ -34,8 +30,9 @@ class PalHooks;
 /** What the OS knows about a PAL it wants to run. */
 struct PalProgram
 {
-    std::string name;
-    std::size_t codeBytes = 4096;     //!< SLB code size (identity)
+    explicit PalProgram(sea::Pal pal_) : pal(std::move(pal_)) {}
+
+    sea::Pal pal;                     //!< measured identity (SLB image)
     std::size_t dataPages = 1;        //!< extra pages for PAL data
     Duration totalCompute;            //!< work the PAL must retire
     int priority = 0;                 //!< higher runs sooner (aged)
@@ -45,9 +42,6 @@ struct PalProgram
     std::function<Status(PalHooks &)> onStart;
     /** Runs inside the PAL on its final slice (e.g. seal new state). */
     std::function<Status(PalHooks &)> onFinish;
-    /** Durable home for sealed state, surfaced to the hooks; null keeps
-     *  the classic arrangement (the OS holds the blob). */
-    sea::SealedStateStore *stateStore = nullptr;
 };
 
 /** TPM/compute services available to a running PAL's hooks. */
@@ -69,20 +63,10 @@ class PalHooks
     /** Extend this PAL's sePCR (e.g. with input measurements). */
     Status extend(const Bytes &digest);
 
-    /** @name Durable sealed-state home, when the program attached one.
-     * @{ */
-    void setStateStore(sea::SealedStateStore *store)
-    {
-        stateStore_ = store;
-    }
-    sea::SealedStateStore *stateStore() const { return stateStore_; }
-    /** @} */
-
   private:
     SecureExecutive &exec_;
     Secb &secb_;
     CpuId cpu_;
-    sea::SealedStateStore *stateStore_ = nullptr;
 };
 
 /** Per-PAL completion record. */
@@ -152,7 +136,6 @@ class OsScheduler
         std::uint64_t lastRound = ~0ull; //!< one slice per round (causality)
         std::size_t seq = 0;             //!< add() order, stable tie-break
         std::uint64_t waitRounds = 0;    //!< rounds skipped (priority aging)
-        Bytes measurement;               //!< SLB identity hash
     };
 
     SecureExecutive &exec_;

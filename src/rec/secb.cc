@@ -21,7 +21,7 @@ allocateSecb(machine::Machine &machine, const sea::Pal &pal,
         return Error(Errc::invalidArgument,
                      "SECB memory must be page-aligned");
     }
-    const Bytes image = pal.slbImage();
+    const Bytes &image = pal.slbImage();
     if (auto s = machine.writeAs(0, base, image); !s.ok())
         return s.error();
 

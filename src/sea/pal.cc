@@ -5,6 +5,8 @@
 
 #include "sea/pal.hh"
 
+#include <cassert>
+
 #include "common/hex.hh"
 #include "crypto/sha1.hh"
 #include "latelaunch/slb.hh"
@@ -18,37 +20,20 @@ Pal::fromLogic(std::string name, std::size_t code_bytes, PalBody body)
 {
     // Deterministic code image: a SHA-1-seeded byte stream over the name,
     // so the measured identity tracks the logical identity.
-    Bytes code(code_bytes);
     const Bytes seed = crypto::Sha1::digestBytes(asciiBytes(name));
     Rng rng(static_cast<std::uint64_t>(seed[0]) << 32 |
             static_cast<std::uint64_t>(seed[1]) << 24 |
             static_cast<std::uint64_t>(seed[2]) << 16 |
             static_cast<std::uint64_t>(seed[3]) << 8 | seed[4]);
-    Bytes filler = rng.bytes(code_bytes);
-    code = std::move(filler);
-    return Pal(std::move(name), std::move(code), std::move(body));
-}
-
-std::size_t
-Pal::slbBytes() const
-{
-    return code_.size() + latelaunch::slbHeaderBytes;
-}
-
-Bytes
-Pal::slbImage() const
-{
-    auto slb = latelaunch::Slb::wrap(code_);
+    auto slb = latelaunch::Slb::wrap(rng.bytes(code_bytes));
     // PALs are size-validated at construction sites; an oversized PAL is
     // a programmer error here.
     assert(slb.ok() && "PAL exceeds the 64 KB SLB limit");
-    return slb->image();
-}
-
-Bytes
-Pal::measurement() const
-{
-    return crypto::Sha1::digestBytes(slbImage());
+    auto identity = std::make_shared<Identity>();
+    identity->name = std::move(name);
+    identity->slbImage = slb->image();
+    identity->measurement = crypto::Sha1::digestBytes(identity->slbImage);
+    return Pal(std::move(identity), std::move(body));
 }
 
 Bytes

@@ -16,6 +16,7 @@
 #define MINTCB_SEA_PAL_HH
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "common/result.hh"
@@ -28,12 +29,19 @@ namespace mintcb::sea
 {
 
 class PalContext;
-class SealedStateStore;
 
 /** The PAL's application-specific entry function. */
 using PalBody = std::function<Status(PalContext &)>;
 
-/** A PAL: measured code identity plus modeled behavior. */
+/**
+ * A PAL: measured code identity plus modeled behavior.
+ *
+ * The identity -- name, SLB image, SHA-1 measurement -- is built once,
+ * by fromLogic, into one immutable object every copy of the Pal
+ * shares. Handing a Pal down the stack (registry, request, scheduler,
+ * SECB) therefore never rebuilds or rehashes the image, and a Pal has
+ * no mutators, so shard worker threads read one image concurrently.
+ */
 class Pal
 {
   public:
@@ -45,31 +53,35 @@ class Pal
     static Pal fromLogic(std::string name, std::size_t code_bytes,
                          PalBody body);
 
-    const std::string &name() const { return name_; }
-    const Bytes &code() const { return code_; }
+    const std::string &name() const { return identity_->name; }
     const PalBody &body() const { return body_; }
 
     /** Total SLB image size (code + header). */
-    std::size_t slbBytes() const;
+    std::size_t slbBytes() const { return identity_->slbImage.size(); }
 
     /** The SLB image that will be measured. */
-    Bytes slbImage() const;
+    const Bytes &slbImage() const { return identity_->slbImage; }
 
     /** SHA-1 of the SLB image: the measurement a verifier whitelists. */
-    Bytes measurement() const;
+    const Bytes &measurement() const { return identity_->measurement; }
 
     /** Expected PCR 17 value after a genuine late launch of this PAL. */
     Bytes expectedPcr17() const;
 
   private:
-    Pal(std::string name, Bytes code, PalBody body)
-        : name_(std::move(name)), code_(std::move(code)),
-          body_(std::move(body))
+    struct Identity
+    {
+        std::string name;
+        Bytes slbImage;
+        Bytes measurement;
+    };
+
+    Pal(std::shared_ptr<const Identity> identity, PalBody body)
+        : identity_(std::move(identity)), body_(std::move(body))
     {
     }
 
-    std::string name_;
-    Bytes code_;
+    std::shared_ptr<const Identity> identity_;
     PalBody body_;
 };
 
@@ -118,13 +130,6 @@ class PalContext
     Duration unsealTime() const { return unsealTime_; }
     /** @} */
 
-    /** @name Durable sealed-state home (store engine), when attached.
-     * Null means the classic arrangement: the PAL hands its sealed
-     * blob back through output() and the untrusted OS keeps it. @{ */
-    void setStateStore(SealedStateStore *store) { stateStore_ = store; }
-    SealedStateStore *stateStore() const { return stateStore_; }
-    /** @} */
-
   private:
     machine::Machine &machine_;
     CpuId cpu_;
@@ -132,7 +137,6 @@ class PalContext
     Bytes output_;
     Duration sealTime_;
     Duration unsealTime_;
-    SealedStateStore *stateStore_ = nullptr;
 };
 
 } // namespace mintcb::sea

@@ -42,8 +42,6 @@ class PalHooks; // sea/ cannot depend on rec/ headers (layering)
 namespace mintcb::sea
 {
 
-class SealedStateStore;
-
 /** Work a service-backed PAL performs inside its protected slices,
  *  with sealed-state access through the hooks; returns the PAL output.
  *  (The one-shot backends use Pal::body() instead.) */
@@ -90,12 +88,6 @@ struct PalRequest
      *  runs on two shards concurrently. 0 (default) derives the key
      *  from the PAL's name. */
     std::uint64_t affinity = 0;
-
-    /** Durable home for this PAL's sealed state (not part of the wire
-     *  encoding, like secureBody): backends expose it to the body via
-     *  PalContext::stateStore() / PalHooks::stateStore(). Null keeps
-     *  the classic sealed-blob-through-output arrangement. */
-    SealedStateStore *stateStore = nullptr;
 
     /** @name Service-backend execution shape.
      * The execution service runs PALs in preemptible slices; it needs

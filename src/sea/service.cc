@@ -6,7 +6,8 @@
  * a rec::PalProgram, an OsScheduler multiplexes them over the
  * PAL-eligible cores in preemption-timer quanta (legacy work filling
  * every idle cycle), and the completion hook turns each PalCompletion
- * back into the caller's ExecutionReport. Afterwards the audit trail --
+ * back into the caller's ExecutionReport -- both mappings are the
+ * native path's one definition in backend/nativerun.hh. Afterwards the audit trail --
  * one TPM_Extend per report digest -- flows through the secure
  * transport session, batched into a single exchange when pipelining is
  * on.
@@ -27,6 +28,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "backend/nativerun.hh"
 #include "backend/registry.hh"
 #include "crypto/sha1.hh"
 #include "sea/workerpool.hh"
@@ -236,96 +238,28 @@ ExecutionService::runBatch(const EngineRefs &refs,
         ++out.backendRouted;
     }
 
-    /** Per-request state the scheduler callbacks fill in. Sized once up
-     *  front so the captured pointers stay stable. */
-    struct Slot
-    {
-        std::uint64_t id = 0;
-        TimePoint submittedAt;
-        TimePoint startedAt;
-        bool started = false;
-        Bytes output;
-        Duration compute;
-    };
-    std::vector<Slot> slots(native.size());
-
+    // Per-request state the scheduler hooks fill in, sized once up
+    // front so the slots the hooks write through stay put.
+    std::vector<backend::NativeSlot> slots(native.size());
     rec::OsScheduler sched(refs.exec, config_.quantum,
                            config_.legacyCpus);
     for (std::size_t n = 0; n < native.size(); ++n) {
         const Pending &p = batch[native[n]];
-        Slot *slot = &slots[n];
-        slot->id = p.id;
-        slot->submittedAt = p.submittedAt;
-        slot->compute = p.request.slicedCompute > Duration::zero()
-                            ? p.request.slicedCompute
-                            : config_.quantum;
-
-        rec::PalProgram prog;
-        prog.name = p.request.pal.name();
-        prog.codeBytes = p.request.pal.code().size();
-        prog.dataPages = p.request.dataPages;
-        prog.totalCompute = slot->compute;
-        prog.priority = p.request.priority;
-        prog.deadline = p.request.deadline;
-        prog.wantQuote = p.request.wantQuote;
-
-        // First slice: bind the input to the PAL's attested identity.
-        machine::Machine &m = refs.machine;
-        const Bytes input = p.request.input;
-        prog.onStart = [&m, slot, input](rec::PalHooks &hooks) -> Status {
-            slot->started = true;
-            slot->startedAt = m.cpu(hooks.cpu()).now();
-            return hooks.extend(crypto::Sha1::digestBytes(input));
-        };
-
-        // Final slice: the application body runs inside the PAL's
-        // protections, then the output joins the sePCR transcript.
-        const SecureBody body = p.request.secureBody;
-        prog.onFinish = [slot, input,
-                         body](rec::PalHooks &hooks) -> Status {
-            if (body) {
-                auto out_bytes = body(hooks, input);
-                if (!out_bytes)
-                    return out_bytes.error();
-                slot->output = out_bytes.take();
-            }
-            return hooks.extend(crypto::Sha1::digestBytes(slot->output));
-        };
-
-        if (auto idx = sched.add(prog); !idx)
+        slots[n].submittedAt = p.submittedAt;
+        if (auto idx = sched.add(backend::nativeProgram(
+                refs.machine, p.request, config_.quantum, slots[n]));
+            !idx) {
             return idx.error();
+        }
     }
 
-    sched.setCompletionHook(
-        [&slots, &native, &reports = out.reports,
-         shard_id](const rec::PalCompletion &done) {
-            const Slot &slot = slots[done.seq];
-            ExecutionReport &r = reports[native[done.seq]];
-            r.requestId = slot.id;
-            r.palName = done.name;
-            r.backend = "rec-service";
-            r.status = done.result;
-            r.output = slot.output;
-            r.palMeasurement = done.measurement;
-            r.quote = done.quote;
-            r.quoted = done.quoted;
-            r.phases.compute = slot.compute;
-            r.section(Capability::preemptible)
-                .addCount("slaunches", done.launches);
-            r.section(Capability::preemptible)
-                .addCount("yields", done.yields);
-            r.submittedAt = slot.submittedAt;
-            r.startedAt = slot.started ? slot.startedAt
-                                       : TimePoint(done.finishedAt);
-            r.finishedAt = TimePoint(done.finishedAt);
-            r.queueWait = r.startedAt - r.submittedAt;
-            r.total = r.finishedAt - r.startedAt;
-            r.launches = done.launches;
-            r.yields = done.yields;
-            r.cpu = done.cpu;
-            r.shard = shard_id;
-            r.deadlineMet = done.deadlineMet;
-        });
+    sched.setCompletionHook([&](const rec::PalCompletion &done) {
+        const std::size_t n = done.seq;
+        ExecutionReport &r = out.reports[native[n]];
+        r = backend::nativeReport(slots[n], done);
+        r.requestId = batch[native[n]].id;
+        r.shard = shard_id;
+    });
 
     auto stats = sched.runAll();
     if (!stats)

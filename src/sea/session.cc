@@ -55,8 +55,8 @@ SeaDriver::run(const PalRequest &request, CpuId cpu)
     const Duration suspend_os = core.now() - session_start;
 
     // 2. Place the SLB and late launch.
-    const Bytes image = pal.slbImage();
-    if (auto s = machine_.writeAs(cpu, slbLoadAddress, image); !s.ok())
+    if (auto s = machine_.writeAs(cpu, slbLoadAddress, pal.slbImage());
+        !s.ok())
         return s.error();
     const TimePoint launch_start = core.now();
     auto launch = launcher_.invoke(cpu, slbLoadAddress);
@@ -86,7 +86,6 @@ SeaDriver::run(const PalRequest &request, CpuId cpu)
 
     // 3. Execute the PAL body with hardware protections up.
     PalContext ctx(machine_, cpu, input);
-    ctx.setStateStore(request.stateStore);
     const TimePoint body_start = core.now();
     const Status body_status = pal.body()(ctx);
     const Duration body_total = core.now() - body_start;

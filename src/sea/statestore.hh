@@ -6,12 +6,13 @@
  * handing the blob to the untrusted OS (Section 3.3) -- but "the OS
  * keeps it somewhere" was, until now, a std::vector in the calling
  * process. SealedStateStore is the narrow interface through which a
- * PAL's front end (or the PAL body itself, via PalContext) hands
- * sealed bytes to a *durable* home: the store engine journals them
- * through its write-ahead log, so they survive process death and
- * detect rollback. The interface lives down here in sea so neither
- * PalContext nor the rec scheduler needs to know the engine exists;
- * src/store implements it above.
+ * PAL's untrusted front end (SecureKvStore::attachPersistence), or a
+ * body that captured a store when it was registered, hands sealed
+ * bytes to a *durable* home: the store engine journals them through
+ * its write-ahead log, so they survive process death and detect
+ * rollback. Requests, PalContext and the rec scheduler carry no store;
+ * the interface lives down here in sea so front ends can depend on it
+ * without knowing the engine exists; src/store implements it above.
  */
 
 #ifndef MINTCB_SEA_STATESTORE_HH

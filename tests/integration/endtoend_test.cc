@@ -128,9 +128,10 @@ TEST(EndToEnd, RecArchitectureQuoteVerifiesAgainstPalIdentity)
     rec::OsScheduler sched(exec, Duration::millis(1));
     sched.setQuoteOnExit(true);
 
-    rec::PalProgram prog;
-    prog.name = "attested-rec-pal";
-    prog.codeBytes = 4096;
+    const sea::Pal expected = sea::Pal::fromLogic(
+        "attested-rec-pal", 4096,
+        [](sea::PalContext &) { return okStatus(); });
+    rec::PalProgram prog(expected);
     prog.totalCompute = Duration::millis(3);
     ASSERT_TRUE(sched.add(prog).ok());
     auto stats = sched.runAll();
@@ -144,9 +145,6 @@ TEST(EndToEnd, RecArchitectureQuoteVerifiesAgainstPalIdentity)
 
     // Whitelist check: the quoted sePCR value must equal the launch
     // identity of the expected PAL image.
-    const sea::Pal expected = sea::Pal::fromLogic(
-        "attested-rec-pal", 4096,
-        [](sea::PalContext &) { return okStatus(); });
     Bytes zero(20, 0x00);
     ByteWriter w;
     w.raw(zero);

@@ -85,6 +85,33 @@ quickClient(std::uint64_t seed)
     return config;
 }
 
+TEST(PalRegistry, BuildsEachPalOnce)
+{
+    PalRegistry registry;
+    registry.addEcho("once", 2048);
+    WireRequest wire;
+    wire.palName = "once";
+    auto first = registry.build(wire);
+    auto second = registry.build(wire);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    // Both requests hold the registered identity, not rebuilds of it.
+    EXPECT_EQ(&first->pal.slbImage(), &second->pal.slbImage());
+    const auto noop = [](sea::PalContext &) { return okStatus(); };
+    EXPECT_EQ(first->pal.measurement(),
+              sea::Pal::fromLogic("once", 2048, noop).measurement());
+
+    // Re-registering with a new code size replaces the identity for
+    // later builds; requests built earlier keep theirs.
+    registry.addEcho("once", 4096);
+    auto third = registry.build(wire);
+    ASSERT_TRUE(third.ok());
+    EXPECT_NE(third->pal.measurement(), first->pal.measurement());
+    EXPECT_EQ(third->pal.measurement(),
+              sea::Pal::fromLogic("once", 4096, noop).measurement());
+    EXPECT_EQ(registry.size(), 1u);
+}
+
 TEST(Gateway, ReportsAreByteIdenticalToInProcessSubmission)
 {
     constexpr std::size_t n = 8;

@@ -176,10 +176,10 @@ TEST_P(SchedulerProperty, RandomWorkloadsCompleteAndCleanUp)
     const int pal_count = 1 + static_cast<int>(rng.nextBelow(9));
     Duration max_work;
     for (int i = 0; i < pal_count; ++i) {
-        rec::PalProgram prog;
-        prog.name = "prop-" + std::to_string(GetParam()) + "-" +
-                    std::to_string(i);
-        prog.codeBytes = 1024 + rng.nextBelow(8) * 512;
+        rec::PalProgram prog(sea::Pal::fromLogic(
+            "prop-" + std::to_string(GetParam()) + "-" + std::to_string(i),
+            1024 + rng.nextBelow(8) * 512,
+            [](sea::PalContext &) { return okStatus(); }));
         prog.totalCompute = Duration::micros(
             100 + static_cast<double>(rng.nextBelow(5000)));
         max_work = std::max(max_work, prog.totalCompute);

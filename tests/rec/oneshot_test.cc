@@ -27,13 +27,21 @@ class OneShotTest : public ::testing::Test
     {
     }
 
+    /** A 4 KB PAL identity named @p name. */
+    static sea::Pal
+    pal(const std::string &name)
+    {
+        return sea::Pal::fromLogic(
+            name, 4096, [](sea::PalContext &) { return okStatus(); });
+    }
+
     Machine machine_;
     SecureExecutive exec_;
 };
 
 TEST_F(OneShotTest, RunsAndReturnsOutput)
 {
-    auto report = runOneShot(exec_, "oneshot-hello",
+    auto report = runOneShot(exec_, pal("oneshot-hello"),
                              [](PalHooks &hooks) -> Result<Bytes> {
                                  hooks.compute(Duration::micros(50));
                                  return asciiBytes("secure result");
@@ -46,7 +54,7 @@ TEST_F(OneShotTest, RunsAndReturnsOutput)
 
 TEST_F(OneShotTest, QuoteVerifiesAgainstTheNamedIdentity)
 {
-    auto report = runOneShot(exec_, "oneshot-attested",
+    auto report = runOneShot(exec_, pal("oneshot-attested"),
                              [](PalHooks &) -> Result<Bytes> {
                                  return Bytes{};
                              });
@@ -54,10 +62,8 @@ TEST_F(OneShotTest, QuoteVerifiesAgainstTheNamedIdentity)
     ASSERT_TRUE(report->quoted);
 
     SeVerifier verifier;
-    const sea::Pal expected = sea::Pal::fromLogic(
-        "oneshot-attested", 4096,
-        [](sea::PalContext &) { return okStatus(); });
-    verifier.trustPalImage("oneshot-attested", expected.slbImage());
+    verifier.trustPalImage("oneshot-attested",
+                           pal("oneshot-attested").slbImage());
     auto verdict = verifier.verify(report->quote, machine_.tpm().aikPublic(),
                                    report->quote.nonce);
     ASSERT_TRUE(verdict.ok());
@@ -68,7 +74,7 @@ TEST_F(OneShotTest, SealedStateSurvivesBetweenOneShots)
 {
     tpm::SealedBlob saved;
     auto first = runOneShot(
-        exec_, "oneshot-stateful",
+        exec_, pal("oneshot-stateful"),
         [&saved](PalHooks &hooks) -> Result<Bytes> {
             auto blob = hooks.seal(asciiBytes("counter=1"));
             if (!blob)
@@ -79,7 +85,7 @@ TEST_F(OneShotTest, SealedStateSurvivesBetweenOneShots)
     ASSERT_TRUE(first.ok());
 
     auto second = runOneShot(
-        exec_, "oneshot-stateful",
+        exec_, pal("oneshot-stateful"),
         [&saved](PalHooks &hooks) -> Result<Bytes> {
             return hooks.unseal(saved);
         });
@@ -90,7 +96,7 @@ TEST_F(OneShotTest, SealedStateSurvivesBetweenOneShots)
 TEST_F(OneShotTest, DifferentIdentityCannotUnseal)
 {
     tpm::SealedBlob saved;
-    ASSERT_TRUE(runOneShot(exec_, "oneshot-owner",
+    ASSERT_TRUE(runOneShot(exec_, pal("oneshot-owner"),
                            [&saved](PalHooks &hooks) -> Result<Bytes> {
                                auto blob = hooks.seal(asciiBytes("mine"));
                                if (!blob)
@@ -98,7 +104,7 @@ TEST_F(OneShotTest, DifferentIdentityCannotUnseal)
                                saved = blob.take();
                                return Bytes{};
                            }).ok());
-    auto thief = runOneShot(exec_, "oneshot-thief",
+    auto thief = runOneShot(exec_, pal("oneshot-thief"),
                             [&saved](PalHooks &hooks) -> Result<Bytes> {
                                 return hooks.unseal(saved);
                             });
@@ -108,7 +114,7 @@ TEST_F(OneShotTest, DifferentIdentityCannotUnseal)
 
 TEST_F(OneShotTest, FailureCleansUpCompletely)
 {
-    auto failing = runOneShot(exec_, "oneshot-failing",
+    auto failing = runOneShot(exec_, pal("oneshot-failing"),
                               [](PalHooks &) -> Result<Bytes> {
                                   return Error(Errc::integrityFailure,
                                                "bad input");
@@ -121,7 +127,7 @@ TEST_F(OneShotTest, FailureCleansUpCompletely)
     EXPECT_EQ(exec_.sePcrs().freeCount(), 4u);
     EXPECT_FALSE(machine_.tpm().lockHolder().has_value());
     // And a new one-shot still works.
-    EXPECT_TRUE(runOneShot(exec_, "oneshot-after",
+    EXPECT_TRUE(runOneShot(exec_, pal("oneshot-after"),
                            [](PalHooks &) -> Result<Bytes> {
                                return Bytes{};
                            }).ok());
@@ -130,13 +136,13 @@ TEST_F(OneShotTest, FailureCleansUpCompletely)
 TEST_F(OneShotTest, MemoryIsErasedAfterTheRun)
 {
     const OneShotOptions options;
+    const sea::Pal secretive = pal("oneshot-secretive");
     auto report = runOneShot(
-        exec_, "oneshot-secretive",
+        exec_, secretive,
         [&](PalHooks &hooks) -> Result<Bytes> {
-            // Write a secret into the data page.
-            const PhysAddr addr =
-                pageBase(pageOf(options.base)) +
-                static_cast<PhysAddr>(options.codeBytes + 4096);
+            // Write a secret into the data page, after the image pages.
+            const PhysAddr addr = pageBase(pageOf(options.base)) +
+                                  pagesFor(secretive.slbBytes()) * pageSize;
             return machine_.writeAs(hooks.cpu(), addr,
                                     asciiBytes("top secret")).ok()
                        ? Result<Bytes>(Bytes{})
@@ -155,7 +161,7 @@ TEST_F(OneShotTest, QuoteCanBeSkipped)
 {
     OneShotOptions options;
     options.quote = false;
-    auto report = runOneShot(exec_, "oneshot-quiet",
+    auto report = runOneShot(exec_, pal("oneshot-quiet"),
                              [](PalHooks &) -> Result<Bytes> {
                                  return Bytes{};
                              },

@@ -42,8 +42,8 @@ class SchedulerTest : public ::testing::Test
     PalProgram
     simplePal(const std::string &name, Duration work)
     {
-        PalProgram p;
-        p.name = name;
+        PalProgram p(sea::Pal::fromLogic(
+            name, 4096, [](sea::PalContext &) { return okStatus(); }));
         p.totalCompute = work;
         return p;
     }

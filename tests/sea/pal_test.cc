@@ -52,6 +52,18 @@ TEST(Pal, BodyDoesNotAffectIdentity)
     EXPECT_EQ(a.measurement(), b.measurement());
 }
 
+TEST(Pal, CopiesShareOneMeasuredImage)
+{
+    // The identity is built once; a copy shares it rather than
+    // rebuilding or rehashing the image.
+    const Pal pal = Pal::fromLogic("shared", 1024,
+                                   [](PalContext &) { return okStatus(); });
+    const Pal copy = pal;
+    EXPECT_EQ(&copy.slbImage(), &pal.slbImage());
+    EXPECT_EQ(&copy.measurement(), &pal.measurement());
+    EXPECT_EQ(pal.slbBytes(), pal.slbImage().size());
+}
+
 TEST(Pal, MaximumSizePalIsConstructible)
 {
     const Pal big = Pal::fromLogic(

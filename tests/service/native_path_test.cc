@@ -175,7 +175,9 @@ TEST(NativePathPin, OneShotReportIsPinned)
     Machine m = Machine::forPlatform(PlatformId::recTestbed, 1603);
     rec::SecureExecutive exec(m, 4);
     auto report = rec::runOneShot(
-        exec, "pin-oneshot",
+        exec,
+        Pal::fromLogic("pin-oneshot", 4096,
+                       [](PalContext &) { return okStatus(); }),
         [](rec::PalHooks &hooks) -> Result<Bytes> {
             auto blob = hooks.seal(asciiBytes("oneshot-state"));
             if (!blob)

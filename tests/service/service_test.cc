@@ -358,8 +358,7 @@ TEST(OsScheduler, RoundEntryGapIsAccountedAsLegacyWork)
     m.cpu(0).advance(Duration::millis(10)); // CPU 0 is 10 ms ahead
 
     rec::OsScheduler sched(exec, Duration::millis(1));
-    rec::PalProgram pal;
-    pal.name = "filler-check";
+    rec::PalProgram pal(servicePal("filler-check"));
     pal.totalCompute = Duration::millis(2);
     ASSERT_TRUE(sched.add(pal).ok());
 

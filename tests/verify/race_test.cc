@@ -169,8 +169,9 @@ TEST(HbRaceDetector, SchedulerWorkloadIsRaceFree)
     rec::OsScheduler sched(exec, Duration::millis(1),
                            /*legacy_cpus=*/1);
     for (int i = 0; i < 4; ++i) {
-        rec::PalProgram prog;
-        prog.name = "race-pal-" + std::to_string(i);
+        rec::PalProgram prog(sea::Pal::fromLogic(
+            "race-pal-" + std::to_string(i), 4096,
+            [](sea::PalContext &) { return okStatus(); }));
         prog.totalCompute = Duration::millis(3); // forces preemptions
         ASSERT_TRUE(sched.add(prog).ok());
     }
