@@ -110,7 +110,9 @@ class OsScheduler
     OsScheduler(SecureExecutive &exec, Duration quantum,
                 std::uint32_t legacy_cpus = 1);
 
-    /** Enqueue @p program; allocates its SECB immediately. */
+    /** Enqueue @p program; allocates its SECB immediately. Returns the
+     *  task's index (PalCompletion::seq); a SECB that does not fit in
+     *  simulated RAM is Errc::resourceExhausted and enqueues nothing. */
     Result<std::size_t> add(const PalProgram &program);
 
     /** Request an attestation quote as each PAL exits. */

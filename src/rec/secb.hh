@@ -92,7 +92,8 @@ namespace mintcb::rec
 /**
  * Untrusted-OS helper: place @p pal's SLB image at page-aligned @p base,
  * allocate @p data_pages additional pages for PAL data, and build the
- * SECB describing the allocation.
+ * SECB describing the allocation. Errc::resourceExhausted, before any
+ * memory is written, when those pages run past simulated RAM.
  */
 Result<Secb> allocateSecb(machine::Machine &machine, const sea::Pal &pal,
                           PhysAddr base, std::size_t data_pages,

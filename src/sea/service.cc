@@ -239,22 +239,35 @@ ExecutionService::runBatch(const EngineRefs &refs,
     }
 
     // Per-request state the scheduler hooks fill in, sized once up
-    // front so the slots the hooks write through stay put.
+    // front so the slots the hooks write through stay put. added[k] is
+    // the native index of the k-th program the scheduler accepted
+    // (PalCompletion::seq counts accepted programs only).
     std::vector<backend::NativeSlot> slots(native.size());
+    std::vector<std::size_t> added(native.size());
     rec::OsScheduler sched(refs.exec, config_.quantum,
                            config_.legacyCpus);
     for (std::size_t n = 0; n < native.size(); ++n) {
         const Pending &p = batch[native[n]];
         slots[n].submittedAt = p.submittedAt;
-        if (auto idx = sched.add(backend::nativeProgram(
-                refs.machine, p.request, config_.quantum, slots[n]));
-            !idx) {
-            return idx.error();
+        auto idx = sched.add(backend::nativeProgram(
+            refs.machine, p.request, config_.quantum, slots[n]));
+        if (idx) {
+            added[*idx] = n;
+            continue;
         }
+        // A SECB that cannot be placed fails its own request only; the
+        // rest of the campaign still runs.
+        ExecutionReport &r = out.reports[native[n]];
+        r.requestId = p.id;
+        r.palName = p.request.pal.name();
+        r.backend = backend::defaultBackendName;
+        r.status = Status{idx.error()};
+        r.submittedAt = p.submittedAt;
+        r.shard = shard_id;
     }
 
     sched.setCompletionHook([&](const rec::PalCompletion &done) {
-        const std::size_t n = done.seq;
+        const std::size_t n = added[done.seq];
         ExecutionReport &r = out.reports[native[n]];
         r = backend::nativeReport(slots[n], done);
         r.requestId = batch[native[n]].id;

@@ -402,6 +402,66 @@ TEST(Gateway, OversizedReportIsATypedFailureNotABrokenSession)
     EXPECT_EQ(registry.value("net_reports_oversized_total", {}), 1.0);
 }
 
+TEST(Gateway, SecbThatDoesNotFitFailsOnlyItsOwnRequest)
+{
+    // Two clients share one drain cycle. One asks for 2^32 - 1 data
+    // pages, far past simulated RAM: its SECB cannot be placed, which
+    // must fail that request alone with a typed report -- not the whole
+    // cycle, and not the other client's echo.
+    GatewayConfig config;
+    config.drainBatch = 2;
+    config.drainOnIdle = false;
+    GatewayFixture fx(config);
+
+    GatewayClient greedy(quickClient(71));
+    GatewayClient modest(quickClient(72));
+    ASSERT_TRUE(greedy.connect(fx.gateway.port()).ok());
+    ASSERT_TRUE(modest.connect(fx.gateway.port()).ok());
+    WireRequest huge = echoRequest(1, "huge");
+    huge.dataPages = 0xFFFFFFFFu;
+    ASSERT_TRUE(greedy.submit(huge).ok());
+    ASSERT_TRUE(modest.submit(echoRequest(2, "modest")).ok());
+
+    auto refused_frame = greedy.recvFrame();
+    ASSERT_TRUE(refused_frame.ok()) << refused_frame.error().str();
+    ASSERT_EQ(refused_frame->type, FrameType::report);
+    auto refused = decodeReport(refused_frame->payload);
+    ASSERT_TRUE(refused.ok());
+    EXPECT_EQ(refused->sequence, 1u);
+    auto refused_summary = summarizeReport(refused->report);
+    ASSERT_TRUE(refused_summary.ok());
+    EXPECT_FALSE(refused_summary->ok);
+    EXPECT_EQ(refused_summary->errorCode,
+              static_cast<std::uint16_t>(Errc::resourceExhausted));
+    EXPECT_EQ(refused_summary->palName, "echo");
+
+    auto echo_frame = modest.recvFrame();
+    ASSERT_TRUE(echo_frame.ok()) << echo_frame.error().str();
+    ASSERT_EQ(echo_frame->type, FrameType::report);
+    auto echoed = decodeReport(echo_frame->payload);
+    ASSERT_TRUE(echoed.ok());
+    EXPECT_EQ(echoed->sequence, 2u);
+    auto echo_summary = summarizeReport(echoed->report);
+    ASSERT_TRUE(echo_summary.ok());
+    EXPECT_TRUE(echo_summary->ok) << echo_summary->errorMessage;
+    EXPECT_EQ(echo_summary->output, asciiBytes("payload:modest"));
+
+    // The gateway keeps serving: a later cycle completes normally.
+    auto later = modest.runBatch(
+        {echoRequest(3, "later-a"), echoRequest(4, "later-b")});
+    ASSERT_TRUE(later.ok()) << later.error().str();
+    ASSERT_EQ(later->size(), 2u);
+    for (const ReportPayload &r : *later) {
+        auto summary = summarizeReport(r.report);
+        ASSERT_TRUE(summary.ok());
+        EXPECT_TRUE(summary->ok) << summary->errorMessage;
+    }
+    greedy.bye();
+    modest.bye();
+    fx.gateway.stop();
+    EXPECT_EQ(fx.gateway.stats().protocolErrors, 0u);
+}
+
 TEST(Gateway, MalformedFrameGetsErrorThenClose)
 {
     GatewayFixture fx;

@@ -226,6 +226,31 @@ TEST_F(SchedulerTest, AbortWithoutDeadlineIsNotAMissedDeadline)
     EXPECT_TRUE(stats->completions[0].deadlineMet);
 }
 
+TEST_F(SchedulerTest, SecbBeyondRamIsRefusedAndEnqueuesNothing)
+{
+    OsScheduler sched(exec_, Duration::millis(1));
+    // Page counts whose sum with the base would wrap: refused by the
+    // range check before any page is listed or written.
+    for (std::size_t pages : {std::size_t{0xFFFFFFFF}, SIZE_MAX,
+                              SIZE_MAX - 1}) {
+        PalProgram greedy = simplePal("greedy", Duration::millis(1));
+        greedy.dataPages = pages;
+        auto idx = sched.add(greedy);
+        ASSERT_FALSE(idx.ok());
+        EXPECT_EQ(idx.error().code, Errc::resourceExhausted);
+    }
+    // The refused programs took no index and no memory: the next one
+    // is task 0 and runs.
+    auto idx = sched.add(simplePal("modest", Duration::millis(1)));
+    ASSERT_TRUE(idx.ok());
+    EXPECT_EQ(*idx, 0u);
+    auto stats = sched.runAll();
+    ASSERT_TRUE(stats.ok());
+    ASSERT_EQ(stats->completions.size(), 1u);
+    EXPECT_EQ(stats->completions[0].name, "modest");
+    EXPECT_TRUE(stats->completions[0].result.ok());
+}
+
 TEST_F(SchedulerTest, AllCpusReservedForLegacyIsAnError)
 {
     OsScheduler sched(exec_, Duration::millis(1), /*legacy_cpus=*/4);

@@ -347,6 +347,43 @@ TEST(ExecutionService, ObserverMaySubmitFromRequestDoneCallback)
     EXPECT_EQ(svc.queueDepth(), 0u);
 }
 
+TEST(ExecutionService, SecbThatDoesNotFitFailsOnlyItsOwnRequest)
+{
+    // recTestbed has 4096 pages; SECBs start at page 64 and a 4 KB PAL
+    // takes four (two image pages, one data page, one guard), so 1008
+    // fit. The 1009th must fail alone, with a typed status, while the
+    // rest of the campaign runs.
+    Machine m = Machine::forPlatform(PlatformId::recTestbed);
+    ExecutionService svc(m);
+    const std::size_t n = 1009;
+    for (std::size_t i = 0; i < n; ++i) {
+        PalRequest req(servicePal("fill-" + std::to_string(i)),
+                       asciiBytes("in-" + std::to_string(i)));
+        req.secureBody = [](rec::PalHooks &,
+                            const Bytes &input) -> Result<Bytes> {
+            return input;
+        };
+        ASSERT_TRUE(svc.submit(std::move(req)).ok());
+    }
+    auto reports = svc.drain();
+    ASSERT_TRUE(reports.ok()) << reports.error().str();
+    ASSERT_EQ(reports->size(), n);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        const ExecutionReport &r = (*reports)[i];
+        ASSERT_TRUE(r.status.ok()) << i << ": " << r.status.error().str();
+        EXPECT_EQ(r.output, asciiBytes("in-" + std::to_string(i)));
+        EXPECT_EQ(r.palName, "fill-" + std::to_string(i));
+    }
+    const ExecutionReport &last = reports->back();
+    ASSERT_FALSE(last.status.ok());
+    EXPECT_EQ(last.status.error().code, Errc::resourceExhausted);
+    EXPECT_EQ(last.palName, "fill-1008");
+    EXPECT_EQ(last.backend, "rec-service");
+    EXPECT_EQ(last.requestId, (*reports)[n - 2].requestId + 1);
+    EXPECT_EQ(svc.metrics().completed, n);
+    EXPECT_EQ(svc.metrics().failed, 1u);
+}
+
 TEST(OsScheduler, RoundEntryGapIsAccountedAsLegacyWork)
 {
     // Regression: entering a scheduling round used to syncAllCpus(),
