@@ -11,6 +11,7 @@
 #define MINTCB_MACHINE_MEMORY_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/result.hh"
 #include "common/types.hh"
@@ -18,7 +19,15 @@
 namespace mintcb::machine
 {
 
-/** Byte-addressable physical memory with page-granular helpers. */
+/**
+ * Byte-addressable physical memory with page-granular helpers.
+ *
+ * Each page gets its own buffer on its first write; a page never
+ * written reads as zeros. A simulated machine touches a few dozen of
+ * its thousands of pages, so building one makes no RAM-sized
+ * allocation: no host memory to zero, and no dependence on whether the
+ * host allocator still holds the last machine's pages.
+ */
 class PhysicalMemory
 {
   public:
@@ -42,7 +51,7 @@ class PhysicalMemory
 
   private:
     std::uint64_t pages_;
-    Bytes data_;
+    std::vector<Bytes> frames_; //!< per page; empty = all zeros
 };
 
 } // namespace mintcb::machine

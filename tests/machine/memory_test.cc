@@ -38,6 +38,22 @@ TEST(PhysicalMemory, CrossPageWrite)
     EXPECT_EQ(*mem.read(pageSize - 50, 100), data);
 }
 
+TEST(PhysicalMemory, ReadSpansWrittenAndUntouchedPages)
+{
+    // Pages get storage on first write; a page never written between
+    // two written ones still reads as zeros.
+    PhysicalMemory mem(3);
+    ASSERT_TRUE(mem.write(pageSize - 2, {1, 2}).ok());
+    ASSERT_TRUE(mem.write(2 * pageSize, {3}).ok());
+    auto r = mem.read(pageSize - 2, pageSize + 3);
+    ASSERT_TRUE(r.ok());
+    Bytes expected(pageSize + 3, 0x00);
+    expected[0] = 1;
+    expected[1] = 2;
+    expected[pageSize + 2] = 3;
+    EXPECT_EQ(*r, expected);
+}
+
 TEST(PhysicalMemory, OutOfRangeRejected)
 {
     PhysicalMemory mem(1);
