@@ -2,19 +2,16 @@
  * @file
  * The native request path, written once.
  *
- * A request on the native backend ("" or "rec-service") runs as one
- * program of a recommended-hardware scheduler campaign, either in the
- * execution service's shared campaign or in the standalone rec-service
- * backend's one-request campaign. Both map the request to a
- * rec::PalProgram, and the PalCompletion back to an ExecutionReport,
- * through the two functions below, so the two paths cannot drift.
+ * A native request ("" or "rec-service") runs as one program of a
+ * scheduler campaign: the execution service's shared one, or the
+ * standalone rec-service backend's own. Both map the request to a
+ * rec::PalProgram, and its PalCompletion to an ExecutionReport, through
+ * these two functions.
  */
 
 #ifndef MINTCB_BACKEND_NATIVERUN_HH
 #define MINTCB_BACKEND_NATIVERUN_HH
 
-#include "common/simtime.hh"
-#include "common/types.hh"
 #include "machine/machine.hh"
 #include "rec/scheduler.hh"
 #include "sea/request.hh"
@@ -22,9 +19,8 @@
 namespace mintcb::backend
 {
 
-/** What one native request's scheduler hooks record for its report.
- *  Must keep its address from nativeProgram() until the campaign has
- *  run: the program's hooks write through it. */
+/** What one native request's hooks record for its report. The hooks
+ *  write through it, so it must not move until the campaign has run. */
 struct NativeSlot
 {
     TimePoint submittedAt; //!< set by the caller
@@ -45,9 +41,9 @@ rec::PalProgram nativeProgram(machine::Machine &machine,
                               const sea::PalRequest &request,
                               Duration default_compute, NativeSlot &slot);
 
-/** The report for a finished native program: every field both native
- *  paths derive from @p slot and @p done. Callers add their own
- *  (request id and shard; or phases and extra sections). */
+/** The report fields both native paths derive from @p slot and
+ *  @p done; callers add their own (request id and shard, or phases and
+ *  extra sections). */
 sea::ExecutionReport nativeReport(const NativeSlot &slot,
                                   const rec::PalCompletion &done);
 

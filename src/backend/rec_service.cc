@@ -62,21 +62,13 @@ class RecServiceBackend final : public Backend
             return idx.error();
         }
 
-        bool have_completion = false;
-        rec::PalCompletion done;
-        sched.setCompletionHook(
-            [&done, &have_completion](const rec::PalCompletion &c) {
-                done = c;
-                have_completion = true;
-            });
-
         auto stats = sched.runAll();
         if (!stats)
             return stats.error();
-        if (!have_completion)
+        if (stats->completions.empty())
             return Error(Errc::failedPrecondition,
                          "campaign finished without a completion");
-
+        const rec::PalCompletion &done = stats->completions.front();
         sea::ExecutionReport report = nativeReport(slot, done);
 
         // Canonical phases. The campaign interleaves them, so the

@@ -14,7 +14,6 @@
 #define MINTCB_REC_ONESHOT_HH
 
 #include <functional>
-#include <string>
 
 #include "rec/instructions.hh"
 #include "rec/scheduler.hh"

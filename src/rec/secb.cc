@@ -31,9 +31,7 @@ allocateSecb(machine::Machine &machine, const sea::Pal &pal,
     if (first > ram_pages || image_pages > ram_pages - first ||
         data_pages > ram_pages - first - image_pages) {
         return Error(Errc::resourceExhausted,
-                     "SECB for '" + pal.name() + "' with " +
-                         std::to_string(data_pages) +
-                         " data pages does not fit in simulated RAM");
+                     "SECB for '" + pal.name() + "' does not fit in RAM");
     }
     if (auto s = machine.writeAs(0, base, image); !s.ok())
         return s.error();

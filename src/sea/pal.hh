@@ -33,15 +33,10 @@ class PalContext;
 /** The PAL's application-specific entry function. */
 using PalBody = std::function<Status(PalContext &)>;
 
-/**
- * A PAL: measured code identity plus modeled behavior.
- *
- * The identity -- name, SLB image, SHA-1 measurement -- is built once,
- * by fromLogic, into one immutable object every copy of the Pal
- * shares. Handing a Pal down the stack (registry, request, scheduler,
- * SECB) therefore never rebuilds or rehashes the image, and a Pal has
- * no mutators, so shard worker threads read one image concurrently.
- */
+/** A PAL: measured code identity plus modeled behavior. The identity
+ *  (name, SLB image, measurement) is built once by fromLogic and shared,
+ *  immutable, by every copy, so passing a Pal down never rebuilds it
+ *  and threads may read it concurrently. */
 class Pal
 {
   public:

@@ -6,11 +6,10 @@
  * a rec::PalProgram, an OsScheduler multiplexes them over the
  * PAL-eligible cores in preemption-timer quanta (legacy work filling
  * every idle cycle), and the completion hook turns each PalCompletion
- * back into the caller's ExecutionReport -- both mappings are the
- * native path's one definition in backend/nativerun.hh. Afterwards the audit trail --
- * one TPM_Extend per report digest -- flows through the secure
- * transport session, batched into a single exchange when pipelining is
- * on.
+ * back into the caller's ExecutionReport (both mappings live in
+ * backend/nativerun.hh). Afterwards the audit trail -- one TPM_Extend
+ * per report digest -- flows through the secure transport session,
+ * batched into a single exchange when pipelining is on.
  *
  * With config.workers > 0 the same engine (runBatch + flushAudit) runs
  * once per *shard*: requests partition by affinity onto config.shards
