@@ -86,6 +86,9 @@ main()
     std::printf("%-8s %-8s %10s %12s %12s %7s %s\n", "id", "pal",
                 "cpu", "queue-wait", "turnaround", "quoted",
                 "deadline");
+    // A request fails alone (its report carries the status), so the
+    // drain succeeding is not enough: every report must be ok.
+    int failed = 0;
     for (const sea::ExecutionReport &r : *reports) {
         std::printf("%-8llu %-8s %10u %12s %12s %7s %s\n",
                     static_cast<unsigned long long>(r.requestId),
@@ -93,9 +96,14 @@ main()
                     r.queueWait.str().c_str(), r.total.str().c_str(),
                     r.quoted ? "yes" : "-",
                     r.deadlineMet ? "met" : "MISSED");
+        if (!r.status.ok()) {
+            std::fprintf(stderr, "%s failed: %s\n", r.palName.c_str(),
+                         r.status.error().str().c_str());
+            ++failed;
+        }
     }
 
     std::printf("\n== Service metrics ==\n%s",
                 service.metrics().str().c_str());
-    return 0;
+    return failed == 0 ? 0 : 1;
 }
