@@ -3,7 +3,11 @@
 # suite under the tested MINTCB_SANITIZE configurations.
 #
 #   address,undefined  -- the default job; catches lifetime bugs in the
-#                         observer wiring and UB in the codecs.
+#                         observer wiring and UB in the codecs. The
+#                         root CMakeLists.txt adds float-cast-overflow
+#                         and -fno-sanitize-recover, so any UBSan
+#                         "runtime error" aborts its test and fails
+#                         the job instead of only being printed.
 #   thread             -- opt-in second job (SANITIZERS="... thread");
 #                         guards the sharded worker pool and the net
 #                         layer (gateway reactor thread vs client

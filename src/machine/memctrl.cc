@@ -6,6 +6,7 @@
 #include "machine/memctrl.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 namespace mintcb::machine
@@ -280,3 +281,41 @@ MemoryController::aclJoin(const std::vector<PageNum> &pages,
 }
 
 } // namespace mintcb::machine
+
+namespace mintcb
+{
+
+namespace
+{
+
+using MemCtrlField = CounterField<MemCtrlStats>;
+
+constexpr MemCtrlField memctrlFields[] = {
+    {"mintcb_memctrl_cpu_reads_total", "CPU reads mediated", "cpu_rd",
+     &MemCtrlStats::cpuReads},
+    {"mintcb_memctrl_cpu_writes_total", "CPU writes mediated", "cpu_wr",
+     &MemCtrlStats::cpuWrites},
+    {"mintcb_memctrl_dma_reads_total", "DMA reads mediated", "dma_rd",
+     &MemCtrlStats::dmaReads},
+    {"mintcb_memctrl_dma_writes_total", "DMA writes mediated", "dma_wr",
+     &MemCtrlStats::dmaWrites},
+    {"mintcb_memctrl_cpu_denials_total", "ACL-blocked CPU accesses",
+     "cpu_denied", &MemCtrlStats::cpuDenials},
+    {"mintcb_memctrl_dma_denials_total", "DEV/ACL-blocked DMA accesses",
+     "dma_denied", &MemCtrlStats::dmaDenials},
+    {"mintcb_memctrl_acl_transitions_total", "Page state changes",
+     "acl_transitions", &MemCtrlStats::aclTransitions},
+};
+static_assert(sizeof(MemCtrlStats) ==
+                  std::size(memctrlFields) * sizeof(std::uint64_t),
+              "every MemCtrlStats field needs a row in memctrlFields");
+
+} // namespace
+
+std::span<const MemCtrlField>
+MemCtrlStats::fields()
+{
+    return memctrlFields;
+}
+
+} // namespace mintcb

@@ -43,36 +43,12 @@ statsReport(Machine &machine)
                       machine.lpc().bytesMoved()));
     emit();
 
-    const MemCtrlStats &mc = machine.memctrl().stats();
-    std::snprintf(line, sizeof(line),
-                  "memctrl: cpu_rd=%llu cpu_wr=%llu dma_rd=%llu "
-                  "dma_wr=%llu cpu_denied=%llu dma_denied=%llu "
-                  "acl_transitions=%llu\n",
-                  static_cast<unsigned long long>(mc.cpuReads),
-                  static_cast<unsigned long long>(mc.cpuWrites),
-                  static_cast<unsigned long long>(mc.dmaReads),
-                  static_cast<unsigned long long>(mc.dmaWrites),
-                  static_cast<unsigned long long>(mc.cpuDenials),
-                  static_cast<unsigned long long>(mc.dmaDenials),
-                  static_cast<unsigned long long>(mc.aclTransitions));
-    emit();
+    out += "memctrl: " + renderCounters(machine.memctrl().stats()) + "\n";
 
     if (machine.hasTpm()) {
-        const TpmStats &t = machine.tpm().stats();
-        std::snprintf(line, sizeof(line),
-                      "tpm(%s): extend=%llu read=%llu seal=%llu "
-                      "unseal=%llu quote=%llu getrandom=%llu "
-                      "hash_seq=%llu denied=%llu\n",
-                      tpm::vendorName(machine.tpm().vendor()),
-                      static_cast<unsigned long long>(t.extends),
-                      static_cast<unsigned long long>(t.reads),
-                      static_cast<unsigned long long>(t.seals),
-                      static_cast<unsigned long long>(t.unseals),
-                      static_cast<unsigned long long>(t.quotes),
-                      static_cast<unsigned long long>(t.getRandoms),
-                      static_cast<unsigned long long>(t.hashSequences),
-                      static_cast<unsigned long long>(t.deniedCommands));
-        emit();
+        out += std::string("tpm(") +
+               tpm::vendorName(machine.tpm().vendor()) +
+               "): " + renderCounters(machine.tpm().stats()) + "\n";
     } else {
         out += "tpm: (absent)\n";
     }

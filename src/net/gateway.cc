@@ -9,8 +9,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "store/migrate.hh"
@@ -72,32 +72,95 @@ struct Gateway::PendingRequest
     sea::PalRequest request;
 };
 
+namespace
+{
+
+using GatewayField = CounterField<GatewayStats>;
+
+constexpr GatewayField gatewayFields[] = {
+    {"net_connections_accepted_total",
+     "TCP connections the gateway accepted", "conns_accepted",
+     &GatewayStats::connectionsAccepted},
+    {"net_connections_closed_total",
+     "Gateway connections closed (any reason)", "conns_closed",
+     &GatewayStats::connectionsClosed},
+    {"net_handshakes_completed_total",
+     "Attested sessions admitted after verifyFresh", "handshakes_ok",
+     &GatewayStats::handshakesCompleted},
+    {"net_handshakes_refused_total",
+     "Handshakes refused by the attestation verifier",
+     "handshakes_refused", &GatewayStats::handshakesRefused},
+    {"net_protocol_errors_total",
+     "Malformed frames or out-of-state messages", "protocol_errors",
+     &GatewayStats::protocolErrors},
+    {"net_idle_disconnects_total",
+     "Connections reaped by the idle timeout", "idle_disconnects",
+     &GatewayStats::idleDisconnects},
+    {"net_frames_rx_total", "Frames received from clients", "frames_rx",
+     &GatewayStats::framesRx},
+    {"net_frames_tx_total", "Frames sent to clients", "frames_tx",
+     &GatewayStats::framesTx},
+    {"net_bytes_rx_total", "Payload bytes received", "bytes_rx",
+     &GatewayStats::bytesRx},
+    {"net_bytes_tx_total", "Payload bytes sent", "bytes_tx",
+     &GatewayStats::bytesTx},
+    {"net_requests_admitted_total",
+     "Requests admitted into the execution service", "admitted",
+     &GatewayStats::requestsAdmitted},
+    {"net_busy_queue_full_total",
+     "Busy responses: bounded in-flight queue at capacity",
+     "busy_queue_full", &GatewayStats::busyQueueFull},
+    {"net_busy_rate_limited_total",
+     "Busy responses: per-client token bucket empty",
+     "busy_rate_limited", &GatewayStats::busyRateLimited},
+    {"net_duplicate_sequence_total",
+     "Submits refused for a duplicate in-cycle sequence", "dup_sequence",
+     &GatewayStats::duplicateSequence},
+    {"net_unknown_pal_total",
+     "Submits naming a PAL the registry does not hold", "unknown_pal",
+     &GatewayStats::unknownPal},
+    {"net_backend_rejected_total",
+     "Submits refused at backend admission (unknown backend or "
+     "capability mismatch)",
+     "backend_rejected", &GatewayStats::backendRejected},
+    {"net_drains_total", "Service drain cycles run", "drains",
+     &GatewayStats::drains},
+    {"net_reports_delivered_total",
+     "Execution reports delivered to their clients", "reports_delivered",
+     &GatewayStats::reportsDelivered},
+    {"net_reports_dropped_total",
+     "Reports dropped because the owner disconnected", "reports_dropped",
+     &GatewayStats::reportsDropped},
+    {"net_reports_oversized_total",
+     "Reports over the frame payload limit, answered with a "
+     "resourceExhausted report",
+     "reports_oversized", &GatewayStats::reportsOversized},
+    {"net_max_pending_depth",
+     "High-water mark of the gateway's pending-request queue",
+     "max_pending", &GatewayStats::maxPendingDepth, CounterKind::gauge},
+    {"net_migrations_served_total",
+     "Attested migration bundles handed out", "migrations_served",
+     &GatewayStats::migrationsServed},
+    {"net_migrations_refused_total",
+     "Migrations refused (bad nonce, quote, or store name)",
+     "migrations_refused", &GatewayStats::migrationsRefused},
+};
+static_assert(sizeof(GatewayStats) ==
+                  std::size(gatewayFields) * sizeof(std::uint64_t),
+              "every GatewayStats field needs a row in gatewayFields");
+
+} // namespace
+
+std::span<const GatewayField>
+GatewayStats::fields()
+{
+    return gatewayFields;
+}
+
 std::string
 GatewayStats::str() const
 {
-    std::ostringstream out;
-    out << "gateway: conns accepted=" << connectionsAccepted
-        << " closed=" << connectionsClosed
-        << " handshakes ok=" << handshakesCompleted
-        << " refused=" << handshakesRefused
-        << " protocol-errors=" << protocolErrors
-        << " idle-disconnects=" << idleDisconnects << "\n"
-        << "gateway: frames rx=" << framesRx << " tx=" << framesTx
-        << " bytes rx=" << bytesRx << " tx=" << bytesTx << "\n"
-        << "gateway: admitted=" << requestsAdmitted
-        << " busy queue-full=" << busyQueueFull
-        << " rate-limited=" << busyRateLimited
-        << " dup-sequence=" << duplicateSequence
-        << " unknown-pal=" << unknownPal
-        << " backend-rejected=" << backendRejected << "\n"
-        << "gateway: drains=" << drains
-        << " reports delivered=" << reportsDelivered
-        << " dropped=" << reportsDropped
-        << " oversized=" << reportsOversized
-        << " max-pending=" << maxPendingDepth << "\n"
-        << "gateway: migrations served=" << migrationsServed
-        << " refused=" << migrationsRefused << "\n";
-    return out.str();
+    return "gateway: " + renderCounters(*this) + "\n";
 }
 
 Gateway::Gateway(machine::Machine &machine, sea::ExecutionService &service,
@@ -514,7 +577,7 @@ Gateway::handleSubmit(Conn &conn, const Frame &frame)
         PendingRequest{wire->sequence, conn.session, request.take()});
     ++stats_.requestsAdmitted;
     stats_.maxPendingDepth =
-        std::max(stats_.maxPendingDepth, pending_.size());
+        std::max<std::uint64_t>(stats_.maxPendingDepth, pending_.size());
     return true;
 }
 

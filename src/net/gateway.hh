@@ -37,10 +37,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/counters.hh"
 #include "net/handshake.hh"
 #include "net/ratelimit.hh"
 #include "net/registry.hh"
@@ -118,8 +120,9 @@ struct GatewayConfig
     /** @} */
 };
 
-/** Cumulative gateway observability (bridged to net_* metrics by
- *  net/netobs.hh). All counters are reactor-thread-owned. */
+/** Cumulative gateway observability; fields() names each counter's
+ *  net_* metric family (obs::bridgeCounters). All counters are
+ *  reactor-thread-owned. */
 struct GatewayStats
 {
     std::uint64_t connectionsAccepted = 0;
@@ -147,12 +150,14 @@ struct GatewayStats
     /** Reports whose frame would exceed maxFramePayload, answered with
      *  a resourceExhausted report instead (counted in delivered). */
     std::uint64_t reportsOversized = 0;
-    std::size_t maxPendingDepth = 0;
+    std::uint64_t maxPendingDepth = 0; //!< high-water mark (gauge)
 
     std::uint64_t migrationsServed = 0;  //!< bundles handed out
     std::uint64_t migrationsRefused = 0; //!< bad nonce/quote/name/size
 
-    /** Multi-line human-readable rendering. */
+    static std::span<const CounterField<GatewayStats>> fields();
+
+    /** One-line `gateway: label=value ...` rendering. */
     std::string str() const;
 };
 

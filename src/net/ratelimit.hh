@@ -49,7 +49,8 @@ class TokenBucket
     }
 
     /** Milliseconds until one token will be available (retry hint for
-     *  busy frames); 0 when a token is ready or refill is disabled. */
+     *  busy frames), saturating at UINT32_MAX; 0 when a token is ready
+     *  or refill is disabled. */
     std::uint32_t
     millisUntilToken(std::uint64_t now_ms)
     {
@@ -61,8 +62,12 @@ class TokenBucket
         if (perSecond_ <= 0.0)
             return 0; // no refill: the hint cannot be computed
         const double missing = 1.0 - tokens_;
-        return static_cast<std::uint32_t>(missing / perSecond_ * 1000.0) +
-               1;
+        const double ms = missing / perSecond_ * 1000.0;
+        // A tiny rate can need longer than the hint can say: saturate
+        // rather than wrap to a few milliseconds.
+        if (ms >= static_cast<double>(UINT32_MAX))
+            return UINT32_MAX;
+        return static_cast<std::uint32_t>(ms) + 1;
     }
 
     double tokens() const { return tokens_; }

@@ -1,11 +1,13 @@
 /**
  * @file
- * Metrics registry implementation and counter-struct bridges.
+ * Metrics registry implementation.
  */
 
 #include "obs/metrics.hh"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
 
 namespace mintcb::obs
@@ -69,12 +71,18 @@ renderLabelsWith(const Labels &labels, const std::string &key,
 std::string
 renderNumber(double v)
 {
-    // Integral values print without a fraction so counters stay exact.
-    if (v == static_cast<double>(static_cast<long long>(v))) {
-        return std::to_string(static_cast<long long>(v));
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
+    // The exposition format spells non-finite values this way.
+    if (std::isnan(v))
+        return "NaN";
+    if (std::isinf(v))
+        return v > 0 ? "+Inf" : "-Inf";
+    // Integral values of any magnitude print without a fraction so
+    // counters stay exact; + 0.0 folds -0 into 0.
+    char buf[DBL_MAX_10_EXP + 8];
+    if (v == std::trunc(v))
+        std::snprintf(buf, sizeof buf, "%.0f", v + 0.0);
+    else
+        std::snprintf(buf, sizeof buf, "%.6g", v);
     return buf;
 }
 
@@ -250,110 +258,6 @@ MetricsRegistry::renderPrometheus() const
         }
     }
     return out;
-}
-
-void
-bridgeMemCtrlStats(MetricsRegistry &reg, const MemCtrlStats &stats,
-                   Labels labels)
-{
-    const MemCtrlStats *s = &stats;
-    struct Field
-    {
-        const char *name;
-        const char *help;
-        const std::uint64_t MemCtrlStats::*member;
-    };
-    static const Field fields[] = {
-        {"mintcb_memctrl_cpu_reads_total", "CPU reads mediated",
-         &MemCtrlStats::cpuReads},
-        {"mintcb_memctrl_cpu_writes_total", "CPU writes mediated",
-         &MemCtrlStats::cpuWrites},
-        {"mintcb_memctrl_dma_reads_total", "DMA reads mediated",
-         &MemCtrlStats::dmaReads},
-        {"mintcb_memctrl_dma_writes_total", "DMA writes mediated",
-         &MemCtrlStats::dmaWrites},
-        {"mintcb_memctrl_cpu_denials_total", "ACL-blocked CPU accesses",
-         &MemCtrlStats::cpuDenials},
-        {"mintcb_memctrl_dma_denials_total",
-         "DEV/ACL-blocked DMA accesses", &MemCtrlStats::dmaDenials},
-        {"mintcb_memctrl_acl_transitions_total", "Page state changes",
-         &MemCtrlStats::aclTransitions},
-    };
-    for (const Field &f : fields) {
-        const auto member = f.member;
-        reg.addCallback(f.name, f.help, labels, [s, member]() {
-            return static_cast<double>(s->*member);
-        });
-    }
-}
-
-void
-bridgeTpmStats(MetricsRegistry &reg, const TpmStats &stats, Labels labels)
-{
-    const TpmStats *s = &stats;
-    struct Field
-    {
-        const char *name;
-        const char *help;
-        const std::uint64_t TpmStats::*member;
-    };
-    static const Field fields[] = {
-        {"mintcb_tpm_extends_total", "TPM_Extend commands",
-         &TpmStats::extends},
-        {"mintcb_tpm_reads_total", "TPM_PCRRead commands",
-         &TpmStats::reads},
-        {"mintcb_tpm_seals_total", "TPM_Seal commands", &TpmStats::seals},
-        {"mintcb_tpm_unseals_total", "TPM_Unseal commands",
-         &TpmStats::unseals},
-        {"mintcb_tpm_quotes_total", "TPM_Quote commands",
-         &TpmStats::quotes},
-        {"mintcb_tpm_get_randoms_total", "TPM_GetRandom commands",
-         &TpmStats::getRandoms},
-        {"mintcb_tpm_hash_sequences_total",
-         "Late-launch measurement sequences", &TpmStats::hashSequences},
-        {"mintcb_tpm_denied_commands_total",
-         "Locality/lock command refusals", &TpmStats::deniedCommands},
-    };
-    for (const Field &f : fields) {
-        const auto member = f.member;
-        reg.addCallback(f.name, f.help, labels, [s, member]() {
-            return static_cast<double>(s->*member);
-        });
-    }
-}
-
-void
-bridgeTransportStats(MetricsRegistry &reg, const TransportStats &stats,
-                     Labels labels)
-{
-    const TransportStats *s = &stats;
-    struct Field
-    {
-        const char *name;
-        const char *help;
-        const std::uint64_t TransportStats::*member;
-    };
-    static const Field fields[] = {
-        {"mintcb_transport_exchanges_total",
-         "Wrapped request/response pairs", &TransportStats::exchanges},
-        {"mintcb_transport_commands_total", "Tunneled commands",
-         &TransportStats::commands},
-        {"mintcb_transport_batched_commands_total",
-         "Commands that rode in a batch",
-         &TransportStats::batchedCommands},
-        {"mintcb_transport_rejected_total", "MAC/replay/format refusals",
-         &TransportStats::rejected},
-        {"mintcb_transport_sessions_accepted_total",
-         "Full RSA key exchanges", &TransportStats::sessionsAccepted},
-        {"mintcb_transport_sessions_resumed_total",
-         "Ticket-based resumptions", &TransportStats::sessionsResumed},
-    };
-    for (const Field &f : fields) {
-        const auto member = f.member;
-        reg.addCallback(f.name, f.help, labels, [s, member]() {
-            return static_cast<double>(s->*member);
-        });
-    }
 }
 
 } // namespace mintcb::obs

@@ -3,8 +3,9 @@
  * Process-wide metrics registry (tentpole of the observability layer).
  *
  * Components keep their existing lightweight counter structs
- * (common/counters.hh, sea::ServiceMetrics); the registry *bridges*
- * them: a bridge registers pull callbacks that read the live struct at
+ * (common/counters.hh, net::GatewayStats, store::StoreStats); the
+ * registry *bridges* them: bridgeCounters() walks a struct's field
+ * table and registers pull callbacks that read the live struct at
  * render time, so production code never links against obs and pays
  * nothing when no registry exists. Direct counters/gauges/histograms
  * are also available for obs-side instrumentation (the telemetry
@@ -132,18 +133,25 @@ class MetricsRegistry
     std::vector<Family> families_; //!< stable order: first registration
 };
 
-/** @name Bridges for the existing per-component counter structs.
- * Each registers pull callbacks that read @p stats at render time; the
- * struct must outlive the registry (or the registry be rendered before
- * the component dies). @p labels tag every bridged series.
- * @{ */
-void bridgeMemCtrlStats(MetricsRegistry &reg, const MemCtrlStats &stats,
-                        Labels labels = {});
-void bridgeTpmStats(MetricsRegistry &reg, const TpmStats &stats,
-                    Labels labels = {});
-void bridgeTransportStats(MetricsRegistry &reg,
-                          const TransportStats &stats, Labels labels = {});
-/** @} */
+/**
+ * Bridge a counter struct (common/counters.hh): one pull callback per
+ * row of S::fields(), reading @p stats at render time. The struct must
+ * outlive the registry (or the registry be rendered before the
+ * component dies). @p labels tag every bridged series.
+ */
+template <class S>
+void
+bridgeCounters(MetricsRegistry &reg, const S &stats, Labels labels = {})
+{
+    for (const CounterField<S> &f : S::fields()) {
+        reg.addCallback(
+            f.metric, f.help, labels,
+            [s = &stats, member = f.member] {
+                return static_cast<double>(s->*member);
+            },
+            f.kind == CounterKind::gauge ? "gauge" : "counter");
+    }
+}
 
 } // namespace mintcb::obs
 

@@ -73,9 +73,9 @@ TelemetrySession::attachExecutive(rec::SecureExecutive &exec)
         machine_.tpm().setCommandObserver(this);
     if (!bridged_) {
         bridged_ = true;
-        bridgeMemCtrlStats(metrics_, machine_.memctrl().stats());
+        bridgeCounters(metrics_, machine_.memctrl().stats());
         if (machine_.hasTpm())
-            bridgeTpmStats(metrics_, machine_.tpm().stats());
+            bridgeCounters(metrics_, machine_.tpm().stats());
     }
 }
 
@@ -323,7 +323,7 @@ TelemetrySession::onShardCreated(std::uint32_t shard,
     // The shard owns a whole private TPM; surface its traffic as a
     // labeled series next to the front machine's.
     if (machine.hasTpm()) {
-        bridgeTpmStats(metrics_, machine.tpm().stats(),
+        bridgeCounters(metrics_, machine.tpm().stats(),
                        {{"shard", u64str(shard)}});
     }
     const std::uint64_t id = tracer_.instant(

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "common/bytebuf.hh"
 #include "crypto/sha256.hh"
@@ -197,33 +198,68 @@ syncPointName(SyncPoint p)
     return "unknown";
 }
 
+namespace
+{
+
+using StoreField = CounterField<StoreStats>;
+
+constexpr StoreField storeFields[] = {
+    {"store_wal_records_appended_total",
+     "WAL records appended (mutations and commit marks)", "wal_records",
+     &StoreStats::walRecordsAppended},
+    {"store_wal_bytes_appended_total", "Framed WAL bytes appended",
+     "wal_bytes", &StoreStats::walBytesAppended},
+    {"store_commits_total",
+     "Durable batch commits (fsync + counter advance)", "commits",
+     &StoreStats::commits},
+    {"store_checkpoints_total", "Snapshot checkpoints with log compaction",
+     "checkpoints", &StoreStats::checkpoints},
+    {"store_fsyncs_total", "WAL fsync calls", "fsyncs",
+     &StoreStats::fsyncs},
+    {"store_recoveries_total", "Opens that replayed an existing WAL",
+     "recoveries", &StoreStats::recoveries},
+    {"store_records_replayed_total", "WAL records examined during recovery",
+     "records_replayed", &StoreStats::recordsReplayed},
+    {"store_commits_replayed_total", "Commit marks verified during recovery",
+     "commits_replayed", &StoreStats::commitsReplayed},
+    {"store_torn_bytes_discarded_total",
+     "Torn-tail bytes truncated during recovery", "torn_bytes",
+     &StoreStats::tornBytesDiscarded},
+    {"store_uncommitted_discarded_total",
+     "Uncommitted mutations discarded during recovery", "uncommitted",
+     &StoreStats::uncommittedDiscarded},
+    {"store_recovery_rekeys_total",
+     "Generations rotated after a truncating recovery", "rekeys",
+     &StoreStats::recoveryRekeys},
+    {"store_rollback_rejections_total",
+     "Opens refused because the durable epoch was behind the hardware "
+     "counter",
+     "rollback_rejections", &StoreStats::rollbackRejections},
+    {"store_counter_repairs_total",
+     "Forward repairs of a lost counter increment", "counter_repairs",
+     &StoreStats::counterRepairs},
+    {"store_migrations_out_total",
+     "Outbound attested migrations (store invalidated)", "migrations_out",
+     &StoreStats::migrationsOut},
+    {"store_migrations_in_total", "Inbound migration bundles adopted",
+     "migrations_in", &StoreStats::migrationsIn},
+};
+static_assert(sizeof(StoreStats) ==
+                  std::size(storeFields) * sizeof(std::uint64_t),
+              "every StoreStats field needs a row in storeFields");
+
+} // namespace
+
+std::span<const StoreField>
+StoreStats::fields()
+{
+    return storeFields;
+}
+
 std::string
 StoreStats::str() const
 {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "wal: %llu records / %llu bytes, %llu commits, %llu "
-        "checkpoints, %llu fsyncs\nreplay: %llu recoveries, %llu "
-        "records, %llu commits, %llu torn bytes, %llu uncommitted, "
-        "%llu repairs, %llu rekeys\nrefusals: %llu rollback\n"
-        "migration: %llu out, %llu in",
-        static_cast<unsigned long long>(walRecordsAppended),
-        static_cast<unsigned long long>(walBytesAppended),
-        static_cast<unsigned long long>(commits),
-        static_cast<unsigned long long>(checkpoints),
-        static_cast<unsigned long long>(fsyncs),
-        static_cast<unsigned long long>(recoveries),
-        static_cast<unsigned long long>(recordsReplayed),
-        static_cast<unsigned long long>(commitsReplayed),
-        static_cast<unsigned long long>(tornBytesDiscarded),
-        static_cast<unsigned long long>(uncommittedDiscarded),
-        static_cast<unsigned long long>(counterRepairs),
-        static_cast<unsigned long long>(recoveryRekeys),
-        static_cast<unsigned long long>(rollbackRejections),
-        static_cast<unsigned long long>(migrationsOut),
-        static_cast<unsigned long long>(migrationsIn));
-    return buf;
+    return "store: " + renderCounters(*this) + "\n";
 }
 
 sea::Pal

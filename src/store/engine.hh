@@ -37,9 +37,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/counters.hh"
 #include "common/result.hh"
 #include "machine/machine.hh"
 #include "obs/span.hh"
@@ -108,7 +110,8 @@ class StoreObserver
     }
 };
 
-/** Engine observability (bridged to store_* metrics by storeobs.hh). */
+/** Engine observability; fields() names each counter's store_* metric
+ *  family (obs::bridgeCounters). */
 struct StoreStats
 {
     std::uint64_t walRecordsAppended = 0;
@@ -128,6 +131,9 @@ struct StoreStats
     std::uint64_t migrationsOut = 0;
     std::uint64_t migrationsIn = 0;
 
+    static std::span<const CounterField<StoreStats>> fields();
+
+    /** One-line `store: label=value ...` rendering. */
     std::string str() const;
 };
 

@@ -5,6 +5,7 @@
 
 #include "tpm/tpm.hh"
 
+#include <iterator>
 #include <string>
 
 #include "common/bytebuf.hh"
@@ -507,3 +508,43 @@ Tpm::unlock(CpuId cpu)
 }
 
 } // namespace mintcb::tpm
+
+namespace mintcb
+{
+
+namespace
+{
+
+using TpmField = CounterField<TpmStats>;
+
+constexpr TpmField tpmFields[] = {
+    {"mintcb_tpm_extends_total", "TPM_Extend commands", "extend",
+     &TpmStats::extends},
+    {"mintcb_tpm_reads_total", "TPM_PCRRead commands", "read",
+     &TpmStats::reads},
+    {"mintcb_tpm_seals_total", "TPM_Seal commands", "seal",
+     &TpmStats::seals},
+    {"mintcb_tpm_unseals_total", "TPM_Unseal commands", "unseal",
+     &TpmStats::unseals},
+    {"mintcb_tpm_quotes_total", "TPM_Quote commands", "quote",
+     &TpmStats::quotes},
+    {"mintcb_tpm_get_randoms_total", "TPM_GetRandom commands", "getrandom",
+     &TpmStats::getRandoms},
+    {"mintcb_tpm_hash_sequences_total", "Late-launch measurement sequences",
+     "hash_seq", &TpmStats::hashSequences},
+    {"mintcb_tpm_denied_commands_total", "Locality/lock command refusals",
+     "denied", &TpmStats::deniedCommands},
+};
+static_assert(sizeof(TpmStats) ==
+                  std::size(tpmFields) * sizeof(std::uint64_t),
+              "every TpmStats field needs a row in tpmFields");
+
+} // namespace
+
+std::span<const TpmField>
+TpmStats::fields()
+{
+    return tpmFields;
+}
+
+} // namespace mintcb

@@ -27,7 +27,6 @@
 #include "common/hex.hh"
 #include "net/client.hh"
 #include "net/gateway.hh"
-#include "net/netobs.hh"
 #include "obs/metrics.hh"
 
 namespace mintcb::net
@@ -398,7 +397,7 @@ TEST(Gateway, OversizedReportIsATypedFailureNotABrokenSession)
     EXPECT_EQ(fx.gateway.stats().reportsDelivered, 2u);
     EXPECT_EQ(fx.gateway.stats().protocolErrors, 0u);
     obs::MetricsRegistry registry;
-    bridgeGatewayStats(registry, fx.gateway.stats(), {});
+    obs::bridgeCounters(registry, fx.gateway.stats(), {});
     EXPECT_EQ(registry.value("net_reports_oversized_total", {}), 1.0);
 }
 
@@ -533,7 +532,7 @@ TEST(Gateway, StatsBridgeExposesNetMetrics)
     fx.gateway.stop();
 
     obs::MetricsRegistry registry;
-    bridgeGatewayStats(registry, fx.gateway.stats(),
+    obs::bridgeCounters(registry, fx.gateway.stats(),
                        {{"gateway", "test"}});
     const obs::Labels labels{{"gateway", "test"}};
     EXPECT_EQ(registry.value("net_handshakes_completed_total", labels),

@@ -64,6 +64,23 @@ TEST(TokenBucket, RetryHintPredictsAvailability)
     EXPECT_EQ(ready.millisUntilToken(0), 0u);
 }
 
+TEST(TokenBucket, RetryHintSaturatesInsteadOfWrapping)
+{
+    // One token per ~31 years, per ~58 days and per ~50 days: each
+    // hint is past 2^32 ms and must saturate, not wrap to a value that
+    // sends the client back in seconds.
+    for (double per_second : {1e-9, 2e-7, 2.328e-7}) {
+        TokenBucket bucket(1, per_second, 0);
+        EXPECT_TRUE(bucket.tryAcquire(0));
+        EXPECT_EQ(bucket.millisUntilToken(0), UINT32_MAX) << per_second;
+    }
+    // Just inside the range the hint is still exact: 2^-22 tokens/s
+    // refills one token in 4194304 s.
+    TokenBucket slow(1, 1.0 / 4194304.0, 0);
+    EXPECT_TRUE(slow.tryAcquire(0));
+    EXPECT_EQ(slow.millisUntilToken(0), 4194304001u);
+}
+
 TEST(TokenBucket, ClockGoingBackwardIsIgnored)
 {
     TokenBucket bucket(1, 1000.0, 1000);

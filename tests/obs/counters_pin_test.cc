@@ -16,11 +16,9 @@
 #include "crypto/sha256.hh"
 #include "machine/platformstats.hh"
 #include "net/gateway.hh"
-#include "net/netobs.hh"
 #include "obs/metrics.hh"
 #include "sea/palgen.hh"
 #include "store/engine.hh"
-#include "store/storeobs.hh"
 
 namespace mintcb
 {
@@ -108,11 +106,11 @@ TEST(CountersPin, PrometheusExpositionOfEveryBridgedStruct)
     store.migrationsIn = 515;
 
     obs::MetricsRegistry registry;
-    obs::bridgeMemCtrlStats(registry, memctrl);
-    obs::bridgeTpmStats(registry, tpm);
-    obs::bridgeTpmStats(registry, shardTpm, {{"shard", "3"}});
-    net::bridgeGatewayStats(registry, gateway, {{"gateway", "pin"}});
-    store::bridgeStoreStats(registry, store, {{"store", "pin"}});
+    obs::bridgeCounters(registry, memctrl);
+    obs::bridgeCounters(registry, tpm);
+    obs::bridgeCounters(registry, shardTpm, {{"shard", "3"}});
+    obs::bridgeCounters(registry, gateway, {{"gateway", "pin"}});
+    obs::bridgeCounters(registry, store, {{"store", "pin"}});
 
     const std::string text = registry.renderPrometheus();
     EXPECT_EQ(sha256Hex(text), "2a76646b2c63b2d24efa2bf07a90733f"

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/counters.hh"
 #include "obs/metrics.hh"
 
@@ -100,11 +102,33 @@ TEST(Metrics, HistogramExposedAsCumulativeBuckets)
     EXPECT_NE(text.find("+Inf"), std::string::npos);
 }
 
+TEST(Metrics, NonFiniteAndHugeValuesUseExpositionSpelling)
+{
+    MetricsRegistry reg;
+    reg.gauge("mintcb_nan", "nan").set(std::nan(""));
+    reg.gauge("mintcb_pos_inf", "+inf").set(HUGE_VAL);
+    reg.gauge("mintcb_neg_inf", "-inf").set(-HUGE_VAL);
+    reg.addCallback("mintcb_two_pow_63", "2^63", {},
+                    [] { return 9223372036854775808.0; });
+    reg.gauge("mintcb_neg_huge", "-1e20").set(-1e20);
+    reg.gauge("mintcb_neg_zero", "-0").set(-0.0);
+    reg.gauge("mintcb_fraction", "fraction").set(0.25);
+    const std::string text = reg.renderPrometheus();
+    for (const char *line :
+         {"\nmintcb_nan NaN\n", "\nmintcb_pos_inf +Inf\n",
+          "\nmintcb_neg_inf -Inf\n",
+          "\nmintcb_two_pow_63 9223372036854775808\n",
+          "\nmintcb_neg_huge -100000000000000000000\n",
+          "\nmintcb_neg_zero 0\n", "\nmintcb_fraction 0.25\n"}) {
+        EXPECT_NE(text.find(line), std::string::npos) << line << text;
+    }
+}
+
 TEST(Metrics, BridgeReadsLiveStruct)
 {
     MetricsRegistry reg;
     TpmStats stats;
-    bridgeTpmStats(reg, stats, {{"chip", "infineon"}});
+    bridgeCounters(reg, stats, {{"chip", "infineon"}});
     EXPECT_EQ(reg.value("mintcb_tpm_extends_total",
                         {{"chip", "infineon"}}),
               0.0);

@@ -13,7 +13,6 @@
 #include "common/hex.hh"
 #include "common/rng.hh"
 #include "store/engine.hh"
-#include "store/storeobs.hh"
 #include "obs/metrics.hh"
 #include "storetest.hh"
 
@@ -279,7 +278,7 @@ TEST(SealedStoreEngine, StatsBridgeExportsStoreCounters)
     ASSERT_TRUE(store->commit().ok());
 
     obs::MetricsRegistry registry;
-    bridgeStoreStats(registry, store->stats(), {{"store", "test"}});
+    obs::bridgeCounters(registry, store->stats(), {{"store", "test"}});
     const std::string rendered = registry.renderPrometheus();
     EXPECT_NE(rendered.find("store_commits_total"), std::string::npos);
     EXPECT_NE(rendered.find("store_wal_records_appended_total"),

@@ -35,7 +35,6 @@
 #include "common/hex.hh"
 #include "net/client.hh"
 #include "net/gateway.hh"
-#include "net/netobs.hh"
 #include "obs/metrics.hh"
 
 namespace
@@ -274,8 +273,8 @@ main(int argc, char **argv)
     std::printf("%s", gateway.stats().str().c_str());
     if (dumpMetrics) {
         obs::MetricsRegistry metrics;
-        net::bridgeGatewayStats(metrics, gateway.stats(),
-                                {{"gateway", config.subject}});
+        obs::bridgeCounters(metrics, gateway.stats(),
+                            {{"gateway", config.subject}});
         std::printf("%s", metrics.renderPrometheus().c_str());
     }
     return 0;
