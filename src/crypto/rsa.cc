@@ -5,6 +5,7 @@
 
 #include "crypto/rsa.hh"
 
+#include <atomic>
 #include <cassert>
 
 #include "common/bytebuf.hh"
@@ -16,6 +17,10 @@ namespace mintcb::crypto
 
 namespace
 {
+
+// Relaxed: each counter is a tally with no ordering duty.
+std::atomic<std::uint64_t> privateOpCount{0};
+std::atomic<std::uint64_t> publicOpCount{0};
 
 // DER prefix of DigestInfo{SHA-1} from RFC 3447 section 9.2.
 constexpr std::uint8_t sha1DigestInfoPrefix[] = {
@@ -172,10 +177,18 @@ rsaGenerate(Rng &rng, std::size_t bits)
     }
 }
 
+RsaOpCounts
+rsaOpCounts()
+{
+    return {privateOpCount.load(std::memory_order_relaxed),
+            publicOpCount.load(std::memory_order_relaxed)};
+}
+
 BigNum
 rsaPublicOp(const RsaPublicKey &key, const BigNum &m)
 {
     assert(m < key.n);
+    publicOpCount.fetch_add(1, std::memory_order_relaxed);
     return m.modExp(key.e, key.n);
 }
 
@@ -183,6 +196,7 @@ BigNum
 rsaPrivateOp(const RsaPrivateKey &key, const BigNum &c)
 {
     assert(c < key.pub.n);
+    privateOpCount.fetch_add(1, std::memory_order_relaxed);
     // Keys without CRT parameters (legacy cache entries, imported d-only
     // keys) take the full-width path; the result is identical.
     if (!key.hasCrt())

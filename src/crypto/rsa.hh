@@ -78,6 +78,23 @@ struct RsaPrivateKey
 /** Generate an RSA key pair with modulus of exactly @p bits bits. */
 RsaPrivateKey rsaGenerate(Rng &rng, std::size_t bits);
 
+/**
+ * Process-wide counts of raw RSA operations since start-up: every
+ * signature and decryption is one private operation, every
+ * verification and encryption one public operation. They are exact
+ * and host-independent, so a test can gate a request path's RSA cost
+ * with EXPECT_EQ. Any thread may count; read them from one thread
+ * while the process is quiescent.
+ */
+struct RsaOpCounts
+{
+    std::uint64_t privateOps = 0;
+    std::uint64_t publicOps = 0;
+};
+
+/** The counts so far. */
+RsaOpCounts rsaOpCounts();
+
 /** Raw RSA public operation m^e mod n (m must be < n). */
 BigNum rsaPublicOp(const RsaPublicKey &key, const BigNum &m);
 

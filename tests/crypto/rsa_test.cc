@@ -100,6 +100,24 @@ TEST(Rsa, EncryptDecryptRoundTrip)
     EXPECT_EQ(*pt, plaintext);
 }
 
+TEST(Rsa, OperationCountsAreExact)
+{
+    const RsaPrivateKey &key = testKey();
+    Rng rng(23);
+    const Bytes msg = asciiBytes("count me");
+    const RsaOpCounts before = rsaOpCounts();
+    const Bytes sig = rsaSignSha1(key, msg);          // private
+    EXPECT_TRUE(rsaVerifySha1(key.pub, msg, sig));    // public
+    auto ct = rsaEncrypt(key.pub, rng, msg);          // public
+    ASSERT_TRUE(ct.ok());
+    EXPECT_TRUE(rsaDecrypt(key, *ct).ok());           // private
+    // A signature refused on length never reaches the public op.
+    EXPECT_FALSE(rsaVerifySha1(key.pub, msg, Bytes(3, 0)));
+    const RsaOpCounts after = rsaOpCounts();
+    EXPECT_EQ(after.privateOps - before.privateOps, 2u);
+    EXPECT_EQ(after.publicOps - before.publicOps, 2u);
+}
+
 TEST(Rsa, EncryptionIsRandomized)
 {
     const RsaPrivateKey &key = testKey();
