@@ -42,8 +42,12 @@ main()
                 pal.name().c_str());
 
     // ---- The verifier side: challenge with a fresh nonce. ----
+    // The Privacy CA certified the platform's AIK once, at
+    // provisioning; every quote carries that certificate.
+    const sea::AikCertificate aikCert = sea::PrivacyCa::instance().issue(
+        machine.tpm().aikPublic(), "hp-dc5750");
     const Bytes nonce = asciiBytes("verifier-challenge-001");
-    auto attestation = sea::attestLaunch(machine, 0, nonce, "hp-dc5750");
+    auto attestation = sea::attestLaunch(machine, 0, nonce, aikCert);
     launcher.resumeOtherCpus();
     if (!attestation.ok()) {
         std::fprintf(stderr, "quote failed: %s\n",

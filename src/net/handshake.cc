@@ -44,7 +44,13 @@ AttestedIdentity::attest(const Bytes &nonce)
 {
     if (!ok())
         return launchStatus_.error();
-    return sea::attestLaunch(machine_, 0, nonce, subject_);
+    if (!machine_.hasTpm())
+        return Error(Errc::unavailable, "platform has no TPM to quote");
+    if (!aikCert_) {
+        aikCert_ = sea::PrivacyCa::instance().issue(
+            machine_.tpm().aikPublic(), subject_);
+    }
+    return sea::attestLaunch(machine_, 0, nonce, *aikCert_);
 }
 
 Bytes

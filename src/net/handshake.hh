@@ -21,7 +21,9 @@
  * AttestedIdentity packages the platform side: a simulated machine
  * that late-launched its identity PAL at construction, leaving the
  * PAL's measurement in PCR 17, from which fresh quotes are produced
- * per handshake. Identity machines are deliberately *separate* from
+ * per handshake. The Privacy CA certifies the platform's AIK once, on
+ * the first attest, and the identity attaches that certificate to
+ * every later quote. Identity machines are deliberately *separate* from
  * the machine behind the ExecutionService: handshake TPM traffic
  * charges their virtual clocks, so session churn can never perturb
  * the service timeline (the end-to-end determinism argument,
@@ -31,6 +33,7 @@
 #ifndef MINTCB_NET_HANDSHAKE_HH
 #define MINTCB_NET_HANDSHAKE_HH
 
+#include <optional>
 #include <string>
 
 #include "machine/machine.hh"
@@ -64,7 +67,9 @@ class AttestedIdentity
     const std::string &subject() const { return subject_; }
     const sea::Pal &pal() const { return pal_; }
 
-    /** A fresh quote of this platform's dynamic PCRs over @p nonce. */
+    /** A fresh quote of this platform's dynamic PCRs over @p nonce,
+     *  with the AIK certificate the Privacy CA issued on the first
+     *  attest. */
     Result<sea::Attestation> attest(const Bytes &nonce);
 
     /** Draw a fresh handshake nonce from this platform's seeded RNG. */
@@ -83,6 +88,7 @@ class AttestedIdentity
     sea::Pal pal_;
     machine::Machine machine_;
     Status launchStatus_;
+    std::optional<sea::AikCertificate> aikCert_;
 };
 
 } // namespace mintcb::net

@@ -27,10 +27,9 @@ SePcrSets::allocateAndMeasure(std::size_t slots, const Bytes &pal_image,
     if (!first)
         return first.error();
     set.slots.push_back(*first);
-    // Remaining slots start at the reset value (measure an empty image
-    // placeholder, then the slot is just "reset + empty extend"? No --
-    // allocate with the pal image would forge identities; allocate each
-    // with a slot-tag so values are distinct and well-defined).
+    // Each extra slot is reset and extended with the SHA-1 of its
+    // 1-byte slot index, so the set's values are distinct and none can
+    // pass for the launch measurement.
     for (std::size_t i = 1; i < slots; ++i) {
         auto h = bank_.allocateAndMeasure(
             Bytes{static_cast<std::uint8_t>(i)}, locality);

@@ -115,7 +115,7 @@ Attestation::decode(const Bytes &wire)
 
 Result<Attestation>
 attestLaunch(machine::Machine &machine, CpuId cpu, const Bytes &nonce,
-             const std::string &subject)
+             const AikCertificate &cert)
 {
     if (!machine.hasTpm())
         return Error(Errc::unavailable, "platform has no TPM to quote");
@@ -128,7 +128,7 @@ attestLaunch(machine::Machine &machine, CpuId cpu, const Bytes &nonce,
         return quote.error();
     Attestation a;
     a.quote = quote.take();
-    a.aikCert = PrivacyCa::instance().issue(tpm.aikPublic(), subject);
+    a.aikCert = cert;
     return a;
 }
 
@@ -221,12 +221,17 @@ Verifier::verifyFresh(const Attestation &attestation,
     return verdict;
 }
 
-void
+Status
 Verifier::setNonceMemory(std::size_t nonces)
 {
+    if (nonces == 0) {
+        return Error(Errc::invalidArgument,
+                     "nonce memory of 0 would disable replay protection");
+    }
     nonceCapacity_ = nonces;
     while (seenNonces_.size() > nonceCapacity_)
         seenNonces_.pop_front();
+    return okStatus();
 }
 
 } // namespace mintcb::sea

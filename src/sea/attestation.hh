@@ -70,10 +70,13 @@ struct Attestation
 };
 
 /** Produce an attestation of @p machine's dynamic PCRs, charging the
- *  TPM_Quote cost to @p cpu. */
+ *  TPM_Quote cost to @p cpu, and attach @p cert, the certificate of
+ *  the machine's AIK. The CA certifies an AIK once: whoever holds the
+ *  AIK keeps the certificate PrivacyCa::issue returned and passes it
+ *  to every quote. */
 Result<Attestation> attestLaunch(machine::Machine &machine, CpuId cpu,
                                  const Bytes &nonce,
-                                 const std::string &subject);
+                                 const AikCertificate &cert);
 
 /** What a successful verification tells the relying party. */
 struct VerifiedLaunch
@@ -118,8 +121,10 @@ class Verifier
     Result<VerifiedLaunch> verifyFresh(const Attestation &attestation,
                                        const Bytes &expected_nonce);
 
-    /** Cap the replay memory at @p nonces entries (default 1024). */
-    void setNonceMemory(std::size_t nonces);
+    /** Cap the replay memory at @p nonces entries (default 1024).
+     *  Zero is refused (Errc::invalidArgument): a memory that holds no
+     *  nonce would accept every replay. */
+    Status setNonceMemory(std::size_t nonces);
     std::size_t nonceMemory() const { return nonceCapacity_; }
 
     /** Number of nonces currently remembered. */

@@ -82,10 +82,13 @@ MeasuredBoot::attest(const Bytes &nonce, CpuId cpu)
     auto quote = machine_.tpmAs(cpu).quote(nonce, coveredPcrs());
     if (!quote)
         return quote.error();
+    if (!aikCert_) {
+        aikCert_ = PrivacyCa::instance().issue(machine_.tpm().aikPublic(),
+                                               "trusted-boot-platform");
+    }
     Attestation a;
     a.quote = quote.take();
-    a.aikCert = PrivacyCa::instance().issue(machine_.tpm().aikPublic(),
-                                            "trusted-boot-platform");
+    a.aikCert = *aikCert_;
     return a;
 }
 

@@ -15,6 +15,7 @@
 #ifndef MINTCB_SEA_MEASUREDBOOT_HH
 #define MINTCB_SEA_MEASUREDBOOT_HH
 
+#include <optional>
 #include <string>
 
 #include "common/result.hh"
@@ -50,7 +51,8 @@ class MeasuredBoot
 
     const tpm::EventLog &log() const { return log_; }
 
-    /** Quote the static PCRs the log covers + produce the evidence. */
+    /** Quote the static PCRs the log covers + produce the evidence.
+     *  The AIK certificate is issued on the first attest and kept. */
     Result<Attestation> attest(const Bytes &nonce, CpuId cpu = 0);
 
     /** PCR indices appearing in the log, sorted. */
@@ -59,6 +61,7 @@ class MeasuredBoot
   private:
     machine::Machine &machine_;
     tpm::EventLog log_;
+    std::optional<AikCertificate> aikCert_;
 };
 
 /**

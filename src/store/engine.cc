@@ -1043,7 +1043,11 @@ SealedStore::attestForMigration(const Bytes &nonce)
         return s.error();
     const Bytes bound =
         migrationBoundNonce(nonce, srkPublicEncodedLocked());
-    return sea::attestLaunch(idMachine_, 0, bound, "mintcb-store");
+    if (!aikCert_) {
+        aikCert_ = sea::PrivacyCa::instance().issue(
+            idMachine_.tpm().aikPublic(), "mintcb-store");
+    }
+    return sea::attestLaunch(idMachine_, 0, bound, *aikCert_);
 }
 
 Result<Bytes>

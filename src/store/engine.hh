@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -248,7 +249,8 @@ class SealedStore final : public sea::SealedStateStore
     Bytes srkPublicEncoded() const;
     /** Quote this store's PCR-17 identity over
      *  sha256(nonce || srkPublicEncoded()) -- binding the quoted
-     *  launch to the SRK that will receive the re-sealed state. */
+     *  launch to the SRK that will receive the re-sealed state. The
+     *  AIK certificate is issued on the first call and kept. */
     Result<sea::Attestation> attestForMigration(const Bytes &nonce);
     /** Unseal the full map and hand it, with its committed epoch, to
      *  @p package, which re-seals it to a verified target and returns
@@ -312,6 +314,9 @@ class SealedStore final : public sea::SealedStateStore
     mutable machine::Machine idMachine_;
     Status launchStatus_;
     std::uint32_t counterHandle_ = 0;
+    /** idMachine_'s AIK certificate, issued on the first migration
+     *  attest (under mu_). */
+    std::optional<sea::AikCertificate> aikCert_;
 
     mutable std::mutex mu_;
     std::map<std::string, Bytes> map_;

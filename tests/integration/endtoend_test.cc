@@ -55,7 +55,9 @@ TEST(EndToEnd, CaServiceWithRemoteVerification)
         [](sea::PalContext &) { return okStatus(); });
     ASSERT_TRUE(m.writeAs(0, 0x10000, identity_probe.slbImage()).ok());
     ASSERT_TRUE(launcher.invoke(0, 0x10000).ok());
-    auto attestation = sea::attestLaunch(m, 0, nonce, "ca-host");
+    auto attestation = sea::attestLaunch(
+        m, 0, nonce,
+        sea::PrivacyCa::instance().issue(m.tpm().aikPublic(), "ca-host"));
     launcher.resumeOtherCpus();
     ASSERT_TRUE(attestation.ok());
 

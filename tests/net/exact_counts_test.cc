@@ -72,7 +72,7 @@ TEST(ExactCounts, SessionChurnRsaOperationsPerOp)
     const crypto::RsaOpCounts after = crypto::rsaOpCounts();
     gateway.stop();
 
-    EXPECT_EQ(after.privateOps - before.privateOps, 5 * ops);
+    EXPECT_EQ(after.privateOps - before.privateOps, 3 * ops);
     EXPECT_EQ(after.publicOps - before.publicOps, 4 * ops);
 }
 

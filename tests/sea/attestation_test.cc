@@ -18,6 +18,13 @@ namespace
 using machine::Machine;
 using machine::PlatformId;
 
+/** The Privacy CA's certificate for @p m's AIK. */
+AikCertificate
+certify(Machine &m, const std::string &subject)
+{
+    return PrivacyCa::instance().issue(m.tpm().aikPublic(), subject);
+}
+
 Pal
 attestedPal()
 {
@@ -34,7 +41,7 @@ launchAndAttest(Machine &m, const Pal &pal, const Bytes &nonce)
     latelaunch::LateLaunch launcher(m);
     EXPECT_TRUE(m.writeAs(0, 0x10000, pal.slbImage()).ok());
     EXPECT_TRUE(launcher.invoke(0, 0x10000).ok());
-    auto attestation = attestLaunch(m, 0, nonce, "hp-dc5750");
+    auto attestation = attestLaunch(m, 0, nonce, certify(m, "hp-dc5750"));
     EXPECT_TRUE(attestation.ok());
     launcher.resumeOtherCpus();
     return attestation.take();
@@ -101,7 +108,7 @@ TEST(Verifier, RejectsNoLaunchStates)
     // must not verify, and neither must a bare dynamic reset (= 0).
     Machine m = Machine::forPlatform(PlatformId::hpDc5750);
     const Bytes nonce = asciiBytes("n3");
-    auto a = attestLaunch(m, 0, nonce, "subject");
+    auto a = attestLaunch(m, 0, nonce, certify(m, "subject"));
     ASSERT_TRUE(a.ok());
 
     Verifier verifier;
@@ -122,7 +129,7 @@ TEST(Verifier, RejectsSoftwareForgedIdentity)
 
     // Attacker: extend the measurement onto the boot value (-1).
     ASSERT_TRUE(m.tpmAs(0).pcrExtend(17, pal.measurement()).ok());
-    auto a = attestLaunch(m, 0, nonce, "subject");
+    auto a = attestLaunch(m, 0, nonce, certify(m, "subject"));
     ASSERT_TRUE(a.ok());
 
     Verifier verifier;
@@ -248,7 +255,7 @@ TEST(Verifier, NonceMemoryIsBoundedFifo)
     const Pal pal = attestedPal();
     Verifier verifier;
     verifier.trustPal(pal);
-    verifier.setNonceMemory(2);
+    ASSERT_TRUE(verifier.setNonceMemory(2).ok());
 
     Bytes nonces[3] = {asciiBytes("m0"), asciiBytes("m1"),
                        asciiBytes("m2")};
@@ -268,8 +275,30 @@ TEST(Verifier, NonceMemoryIsBoundedFifo)
     EXPECT_TRUE(verifier.verifyFresh(atts[0], nonces[0]).ok());
 
     // Shrinking the capacity trims existing memory immediately.
-    verifier.setNonceMemory(1);
+    ASSERT_TRUE(verifier.setNonceMemory(1).ok());
     EXPECT_EQ(verifier.seenNonceCount(), 1u);
+}
+
+TEST(Verifier, ZeroNonceMemoryIsRefusedAndReplayStaysRefused)
+{
+    Machine m = Machine::forPlatform(PlatformId::hpDc5750);
+    const Pal pal = attestedPal();
+    const Bytes nonce = asciiBytes("z0");
+    const Attestation a = launchAndAttest(m, pal, nonce);
+    Verifier verifier;
+    verifier.trustPal(pal);
+
+    const Status refused = verifier.setNonceMemory(0);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().code, Errc::invalidArgument);
+    EXPECT_EQ(verifier.nonceMemory(), 1024u);
+
+    // The memory still holds what it accepts: the same quote twice is
+    // a replay.
+    ASSERT_TRUE(verifier.verifyFresh(a, nonce).ok());
+    auto replay = verifier.verifyFresh(a, nonce);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.error().code, Errc::permissionDenied);
 }
 
 TEST(Attestation, TrustMeasurementMatchesTrustPal)
