@@ -82,8 +82,8 @@ main()
     latelaunch::LateLaunch launcher(machine);
     machine.writeAs(0, 0x10000, pal.slbImage());
     launcher.invoke(0, 0x10000);
-    // The Privacy CA certifies the platform's AIK once; every later
-    // quote carries that certificate.
+    // The Privacy CA certifies the platform's AIK once; every quote
+    // carries that certificate.
     const sea::AikCertificate aikCert = sea::PrivacyCa::instance().issue(
         machine.tpm().aikPublic(), "quickstart");
     auto attestation = sea::attestLaunch(machine, 0, nonce, aikCert);
