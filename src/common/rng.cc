@@ -5,7 +5,11 @@
 
 #include "common/rng.hh"
 
+#include <sys/random.h>
+
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 
 namespace mintcb
 {
@@ -93,6 +97,25 @@ Rng::bytes(std::size_t n)
             out[i] = static_cast<std::uint8_t>(word & 0xff);
             word >>= 8;
         }
+    }
+    return out;
+}
+
+Bytes
+osRandomBytes(std::size_t n)
+{
+    Bytes out(n);
+    std::size_t got = 0;
+    while (got < n) {
+        const ssize_t r = ::getrandom(out.data() + got, n - got, 0);
+        if (r < 0) {
+            if (errno == EINTR)
+                continue;
+            // No entropy source: a predictable secret would be worse
+            // than no process.
+            std::abort();
+        }
+        got += static_cast<std::size_t>(r);
     }
     return out;
 }

@@ -5,6 +5,8 @@
  * All randomness in mintcb -- TPM GetRandom output, RSA key generation,
  * nonce creation, timing jitter for the Figure 3 error bars -- flows from
  * seeded Rng instances so that every experiment is bit-for-bit repeatable.
+ * The one exception, osRandomBytes, serves secrets that no experiment
+ * output depends on.
  */
 
 #ifndef MINTCB_COMMON_RNG_HH
@@ -55,6 +57,14 @@ class Rng
   private:
     std::uint64_t s_[4];
 };
+
+/**
+ * @p n bytes from the operating system's entropy pool (getrandom(2)).
+ * The one deliberate exception to seeded randomness: for secrets that
+ * must not be predictable from a seed, such as gateway session
+ * tickets. Drawing them never advances any seeded Rng.
+ */
+Bytes osRandomBytes(std::size_t n);
 
 } // namespace mintcb
 

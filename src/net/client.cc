@@ -10,6 +10,7 @@
 #include <map>
 #include <thread>
 
+#include "crypto/hmac.hh"
 #include "store/migrate.hh"
 
 namespace mintcb::net
@@ -28,6 +29,21 @@ errorFromFrame(const Frame &frame)
                      "gateway sent an undecodable error frame");
     return Error(static_cast<Errc>(payload->code),
                  "gateway: " + payload->message);
+}
+
+/** Ok when @p frame has type @p want; else the gateway's error, or a
+ *  protocol error naming both types. */
+Status
+expectType(const Frame &frame, FrameType want)
+{
+    if (frame.type == want)
+        return okStatus();
+    if (frame.type == FrameType::error)
+        return errorFromFrame(frame);
+    return Error(Errc::failedPrecondition, std::string("expected ") +
+                                               frameTypeName(want) +
+                                               ", got " +
+                                               frameTypeName(frame.type));
 }
 
 void
@@ -51,45 +67,59 @@ GatewayClient::GatewayClient(ClientConfig config)
 }
 
 Status
+GatewayClient::open(std::uint16_t port)
+{
+    auto stream = TcpStream::connectLoopback(port, config_.timeoutMillis);
+    if (!stream)
+        return stream.error();
+    channel_ = std::make_unique<FrameChannel>(stream.take());
+    return okStatus();
+}
+
+Status
+GatewayClient::abandon(Error error)
+{
+    close();
+    return error;
+}
+
+Status
 GatewayClient::connect(std::uint16_t port)
 {
     if (!identity_.ok())
         return identity_.launchStatus();
-    auto stream =
-        TcpStream::connectLoopback(port, config_.timeoutMillis);
-    if (!stream)
-        return stream.error();
-    channel_ = std::make_unique<FrameChannel>(stream.take());
+    if (ticket_ && ticket_->port == port) {
+        if (resume(port).ok())
+            return okStatus();
+        // Whatever the refusal, the ticket is spent: attest in full on
+        // a fresh connection.
+        ticket_.reset();
+    }
+    return handshake(port);
+}
+
+Status
+GatewayClient::handshake(std::uint16_t port)
+{
+    if (auto s = open(port); !s.ok())
+        return s;
 
     HelloPayload hello;
     hello.nonce = identity_.freshNonce();
     hello.clientName = config_.name;
     if (auto s = channel_->send({FrameType::hello, encode(hello)});
         !s.ok()) {
-        close();
-        return s;
+        return abandon(s.error());
     }
 
     auto frame = channel_->recv();
-    if (!frame) {
-        close();
-        return frame.error();
-    }
-    if (frame->type == FrameType::error) {
-        close();
-        return errorFromFrame(*frame);
-    }
-    if (frame->type != FrameType::challenge) {
-        close();
-        return Error(Errc::failedPrecondition,
-                     std::string("expected challenge, got ") +
-                         frameTypeName(frame->type));
-    }
+    if (!frame)
+        return abandon(frame.error());
+    if (auto s = expectType(*frame, FrameType::challenge); !s.ok())
+        return abandon(s.error());
     auto challenge = decodeChallenge(frame->payload);
-    if (!challenge) {
-        close();
-        return challenge.error();
-    }
+    if (!challenge)
+        return abandon(challenge.error());
 
     if (config_.verifyGateway) {
         // The trust decision the paper gives the remote party: refuse
@@ -97,53 +127,88 @@ GatewayClient::connect(std::uint16_t port)
         // fresh nonce, that PCR 17 holds a whitelisted gateway PAL.
         auto attestation =
             sea::Attestation::decode(challenge->attestation);
-        if (!attestation) {
-            close();
-            return attestation.error();
-        }
+        if (!attestation)
+            return abandon(attestation.error());
         auto verdict =
             gatewayVerifier_.verify(*attestation, hello.nonce);
-        if (!verdict) {
-            close();
-            return verdict.error();
-        }
+        if (!verdict)
+            return abandon(verdict.error());
         gatewaySubject_ = attestation->aikCert.subject;
     }
 
     auto attestation = identity_.attest(challenge->nonce);
-    if (!attestation) {
-        close();
-        return attestation.error();
-    }
+    if (!attestation)
+        return abandon(attestation.error());
     AuthPayload auth;
     auth.attestation = attestation->encode();
     if (auto s = channel_->send({FrameType::auth, encode(auth)});
         !s.ok()) {
-        close();
-        return s;
+        return abandon(s.error());
     }
 
     auto reply = channel_->recv();
-    if (!reply) {
-        close();
-        return reply.error();
+    if (!reply)
+        return abandon(reply.error());
+    std::optional<SessionTicket> issued;
+    if (reply->type == FrameType::ticket) {
+        auto ticket = decodeTicket(reply->payload);
+        if (!ticket)
+            return abandon(ticket.error());
+        issued = SessionTicket{port, gatewaySubject_, ticket->id,
+                               ticket->secret, ticket->epoch};
+        reply = channel_->recv();
+        if (!reply)
+            return abandon(reply.error());
     }
-    if (reply->type == FrameType::error) {
-        close();
-        return errorFromFrame(*reply);
-    }
-    if (reply->type != FrameType::authOk) {
-        close();
-        return Error(Errc::failedPrecondition,
-                     std::string("expected authOk, got ") +
-                         frameTypeName(reply->type));
-    }
+    if (auto s = expectType(*reply, FrameType::authOk); !s.ok())
+        return abandon(s.error());
     auto ok = decodeAuthOk(reply->payload);
-    if (!ok) {
-        close();
-        return ok.error();
-    }
+    if (!ok)
+        return abandon(ok.error());
     sessionId_ = ok->sessionId;
+    if (issued)
+        ticket_ = std::move(issued);
+    return okStatus();
+}
+
+Status
+GatewayClient::resume(std::uint16_t port)
+{
+    if (auto s = open(port); !s.ok())
+        return s;
+    SessionTicket &ticket = *ticket_;
+    ResumePayload resume;
+    resume.id = ticket.id;
+    resume.epoch = ticket.epoch;
+    // OS entropy, not the identity machine: a resume moves no seeded
+    // nonce stream.
+    resume.nonce = osRandomBytes(handshakeNonceBytes);
+    resume.proof =
+        resumeProof(ticket.secret, ticket.id, ticket.epoch, resume.nonce);
+    if (auto s = channel_->send({FrameType::resume, encode(resume)});
+        !s.ok()) {
+        return abandon(s.error());
+    }
+
+    auto reply = channel_->recv();
+    if (!reply)
+        return abandon(reply.error());
+    if (auto s = expectType(*reply, FrameType::resumed); !s.ok())
+        return abandon(s.error());
+    auto resumed = decodeResumed(reply->payload);
+    if (!resumed)
+        return abandon(resumed.error());
+    // Only the issuing gateway holds the secret: its answer proves the
+    // far end is the gateway the full handshake verified.
+    if (!crypto::constantTimeEqual(
+            resumed->proof,
+            resumedProof(ticket.secret, ticket.epoch, resume.nonce))) {
+        return abandon(Error(Errc::integrityFailure,
+                          "gateway's resumed proof does not verify"));
+    }
+    ++ticket.epoch;
+    sessionId_ = resumed->sessionId;
+    gatewaySubject_ = ticket.subject;
     return okStatus();
 }
 
@@ -288,7 +353,16 @@ GatewayClient::runBatch(const std::vector<WireRequest> &requests)
             auto payload = decodeReport(frame->payload);
             if (!payload)
                 return payload.error();
-            outstanding.erase(payload->sequence);
+            // A report for a sequence this batch never sent, or one it
+            // already answered, is refused: accepting it would hand the
+            // caller another request's result.
+            if (outstanding.erase(payload->sequence) == 0) {
+                return Error(Errc::integrityFailure,
+                             "report for sequence " +
+                                 std::to_string(payload->sequence) +
+                                 " that this batch did not send or "
+                                 "already answered");
+            }
             reports.push_back(payload.take());
             break;
         }

@@ -10,7 +10,9 @@
  * own attestation before the gateway will take work. After the
  * handshake the client pipelines submit frames, flushes, and collects
  * reports; `busy` backpressure frames are retried with the gateway's
- * own retry hint rather than treated as failures.
+ * own retry hint rather than treated as failures. The ticket a full
+ * handshake earns lets the next connect to the same gateway resume
+ * without either side quoting.
  */
 
 #ifndef MINTCB_NET_CLIENT_HH
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,17 @@ class SealedStore; // defined in store/engine.hh
 
 namespace mintcb::net
 {
+
+/** A session ticket the client holds, keyed to the gateway that
+ *  issued it (DESIGN.md section 11.2). */
+struct SessionTicket
+{
+    std::uint16_t port = 0; //!< where the issuing gateway listened
+    std::string subject;    //!< gateway subject the full handshake verified
+    Bytes id;
+    Bytes secret;
+    std::uint64_t epoch = 0; //!< advances with every admitted resume
+};
 
 /** Client tuning. */
 struct ClientConfig
@@ -79,7 +93,12 @@ class GatewayClient
     bool identityOk() const { return identity_.ok(); }
     AttestedIdentity &identity() { return identity_; }
 
-    /** Connect to 127.0.0.1:@p port and run the full handshake. */
+    /**
+     * Connect to 127.0.0.1:@p port. Holding a ticket from an earlier
+     * session at @p port, resume in one round trip with no quote;
+     * otherwise run the full handshake. A refused resume drops the
+     * ticket and runs the full handshake on a fresh connection.
+     */
     Status connect(std::uint16_t port);
 
     bool connected() const { return channel_ != nullptr; }
@@ -118,6 +137,8 @@ class GatewayClient
     Status sendFrame(FrameType type, const Bytes &payload);
     /** Block for the next frame of any type. */
     Result<Frame> recvFrame();
+    /** The held session ticket, if any (refusal tests alter it). */
+    std::optional<SessionTicket> &ticket() { return ticket_; }
     /** @} */
 
     /** Graceful goodbye + close. */
@@ -128,6 +149,15 @@ class GatewayClient
     std::uint64_t busyResponses() const { return busyResponses_; }
 
   private:
+    /** TCP connect to @p port, replacing any open channel. */
+    Status open(std::uint16_t port);
+    /** hello -> challenge -> auth -> [ticket ->] authOk. */
+    Status handshake(std::uint16_t port);
+    /** resume -> resumed with the held ticket. */
+    Status resume(std::uint16_t port);
+    /** close() and return @p error: how a failed connect ends. */
+    Status abandon(Error error);
+
     ClientConfig config_;
     AttestedIdentity identity_;
     sea::Verifier gatewayVerifier_;
@@ -139,6 +169,7 @@ class GatewayClient
     std::uint64_t sessionId_ = 0;
     std::string gatewaySubject_;
     std::uint64_t busyResponses_ = 0;
+    std::optional<SessionTicket> ticket_;
 };
 
 } // namespace mintcb::net

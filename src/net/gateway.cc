@@ -13,6 +13,7 @@
 #include <map>
 #include <utility>
 
+#include "crypto/hmac.hh"
 #include "store/migrate.hh"
 
 namespace mintcb::net
@@ -62,6 +63,18 @@ struct Gateway::Conn
     bool closeAfterFlush = false;
 
     bool txPending() const { return txOff < tx.size(); }
+};
+
+/** One issued session ticket (DESIGN.md section 11.2). */
+struct Gateway::Ticket
+{
+    Bytes id;              //!< ticketIdBytes, OS entropy
+    Bytes secret;          //!< ticketSecretBytes, OS entropy
+    std::string clientPal; //!< whitelist label verifyFresh accepted
+    Bytes clientAik;       //!< aikFingerprint of the client's AIK
+    Bytes issuerAik;       //!< aikFingerprint of this gateway's AIK
+    std::uint64_t epoch = 0;
+    std::uint64_t expiresMs = 0; //!< on config.clock
 };
 
 /** One admitted request waiting for the next drain cycle. */
@@ -144,6 +157,19 @@ constexpr GatewayField gatewayFields[] = {
     {"net_migrations_refused_total",
      "Migrations refused (bad nonce, quote, or store name)",
      "migrations_refused", &GatewayStats::migrationsRefused},
+    {"net_tickets_issued_total",
+     "Session tickets issued after a full mutual attestation",
+     "tickets_issued", &GatewayStats::ticketsIssued},
+    {"net_tickets_resumed_total",
+     "Sessions admitted by a ticket resume, with no quote",
+     "tickets_resumed", &GatewayStats::ticketsResumed},
+    {"net_tickets_refused_total",
+     "Resumes refused (unknown, expired or stale-epoch ticket, or a bad "
+     "proof)",
+     "tickets_refused", &GatewayStats::ticketsRefused},
+    {"net_tickets_evicted_total",
+     "Session tickets evicted by the ticket table cap", "tickets_evicted",
+     &GatewayStats::ticketsEvicted},
 };
 static_assert(sizeof(GatewayStats) ==
                   std::size(gatewayFields) * sizeof(std::uint64_t),
@@ -403,6 +429,8 @@ Gateway::handleFrame(Conn &conn, const Frame &frame)
         return handleHello(conn, frame);
     case FrameType::auth:
         return handleAuth(conn, frame);
+    case FrameType::resume:
+        return handleResume(conn, frame);
     case FrameType::submit:
         return handleSubmit(conn, frame);
     case FrameType::migrateBegin:
@@ -506,8 +534,99 @@ Gateway::handleAuth(Conn &conn, const Frame &frame)
             conn.session);
         config_.tracer->annotate(id, "client", verdict->palName);
     }
+    if (config_.ticketLifetimeMillis > 0 && config_.ticketTableCap > 0)
+        issueTicket(conn, *verdict,
+                    aikFingerprint(attestation->aikCert.aikPublic));
     sendFrame(conn, FrameType::authOk,
               AuthOkPayload{conn.session, config_.subject});
+    return true;
+}
+
+void
+Gateway::issueTicket(Conn &conn, const sea::VerifiedLaunch &verdict,
+                     const Bytes &client_aik)
+{
+    const std::uint64_t now = config_.clock();
+    // Tickets expire in issue order, so expired ones sit at the front.
+    auto live = std::find_if(tickets_.begin(), tickets_.end(),
+                             [now](const Ticket &t) {
+                                 return t.expiresMs > now;
+                             });
+    tickets_.erase(tickets_.begin(), live);
+    if (tickets_.size() >= config_.ticketTableCap) {
+        tickets_.erase(tickets_.begin()); // the oldest
+        ++stats_.ticketsEvicted;
+    }
+    Ticket ticket;
+    ticket.id = osRandomBytes(ticketIdBytes);
+    ticket.secret = osRandomBytes(ticketSecretBytes);
+    ticket.clientPal = verdict.palName;
+    ticket.clientAik = client_aik;
+    ticket.issuerAik = identity_.aikFingerprint();
+    ticket.expiresMs = now + config_.ticketLifetimeMillis;
+    sendFrame(conn, FrameType::ticket,
+              TicketPayload{ticket.id, ticket.secret, ticket.epoch});
+    tickets_.push_back(std::move(ticket));
+    ++stats_.ticketsIssued;
+}
+
+bool
+Gateway::handleResume(Conn &conn, const Frame &frame)
+{
+    if (conn.state != Conn::State::expectHello) {
+        ++stats_.protocolErrors;
+        refuse(conn, Errc::failedPrecondition, "resume after handshake");
+        return false;
+    }
+    auto resume = decodeResume(frame.payload);
+    if (!resume) {
+        ++stats_.protocolErrors;
+        refuse(conn, resume.error().code, resume.error().message);
+        return false;
+    }
+    // Every refusal is typed and counted, and closes the connection:
+    // the client drops its ticket and attests in full on a new one.
+    const auto refuseResume = [&](Errc code, const std::string &why) {
+        ++stats_.ticketsRefused;
+        refuse(conn, code, why);
+        return false;
+    };
+    auto it = std::find_if(tickets_.begin(), tickets_.end(),
+                           [&](const Ticket &t) { return t.id == resume->id; });
+    if (it == tickets_.end() || it->issuerAik != identity_.aikFingerprint())
+        return refuseResume(Errc::notFound, "unknown session ticket");
+    if (config_.clock() >= it->expiresMs) {
+        tickets_.erase(it);
+        return refuseResume(Errc::failedPrecondition,
+                            "session ticket expired");
+    }
+    if (resume->epoch != it->epoch) {
+        return refuseResume(Errc::permissionDenied,
+                            "stale ticket epoch " +
+                                std::to_string(resume->epoch) +
+                                " (current " + std::to_string(it->epoch) +
+                                ")");
+    }
+    if (!crypto::constantTimeEqual(
+            resume->proof,
+            resumeProof(it->secret, it->id, it->epoch, resume->nonce))) {
+        return refuseResume(Errc::integrityFailure,
+                            "session ticket proof does not verify");
+    }
+    // Admitted. Advancing the epoch makes this frame, and any recording
+    // of it, stale for good.
+    const Bytes answer = resumedProof(it->secret, it->epoch, resume->nonce);
+    ++it->epoch;
+    conn.session = nextSession_++;
+    conn.state = Conn::State::attested;
+    ++stats_.ticketsResumed;
+    if (config_.tracer) {
+        const std::uint64_t id = config_.tracer->instant(
+            obs::track::gateway, "gw:resume", "net", machine_.now(),
+            conn.session);
+        config_.tracer->annotate(id, "client", it->clientPal);
+    }
+    sendFrame(conn, FrameType::resumed, ResumedPayload{conn.session, answer});
     return true;
 }
 

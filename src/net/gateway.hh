@@ -11,6 +11,9 @@
  *  - runs the attested-session handshake (net/handshake.hh) and
  *    refuses, before any submit() reaches the service, every
  *    connection whose quote fails sea::Verifier::verifyFresh;
+ *  - issues a session ticket after each full handshake and admits a
+ *    returning client that proves possession of it, with no quote and
+ *    no RSA operation;
  *  - enforces admission control on host time: a bounded in-flight
  *    queue and a per-client token bucket answer overload with explicit
  *    `busy` backpressure frames (retry hints included) rather than
@@ -118,6 +121,15 @@ struct GatewayConfig
     /** Store name clients must pass in migrateBegin. */
     std::string migrationStore = "default";
     /** @} */
+
+    /** @name Session tickets (DESIGN.md section 11.2). @{ */
+    /** How long, in `clock` ms, a ticket admits resumes after the full
+     *  handshake that issued it. 0 issues no tickets. */
+    std::uint64_t ticketLifetimeMillis = 10 * 60 * 1000;
+    /** Most tickets held at once: issuing one more evicts the oldest.
+     *  0 issues no tickets. */
+    std::size_t ticketTableCap = 1024;
+    /** @} */
 };
 
 /** Cumulative gateway observability; fields() names each counter's
@@ -154,6 +166,13 @@ struct GatewayStats
 
     std::uint64_t migrationsServed = 0;  //!< bundles handed out
     std::uint64_t migrationsRefused = 0; //!< bad nonce/quote/name/size
+
+    std::uint64_t ticketsIssued = 0;
+    std::uint64_t ticketsResumed = 0; //!< sessions admitted by a resume
+    /** Resumes refused: unknown, expired or stale-epoch ticket, or a
+     *  proof that does not verify. Never counted as handshakesRefused. */
+    std::uint64_t ticketsRefused = 0;
+    std::uint64_t ticketsEvicted = 0; //!< dropped by ticketTableCap
 
     static std::span<const CounterField<GatewayStats>> fields();
 
@@ -216,6 +235,7 @@ class Gateway
   private:
     struct Conn;
     struct PendingRequest;
+    struct Ticket;
 
     void reactorLoop();
     void acceptPending(std::uint64_t now_ms);
@@ -223,6 +243,11 @@ class Gateway
     bool handleFrame(Conn &conn, const Frame &frame);
     bool handleHello(Conn &conn, const Frame &frame);
     bool handleAuth(Conn &conn, const Frame &frame);
+    bool handleResume(Conn &conn, const Frame &frame);
+    /** Record a ticket for the client @p verdict accepted, whose
+     *  attestation carried @p client_aik, and send it to @p conn. */
+    void issueTicket(Conn &conn, const sea::VerifiedLaunch &verdict,
+                     const Bytes &client_aik);
     bool handleSubmit(Conn &conn, const Frame &frame);
     bool handleMigrateBegin(Conn &conn, const Frame &frame);
     bool handleMigrate(Conn &conn, const Frame &frame);
@@ -250,6 +275,8 @@ class Gateway
 
     AttestedIdentity identity_;
     sea::Verifier clientVerifier_;
+    /** Issue order, which is also expiry order (one lifetime). */
+    std::vector<Ticket> tickets_;
 
     TcpListener listener_;
     std::uint16_t port_ = 0;

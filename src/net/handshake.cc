@@ -5,7 +5,11 @@
 
 #include "net/handshake.hh"
 
+#include "common/bytebuf.hh"
+#include "crypto/hmac.hh"
+#include "crypto/sha256.hh"
 #include "latelaunch/latelaunch.hh"
+#include "tpm/transport.hh"
 
 namespace mintcb::net
 {
@@ -17,6 +21,29 @@ namespace
 constexpr PhysAddr identitySlbAddr = 0x10000;
 
 } // namespace
+
+Bytes
+resumeProof(const Bytes &secret, const Bytes &id, std::uint64_t epoch,
+            const Bytes &nonce)
+{
+    ByteWriter w;
+    w.raw(id);
+    w.u64(epoch);
+    w.raw(nonce);
+    return crypto::hmacSha256(tpm::epochKey(secret, epoch), w.bytes());
+}
+
+Bytes
+resumedProof(const Bytes &secret, std::uint64_t epoch, const Bytes &nonce)
+{
+    return crypto::hmacSha256(tpm::epochKey(secret, epoch), nonce);
+}
+
+Bytes
+aikFingerprint(const Bytes &aik_public)
+{
+    return crypto::Sha256::digestBytes(aik_public);
+}
 
 AttestedIdentity::AttestedIdentity(std::string subject,
                                    const sea::Pal &identity_pal,
@@ -57,6 +84,12 @@ Bytes
 AttestedIdentity::freshNonce()
 {
     return machine_.rng().bytes(handshakeNonceBytes);
+}
+
+Bytes
+AttestedIdentity::aikFingerprint()
+{
+    return net::aikFingerprint(machine_.tpm().aikPublic().encode());
 }
 
 sea::Pal

@@ -45,6 +45,27 @@ namespace mintcb::net
 /** Quote nonce size used by both sides of the handshake. */
 inline constexpr std::size_t handshakeNonceBytes = 20;
 
+/** @name Session tickets (DESIGN.md section 11.2).
+ * A ticket is an id and a secret, both from OS entropy, plus an epoch
+ * that advances on every admitted resume. Each resume proves
+ * possession under the per-epoch key k_e = tpm::epochKey(secret, e),
+ * so a recorded resume frame never verifies again. @{ */
+inline constexpr std::size_t ticketIdBytes = 16;
+inline constexpr std::size_t ticketSecretBytes = 32;
+
+/** The client's proof: HMAC-SHA256(k_e, id || u64 epoch || nonce). */
+Bytes resumeProof(const Bytes &secret, const Bytes &id, std::uint64_t epoch,
+                  const Bytes &nonce);
+
+/** The gateway's answer: HMAC-SHA256(k_e, nonce). */
+Bytes resumedProof(const Bytes &secret, std::uint64_t epoch,
+                   const Bytes &nonce);
+
+/** SHA-256 of an encoded AIK public key: what a ticket records of the
+ *  client and gateway identities. */
+Bytes aikFingerprint(const Bytes &aik_public);
+/** @} */
+
 /** A platform identity that can answer attestation challenges. */
 class AttestedIdentity
 {
@@ -74,6 +95,9 @@ class AttestedIdentity
 
     /** Draw a fresh handshake nonce from this platform's seeded RNG. */
     Bytes freshNonce();
+
+    /** aikFingerprint of this platform's AIK. */
+    Bytes aikFingerprint();
 
     /** The well-known gateway identity PAL (what remote clients
      *  whitelist to trust a mintcb-gate instance). */

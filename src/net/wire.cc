@@ -28,6 +28,9 @@ frameTypeName(FrameType t)
       case FrameType::migrateChallenge: return "migrateChallenge";
       case FrameType::migrate: return "migrate";
       case FrameType::migrated: return "migrated";
+      case FrameType::ticket: return "ticket";
+      case FrameType::resume: return "resume";
+      case FrameType::resumed: return "resumed";
     }
     return "unknown";
 }
@@ -39,7 +42,7 @@ bool
 knownType(std::uint16_t t)
 {
     return t >= static_cast<std::uint16_t>(FrameType::hello) &&
-           t <= static_cast<std::uint16_t>(FrameType::migrated);
+           t <= static_cast<std::uint16_t>(FrameType::resumed);
 }
 
 } // namespace
@@ -378,6 +381,69 @@ decodeMigrated(const Bytes &payload)
     p.bundle = r.getLengthPrefixed();
     return r.finish(std::move(p), Errc::invalidArgument,
                     "trailing bytes after migrated");
+}
+
+void
+encodeInto(const TicketPayload &p, Bytes &out)
+{
+    ByteWriter w(out);
+    w.lengthPrefixed(p.id);
+    w.lengthPrefixed(p.secret);
+    w.u64(p.epoch);
+}
+
+Result<TicketPayload>
+decodeTicket(const Bytes &payload)
+{
+    ByteReader r(payload);
+    TicketPayload p;
+    p.id = r.getLengthPrefixed();
+    p.secret = r.getLengthPrefixed();
+    p.epoch = r.getU64();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after ticket");
+}
+
+void
+encodeInto(const ResumePayload &p, Bytes &out)
+{
+    ByteWriter w(out);
+    w.lengthPrefixed(p.id);
+    w.u64(p.epoch);
+    w.lengthPrefixed(p.nonce);
+    w.lengthPrefixed(p.proof);
+}
+
+Result<ResumePayload>
+decodeResume(const Bytes &payload)
+{
+    ByteReader r(payload);
+    ResumePayload p;
+    p.id = r.getLengthPrefixed();
+    p.epoch = r.getU64();
+    p.nonce = r.getLengthPrefixed();
+    p.proof = r.getLengthPrefixed();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after resume");
+}
+
+void
+encodeInto(const ResumedPayload &p, Bytes &out)
+{
+    ByteWriter w(out);
+    w.u64(p.sessionId);
+    w.lengthPrefixed(p.proof);
+}
+
+Result<ResumedPayload>
+decodeResumed(const Bytes &payload)
+{
+    ByteReader r(payload);
+    ResumedPayload p;
+    p.sessionId = r.getU64();
+    p.proof = r.getLengthPrefixed();
+    return r.finish(std::move(p), Errc::invalidArgument,
+                    "trailing bytes after resumed");
 }
 
 Result<ReportSummary>

@@ -52,7 +52,8 @@ inline constexpr std::size_t frameHeaderBytes = RecordHeader::bytes;
 inline constexpr std::size_t maxFramePayload = 1u << 20;
 
 /** Message kinds. The handshake is hello -> challenge -> auth ->
- *  authOk; everything after authOk is request traffic. */
+ *  [ticket ->] authOk, or resume -> resumed for a returning client;
+ *  everything after authOk or resumed is request traffic. */
 enum class FrameType : std::uint16_t
 {
     hello = 1,     //!< client -> gw: version + client nonce + name
@@ -73,6 +74,14 @@ enum class FrameType : std::uint16_t
     migrateChallenge = 12, //!< gw -> client: fresh challenge nonce
     migrate = 13,          //!< client -> gw: nonce + SRK + attestation
     migrated = 14,         //!< gw -> client: MigrationBundle bytes
+    /** @} */
+    /** @name Session resumption (DESIGN.md section 11.2).
+     * After a full mutual attestation the gateway sends a ticket just
+     * before authOk. A returning client sends resume instead of hello
+     * and is answered with resumed (or error) in one round trip. @{ */
+    ticket = 15,  //!< gw -> client: ticket id + secret + epoch
+    resume = 16,  //!< client -> gw: ticket id, epoch, nonce, proof
+    resumed = 17, //!< gw -> client: session admitted without a quote
     /** @} */
 };
 
@@ -236,6 +245,31 @@ struct MigratedPayload
 
 /** @} */
 
+/** @name Resumption payloads. @{ */
+
+struct TicketPayload
+{
+    Bytes id;     //!< ticketIdBytes from OS entropy
+    Bytes secret; //!< ticketSecretBytes from OS entropy
+    std::uint64_t epoch = 0;
+};
+
+struct ResumePayload
+{
+    Bytes id;
+    std::uint64_t epoch = 0; //!< the epoch the client holds
+    Bytes nonce;             //!< client freshness for the resumed proof
+    Bytes proof;             //!< resumeProof(secret, id, epoch, nonce)
+};
+
+struct ResumedPayload
+{
+    std::uint64_t sessionId = 0;
+    Bytes proof; //!< resumedProof(secret, epoch, nonce)
+};
+
+/** @} */
+
 /** @} */
 
 /** @name Payload codecs.
@@ -255,6 +289,9 @@ void encodeInto(const MigrateBeginPayload &p, Bytes &out);
 void encodeInto(const MigrateChallengePayload &p, Bytes &out);
 void encodeInto(const MigratePayload &p, Bytes &out);
 void encodeInto(const MigratedPayload &p, Bytes &out);
+void encodeInto(const TicketPayload &p, Bytes &out);
+void encodeInto(const ResumePayload &p, Bytes &out);
+void encodeInto(const ResumedPayload &p, Bytes &out);
 
 /** Any payload as a fresh vector. */
 template <class P>
@@ -279,6 +316,9 @@ Result<MigrateChallengePayload>
 decodeMigrateChallenge(const Bytes &payload);
 Result<MigratePayload> decodeMigrate(const Bytes &payload);
 Result<MigratedPayload> decodeMigrated(const Bytes &payload);
+Result<TicketPayload> decodeTicket(const Bytes &payload);
+Result<ResumePayload> decodeResume(const Bytes &payload);
+Result<ResumedPayload> decodeResumed(const Bytes &payload);
 /** @} */
 
 /**

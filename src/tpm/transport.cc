@@ -25,17 +25,17 @@
 namespace mintcb::tpm
 {
 
-namespace
-{
-
 Bytes
-trafficKey(const Bytes &master, std::uint64_t epoch)
+epochKey(const Bytes &master, std::uint64_t epoch)
 {
     ByteWriter w;
     w.str("ts-epoch");
     w.u64(epoch);
     return crypto::hmacSha256(master, w.bytes());
 }
+
+namespace
+{
 
 Bytes
 keystream(const Bytes &key, std::uint8_t direction, std::uint64_t counter,
@@ -158,7 +158,7 @@ TransportClient::openWithKey(const crypto::RsaPublicKey &srk, Rng &rng,
     auto envelope = crypto::rsaEncrypt(srk, rng, key);
     if (!envelope)
         return envelope.error();
-    return Opened{TransportClient(trafficKey(key, 0)), envelope.take()};
+    return Opened{TransportClient(epochKey(key, 0)), envelope.take()};
 }
 
 Result<TransportClient>
@@ -168,7 +168,7 @@ TransportClient::resume(const Bytes &key, std::uint64_t epoch)
         return Error(Errc::invalidArgument,
                      "transport session key must be 32 bytes");
     }
-    return TransportClient(trafficKey(key, epoch));
+    return TransportClient(epochKey(key, epoch));
 }
 
 WrappedMessage
@@ -246,7 +246,7 @@ TpmTransportServer::accept(const Bytes &envelope)
     // the same class as an unseal (Section 4.3.3).
     tpm_.charge(tpm_.profile().unseal, "tpm:session_accept");
     const Bytes master = key.take();
-    key_ = trafficKey(master, 0);
+    key_ = epochKey(master, 0);
     recvCounter_ = 0;
     sendCounter_ = 0;
     tpm_.registerTransportTicket(crypto::Sha256::digestBytes(master));
@@ -273,7 +273,7 @@ TpmTransportServer::acceptResumed(const Bytes &key)
     }
     // Symmetric-only resumption costs one cheap command's latency.
     tpm_.charge(tpm_.profile().pcrRead, "tpm:transport_exec");
-    key_ = trafficKey(key, *epoch);
+    key_ = epochKey(key, *epoch);
     recvCounter_ = 0;
     sendCounter_ = 0;
     ++stats_.sessionsResumed;

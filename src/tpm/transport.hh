@@ -41,6 +41,10 @@
 namespace mintcb::tpm
 {
 
+/** The per-epoch key HMAC-SHA256(@p master, "ts-epoch" || u64 epoch):
+ *  a session's traffic key, and the rekey MGW1 resume proofs use. */
+Bytes epochKey(const Bytes &master, std::uint64_t epoch);
+
 /** Commands tunneled through a transport session. */
 enum class TransportOp : std::uint8_t
 {

@@ -81,8 +81,7 @@ TicketModel::successors(const World &w) const
     if (w.clientConn < 0) {
         // A full mutual attestation admits the client; the gateway
         // issues a fresh ticket at epoch 0, which the client keeps.
-        for (int g = 0; g < config_.gateways && tickets < config_.maxTickets;
-             ++g) {
+        for (int g = 0; g < gateways && tickets < maxTickets; ++g) {
             Successor &s = add("handshake(" + std::to_string(g) + ")");
             s.world.tickets.push_back(Ticket{g, 0, false, 0, 0});
             s.world.clientConn = g;
@@ -119,7 +118,7 @@ TicketModel::successors(const World &w) const
     // every gateway refuses it, leaving the world as it was. Invariant
     // 1 holds because a session exists only after handshake or an
     // admitted resume.
-    for (int g = 0; g < config_.gateways; ++g)
+    for (int g = 0; g < gateways; ++g)
         add("submitUnauthed(" + std::to_string(g) + ")");
 
     for (int t = 0; t < tickets; ++t) {
@@ -129,9 +128,9 @@ TicketModel::successors(const World &w) const
             add("expire(t" + std::to_string(t) + ")")
                 .world.tickets[static_cast<std::size_t>(t)]
                 .expired = true;
-        for (int g = 0; g < config_.gateways; ++g) {
+        for (int g = 0; g < gateways; ++g) {
             // Replay any recorded resume frame to any gateway.
-            for (std::uint8_t e = 0; e < 8; ++e) {
+            for (std::uint8_t e = 0; e <= config_.maxEpoch; ++e) {
                 if ((k.recorded & bit(e)) == 0)
                     continue;
                 Successor &s = add("replay(" + frameName(t, e) + "->" +

@@ -51,16 +51,13 @@ enum class TicketMutation
 
 const char *ticketMutationName(TicketMutation m);
 
-/** Model bounds. Two tickets and two resumes per ticket are enough:
- *  every violation class shows up within one resume and one replay. */
+/** Model bounds. Two gateways, two tickets (one full handshake each)
+ *  and two resumes per ticket are enough: every violation class shows
+ *  up within one resume and one replay. */
 struct TicketModelConfig
 {
-    int gateways = 2;
-
-    /** Full handshakes (each issues one ticket) across the walk. */
-    int maxTickets = 2;
-
-    /** Resumes per ticket are bounded by this epoch ceiling. */
+    /** Resumes per ticket are bounded by this epoch ceiling (at most
+     *  7: the history variables hold one bit per epoch). */
     std::uint8_t maxEpoch = 2;
 
     TicketMutation mutation = TicketMutation::none;
@@ -136,6 +133,9 @@ class TicketModel
     std::string dump(const World &w) const;
 
   private:
+    static constexpr int gateways = 2;
+    static constexpr int maxTickets = 2;
+
     std::vector<Successor> successors(const World &w) const;
     /** The gateway's admission check for a resume of ticket @p t at
      *  @p epoch presented to gateway @p g. */

@@ -167,6 +167,18 @@ frameOracles()
     migrate.attestation = asciiBytes("att");
     MigratedPayload migrated;
     migrated.bundle = asciiBytes("bundle");
+    TicketPayload ticket;
+    ticket.id = asciiBytes("tid");
+    ticket.secret = asciiBytes("sec");
+    ticket.epoch = 2;
+    ResumePayload resume;
+    resume.id = asciiBytes("tid");
+    resume.epoch = 2;
+    resume.nonce = asciiBytes("rn");
+    resume.proof = asciiBytes("pf");
+    ResumedPayload resumed;
+    resumed.sessionId = 99;
+    resumed.proof = asciiBytes("gp");
 
     return {
         {"decodeHello", encode(hello), {}, decoder(decodeHello),
@@ -195,6 +207,16 @@ frameOracles()
          "513174fe143ec9be97fb7942811738d8851d1cf73db476266673f69b8912775a"},
         {"decodeMigrated", encode(migrated), {}, decoder(decodeMigrated),
          "16236955dc697d88f1c3081934538c4d465ab95cdcf5d86af973f2769c9bd23d"},
+        // The resumption payloads also get a 0xFFFFFFFF length at
+        // every length prefix.
+        {"decodeTicket", encode(ticket), {{0, 3}, {7, 3}},
+         decoder(decodeTicket),
+         "0be09fe66a3330900d987b539a629246dde5d4b53e0cd8980f774418c77ccff4"},
+        {"decodeResume", encode(resume), {{0, 3}, {15, 2}, {21, 2}},
+         decoder(decodeResume),
+         "272d25a37d4a55d0b2de2f118f6a2f7080d1012c65a50e02fe6fed74ad8bbbfa"},
+        {"decodeResumed", encode(resumed), {{8, 2}}, decoder(decodeResumed),
+         "273960623e3245e14165be051a8d518e2fec7812b4c461cb6fb013a996493c43"},
     };
 }
 

@@ -38,7 +38,9 @@ TEST(ExactCounts, SessionChurnRsaOperationsPerOp)
     sea::ExecutionService service(machine);
     PalRegistry registry;
     registry.addEcho("echo");
-    Gateway gateway(machine, service, registry, GatewayConfig{});
+    GatewayConfig cold;
+    cold.ticketLifetimeMillis = 0; // every connect attests in full
+    Gateway gateway(machine, service, registry, cold);
     gateway.trustClientPal(AttestedIdentity::clientPal());
     ASSERT_TRUE(gateway.start().ok());
 
@@ -74,6 +76,62 @@ TEST(ExactCounts, SessionChurnRsaOperationsPerOp)
 
     EXPECT_EQ(after.privateOps - before.privateOps, 3 * ops);
     EXPECT_EQ(after.publicOps - before.publicOps, 4 * ops);
+}
+
+/**
+ * The same op for a returning client: the first connect attests in
+ * full and earns a ticket, and every later connect resumes with it, so
+ * neither side quotes or verifies. The echo's sePCR quote is the only
+ * RSA operation left.
+ */
+TEST(ExactCounts, ResumedChurnRsaOperationsPerOp)
+{
+    constexpr std::uint64_t ops = 4;
+
+    Machine machine = Machine::forPlatform(PlatformId::recTestbed);
+    sea::ExecutionService service(machine);
+    PalRegistry registry;
+    registry.addEcho("echo");
+    Gateway gateway(machine, service, registry, GatewayConfig{});
+    gateway.trustClientPal(AttestedIdentity::clientPal());
+    ASSERT_TRUE(gateway.start().ok());
+
+    ClientConfig config;
+    config.backoff = [](std::uint32_t) {};
+    GatewayClient client(config);
+    std::uint64_t sequence = 0;
+    const auto churnOp = [&] {
+        ASSERT_TRUE(client.connect(gateway.port()).ok());
+        WireRequest request;
+        request.sequence = ++sequence;
+        request.palName = "echo";
+        request.input = asciiBytes("resumed:" + std::to_string(sequence));
+        request.wantQuote = true;
+        auto reply = client.call(request);
+        ASSERT_TRUE(reply.ok());
+        auto summary = summarizeReport(reply->report);
+        ASSERT_TRUE(summary.ok());
+        EXPECT_TRUE(summary->quoted);
+        EXPECT_EQ(summary->output, request.input);
+        client.bye();
+    };
+
+    churnOp(); // the full handshake that issues the ticket
+    ASSERT_TRUE(client.ticket().has_value());
+    const crypto::RsaOpCounts before = crypto::rsaOpCounts();
+    for (std::uint64_t i = 0; i < ops; ++i)
+        churnOp();
+    const crypto::RsaOpCounts after = crypto::rsaOpCounts();
+    gateway.stop();
+
+    EXPECT_EQ(after.privateOps - before.privateOps, 1 * ops);
+    EXPECT_EQ(after.publicOps - before.publicOps, 0u);
+    const GatewayStats &stats = gateway.stats();
+    EXPECT_EQ(stats.handshakesCompleted, 1u);
+    EXPECT_EQ(stats.ticketsIssued, 1u);
+    EXPECT_EQ(stats.ticketsResumed, ops);
+    EXPECT_EQ(stats.ticketsRefused, 0u);
+    EXPECT_EQ(client.ticket()->epoch, ops);
 }
 
 } // namespace

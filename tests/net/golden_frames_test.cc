@@ -95,6 +95,18 @@ goldenFrames()
     migrate.attestation = asciiBytes("att");
     MigratedPayload migrated;
     migrated.bundle = asciiBytes("bundle");
+    TicketPayload ticket;
+    ticket.id = asciiBytes("tid");
+    ticket.secret = asciiBytes("sec");
+    ticket.epoch = 2;
+    ResumePayload resume;
+    resume.id = asciiBytes("tid");
+    resume.epoch = 2;
+    resume.nonce = asciiBytes("rn");
+    resume.proof = asciiBytes("pf");
+    ResumedPayload resumed;
+    resumed.sessionId = 99;
+    resumed.proof = asciiBytes("gp");
 
     return {
         {FrameType::hello, encode(hello),
@@ -144,6 +156,17 @@ goldenFrames()
         {FrameType::migrated, encode(migrated),
          [=](Bytes &o) { encodeInto(migrated, o); },
          "4d4757310001000e0000000a0000000662756e646c65"},
+        {FrameType::ticket, encode(ticket),
+         [=](Bytes &o) { encodeInto(ticket, o); },
+         "4d4757310001000f0000001600000003746964000000037365630000"
+         "000000000002"},
+        {FrameType::resume, encode(resume),
+         [=](Bytes &o) { encodeInto(resume, o); },
+         "4d475731000100100000001b00000003746964000000000000000200"
+         "000002726e000000027066"},
+        {FrameType::resumed, encode(resumed),
+         [=](Bytes &o) { encodeInto(resumed, o); },
+         "4d475731000100110000000e0000000000000063000000026770"},
     };
 }
 
@@ -153,11 +176,11 @@ TEST(GoldenFrames, EveryFrameTypeIsPinned)
     for (const GoldenFrame &g : goldenFrames())
         pinned.insert(g.type);
     for (auto t = static_cast<std::uint16_t>(FrameType::hello);
-         t <= static_cast<std::uint16_t>(FrameType::migrated); ++t) {
+         t <= static_cast<std::uint16_t>(FrameType::resumed); ++t) {
         EXPECT_TRUE(pinned.count(static_cast<FrameType>(t)))
             << frameTypeName(static_cast<FrameType>(t));
     }
-    EXPECT_EQ(pinned.size(), 14u);
+    EXPECT_EQ(pinned.size(), 17u);
 }
 
 TEST(GoldenFrames, EncodeFrameEmitsThePinnedBytes)

@@ -87,6 +87,10 @@ TEST(CountersPin, PrometheusExpositionOfEveryBridgedStruct)
     gateway.maxPendingDepth = 421;
     gateway.migrationsServed = 422;
     gateway.migrationsRefused = 423;
+    gateway.ticketsIssued = 424;
+    gateway.ticketsResumed = 425;
+    gateway.ticketsRefused = 426;
+    gateway.ticketsEvicted = 427;
 
     store::StoreStats store;
     store.walRecordsAppended = 501;
@@ -113,8 +117,8 @@ TEST(CountersPin, PrometheusExpositionOfEveryBridgedStruct)
     obs::bridgeCounters(registry, store, {{"store", "pin"}});
 
     const std::string text = registry.renderPrometheus();
-    EXPECT_EQ(sha256Hex(text), "2a76646b2c63b2d24efa2bf07a90733f"
-                               "20f86fd80d22a8ecdb74ca611972c834")
+    EXPECT_EQ(sha256Hex(text), "99b2deca52d7163d78bbb616e52bd37f"
+                               "cdb121cc98caefc2f13e4a8b162d3389")
         << text;
 }
 
