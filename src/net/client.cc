@@ -204,7 +204,7 @@ GatewayClient::resume(std::uint16_t port)
             resumed->proof,
             resumedProof(ticket.secret, ticket.epoch, resume.nonce))) {
         return abandon(Error(Errc::integrityFailure,
-                          "gateway's resumed proof does not verify"));
+                             "gateway's resumed proof does not verify"));
     }
     ++ticket.epoch;
     sessionId_ = resumed->sessionId;
