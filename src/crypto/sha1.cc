@@ -4,6 +4,7 @@
  */
 
 #include "crypto/sha1.hh"
+#include "crypto/sha256.hh"
 
 #include <algorithm>
 #include <cstring>
@@ -37,6 +38,7 @@ Sha1::reset()
 void
 Sha1::processBlock(const std::uint8_t *block)
 {
+    ++detail::hashBlocks.sha1;
     std::uint32_t w[80];
     for (int t = 0; t < 16; ++t) {
         w[t] = static_cast<std::uint32_t>(block[t * 4]) << 24 |

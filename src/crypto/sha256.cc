@@ -54,6 +54,7 @@ Sha256::reset()
 void
 Sha256::processBlock(const std::uint8_t *block)
 {
+    ++detail::hashBlocks.sha256;
     std::uint32_t w[64];
     for (int t = 0; t < 16; ++t) {
         w[t] = static_cast<std::uint32_t>(block[t * 4]) << 24 |

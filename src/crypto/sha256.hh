@@ -63,6 +63,32 @@ class Sha256
 /** Convert a digest array to a Bytes vector. */
 Bytes toBytes(const Sha256Digest &d);
 
+/**
+ * Compression-function calls (processBlock) made on the calling
+ * thread since it started, per hash. They are exact and
+ * host-independent, so a test gates a path's hash work with EXPECT_EQ
+ * on its own thread. The counters are thread-local: the per-block
+ * path runs on every reactor and worker thread and shares no cache
+ * line.
+ */
+struct HashBlockCounts
+{
+    std::uint64_t sha1 = 0;
+    std::uint64_t sha256 = 0;
+};
+
+namespace detail
+{
+inline thread_local HashBlockCounts hashBlocks;
+} // namespace detail
+
+/** This thread's counts so far. */
+inline HashBlockCounts
+hashBlockCounts()
+{
+    return detail::hashBlocks;
+}
+
 } // namespace mintcb::crypto
 
 #endif // MINTCB_CRYPTO_SHA256_HH

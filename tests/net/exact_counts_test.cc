@@ -1,17 +1,24 @@
 /**
  * @file
- * Exact, host-independent operation counts on the gateway's request
- * path. A count is the same on every host and every run, so it is
- * gated with EXPECT_EQ: a change that adds or removes an RSA
- * operation per request fails here, whatever the host's speed.
+ * Exact, host-independent operation counts on the request path: RSA
+ * operations per gateway op, and hash compressions per sealed blob,
+ * store write and transport exchange. A count is the same on every
+ * host and every run, so it is gated with EXPECT_EQ: a change that
+ * adds or removes an RSA operation or a hash block fails here,
+ * whatever the host's speed.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/hex.hh"
+#include "crypto/keycache.hh"
 #include "crypto/rsa.hh"
+#include "crypto/sha256.hh"
 #include "net/client.hh"
 #include "net/gateway.hh"
+#include "store/storetest.hh"
+#include "tpm/blob.hh"
+#include "tpm/transport.hh"
 
 namespace mintcb::net
 {
@@ -132,6 +139,90 @@ TEST(ExactCounts, ResumedChurnRsaOperationsPerOp)
     EXPECT_EQ(stats.ticketsResumed, ops);
     EXPECT_EQ(stats.ticketsRefused, 0u);
     EXPECT_EQ(client.ticket()->epoch, ops);
+}
+
+/** Hash compressions made on this thread by @p work. */
+template <typename Work>
+crypto::HashBlockCounts
+hashBlocksOf(Work &&work)
+{
+    const crypto::HashBlockCounts before = crypto::hashBlockCounts();
+    work();
+    const crypto::HashBlockCounts after = crypto::hashBlockCounts();
+    return {after.sha1 - before.sha1, after.sha256 - before.sha256};
+}
+
+/**
+ * One 4 KiB sealBlob: the payload's keystream is 128 blocks of 32
+ * bytes, each HMAC-SHA256(inner key, "stream" || i) from scratch at 4
+ * compressions (ipad, opad, message, outer digest). The trailer MAC
+ * over the 4197-byte MAC input adds 2 pad blocks, 66 message blocks
+ * and 1 outer block.
+ */
+TEST(ExactCounts, SealBlobHashBlocks)
+{
+    const crypto::RsaPrivateKey &srk =
+        crypto::cachedKey("exact-counts-srk", 512);
+    const tpm::SealPolicy policy{{17, Bytes(20, 0x17)}};
+    Rng rng(5);
+    const Bytes payload(4096, 0x5a);
+    const auto counts = hashBlocksOf(
+        [&] { (void)tpm::sealBlob(srk.pub, rng, payload, policy); });
+    EXPECT_EQ(counts.sha256, 4 * 128 + 69u);
+    EXPECT_EQ(counts.sha1, 0u);
+}
+
+/**
+ * One steady-state storeSealedState of a 1 KiB blob (a put and a
+ * commit), after a first write that settles the store. The mutation
+ * plaintext (op, key "pal-state", value) is 1042 bytes, a 33-block
+ * keystream at 4 compressions a block. Its MAC streams 1065 bytes (2
+ * pads, 17 message blocks, 1 outer) and the commit MAC 30 bytes (2
+ * pads, 1 message block, 1 outer). Counter and NV persistence hash
+ * nothing.
+ */
+TEST(ExactCounts, StoreSealedStateHashBlocks)
+{
+    storetest::TempDir tmp;
+    auto store = store::SealedStore::open(storetest::configFor(tmp));
+    ASSERT_TRUE(store.ok());
+    const Bytes blob(1024, 0xb1);
+    ASSERT_TRUE((*store)->storeSealedState("warm", blob).ok());
+    const auto counts = hashBlocksOf([&] {
+        ASSERT_TRUE((*store)->storeSealedState("pal-state", blob).ok());
+    });
+    EXPECT_EQ(counts.sha256, 4 * 33 + 20 + 4u);
+    EXPECT_EQ(counts.sha1, 0u);
+}
+
+/**
+ * One transport exchange: a getRandom of 256 bytes. The command
+ * stream is 9 bytes (1 block) and the response stream 261 bytes (9
+ * blocks); each is generated twice, once to encrypt and once to
+ * decrypt, at 4 compressions a block. Each side MACs each message
+ * once: 4 compressions for the command (23-byte header plus 9 bytes)
+ * and 8 for the response (2 pads, 5 message blocks, 1 outer).
+ */
+TEST(ExactCounts, TransportExchangeHashBlocks)
+{
+    tpm::Tpm chip(tpm::TpmVendor::ideal, 3);
+    tpm::TpmTransportServer server(chip);
+    Rng rng(3);
+    auto opened = tpm::TransportClient::open(chip.srkPublic(), rng);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE(server.accept(opened->envelope).ok());
+    tpm::TransportClient &client = opened->client;
+    const auto counts = hashBlocksOf([&] {
+        const tpm::WrappedMessage command =
+            client.wrapCommand(tpm::TransportOp::getRandom, 256, {});
+        auto response = server.execute(command);
+        ASSERT_TRUE(response.ok());
+        auto plain = client.unwrapResponse(*response);
+        ASSERT_TRUE(plain.ok());
+        EXPECT_EQ(plain->size(), 5 + 256u);
+    });
+    EXPECT_EQ(counts.sha256, 2 * (4 * 1 + 4 * 9) + 2 * (4 + 8u));
+    EXPECT_EQ(counts.sha1, 0u);
 }
 
 } // namespace
