@@ -330,8 +330,12 @@ TpmTransportServer::execute(const WrappedMessage &message)
     const auto op = static_cast<TransportOp>(r.getU8());
     const std::uint32_t pcr = r.getU32();
     const Bytes payload = r.getLengthPrefixed();
-    if (!r.ok())
-        return r.error();
+    if (auto s = r.finish(Errc::integrityFailure,
+                          "trailing transport bytes");
+        !s.ok()) {
+        ++stats_.rejected;
+        return s.error();
+    }
 
     ByteWriter response;
     if (op == TransportOp::batch) {
@@ -363,6 +367,7 @@ TpmTransportServer::execute(const WrappedMessage &message)
         if (auto s = inner.finish(Errc::integrityFailure,
                                   "trailing batch bytes");
             !s.ok()) {
+            ++stats_.rejected;
             return s.error();
         }
     } else {

@@ -8,6 +8,7 @@
 
 #include "common/bytebuf.hh"
 #include "common/hex.hh"
+#include "crypto/hmac.hh"
 #include "tpm/transport.hh"
 
 namespace mintcb::tpm
@@ -223,6 +224,77 @@ TEST_F(TransportTest, TruncatedBatchRunsOnlyItsCompleteSubCommands)
     // TPM (a zero PCR index would have extended PCR 0).
     EXPECT_EQ(server_.stats().batchedCommands, batched + 2);
     EXPECT_EQ(*tpm_.pcrRead(0), pcr0);
+}
+
+/**
+ * Reference wrap, written from the construction documented in
+ * tpm/transport.cc rather than through the client: ciphertext =
+ * plaintext XOR HMAC-SHA256(k, "ts-enc" || dir || counter || i) per
+ * 32-byte block i, MAC = HMAC-SHA256(k, "ts-mac" || dir || counter ||
+ * u32 length || ciphertext). It can frame a plaintext no client would.
+ */
+WrappedMessage
+referenceWrap(const Bytes &key, std::uint8_t direction,
+              std::uint64_t counter, const Bytes &plaintext)
+{
+    WrappedMessage m;
+    m.ciphertext = plaintext;
+    for (std::size_t i = 0; i < plaintext.size(); i += 32) {
+        ByteWriter block;
+        block.str("ts-enc");
+        block.u8(direction);
+        block.u64(counter);
+        block.u64(i / 32);
+        const Bytes stream = crypto::hmacSha256(key, block.bytes());
+        for (std::size_t j = i; j < plaintext.size() && j < i + 32; ++j)
+            m.ciphertext[j] ^= stream[j - i];
+    }
+    ByteWriter mac;
+    mac.str("ts-mac");
+    mac.u8(direction);
+    mac.u64(counter);
+    mac.u32(static_cast<std::uint32_t>(m.ciphertext.size()));
+    mac.raw(m.ciphertext);
+    m.mac = crypto::hmacSha256(key, mac.bytes());
+    return m;
+}
+
+TEST(TransportFraming, SingleCommandWithTrailingByteIsRefused)
+{
+    Tpm tpm(TpmVendor::ideal);
+    TpmTransportServer server(tpm);
+    Rng rng(41);
+    const Bytes master = rng.bytes(32);
+    auto opened = TransportClient::openWithKey(tpm.srkPublic(), rng,
+                                               master);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE(server.accept(opened->envelope).ok());
+    const Bytes key = epochKey(master, 0);
+    constexpr std::uint8_t toTpm = 0x01;
+
+    ByteWriter plain;
+    plain.u8(static_cast<std::uint8_t>(TransportOp::pcrExtend));
+    plain.u32(5);
+    plain.lengthPrefixed(Bytes(20, 0x5a));
+    // The reference agrees with the client on the well-formed command.
+    const WrappedMessage honest = opened->client.wrapCommand(
+        TransportOp::pcrExtend, 5, Bytes(20, 0x5a));
+    const WrappedMessage reference =
+        referenceWrap(key, toTpm, 0, plain.bytes());
+    EXPECT_EQ(reference.ciphertext, honest.ciphertext);
+    EXPECT_EQ(reference.mac, honest.mac);
+
+    // The same extend with one extra byte, correctly MAC'd.
+    plain.u8(0xee);
+    const Bytes before = *tpm.pcrRead(5);
+    auto response =
+        server.execute(referenceWrap(key, toTpm, 0, plain.bytes()));
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.error().code, Errc::integrityFailure);
+    EXPECT_EQ(response.error().message, "trailing transport bytes");
+    EXPECT_EQ(*tpm.pcrRead(5), before);
+    EXPECT_EQ(server.stats().rejected, 1u);
+    EXPECT_EQ(server.stats().commands, 0u);
 }
 
 } // namespace
