@@ -5,6 +5,8 @@
 
 #include "crypto/hmac.hh"
 
+#include <algorithm>
+
 namespace mintcb::crypto
 {
 
@@ -22,6 +24,28 @@ hmacSha256(const Bytes &key, const Bytes &message)
     HmacSha256 ctx(key);
     ctx.update(message);
     return ctx.finish();
+}
+
+Bytes
+hmacSha256Xor(const Bytes &key, const Bytes &prefix, Bytes data)
+{
+    if (data.empty())
+        return data;
+    HmacSha256 keyed(key);
+    keyed.update(prefix);
+    std::uint8_t counter[8], block[Sha256::digestSize];
+    for (std::size_t off = 0; off < data.size(); off += sizeof(block)) {
+        for (int b = 0; b < 8; ++b)
+            counter[b] = static_cast<std::uint8_t>(
+                (off / sizeof(block)) >> (56 - 8 * b));
+        HmacSha256 ctx = keyed;
+        ctx.update(counter, sizeof(counter));
+        ctx.finishInto(block);
+        const std::size_t end = std::min(data.size(), off + sizeof(block));
+        for (std::size_t j = off; j < end; ++j)
+            data[j] ^= block[j - off];
+    }
+    return data;
 }
 
 bool

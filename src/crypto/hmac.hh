@@ -5,6 +5,7 @@
  * Used by the simulated TPM for sealed-blob integrity and by the SEA
  * attestation path for transport-session binding (paper Section 3.3 notes
  * the TPM's secure transport sessions keep the south bridge out of the TCB).
+ * hmacSha256Xor is the one counter-mode stream cipher in the tree.
  */
 
 #ifndef MINTCB_CRYPTO_HMAC_HH
@@ -29,24 +30,16 @@ template <typename Hash>
 class HmacCtx
 {
   public:
-    explicit HmacCtx(const Bytes &key) { init(key); }
-
-    /** Rekey and restart (equivalent to constructing afresh). */
-    void
-    init(const Bytes &key)
+    explicit HmacCtx(const Bytes &key)
     {
         std::uint8_t block_key[Hash::blockSize] = {0};
         if (key.size() > Hash::blockSize) {
-            Hash h;
-            h.update(key);
-            const auto digest = h.finish();
+            const auto digest = Hash::digest(key);
             std::memcpy(block_key, digest.data(), digest.size());
         } else if (!key.empty()) {
             std::memcpy(block_key, key.data(), key.size());
         }
         std::uint8_t pad[Hash::blockSize];
-        inner_.reset();
-        outer_.reset();
         for (std::size_t i = 0; i < Hash::blockSize; ++i)
             pad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
         inner_.update(pad, Hash::blockSize);
@@ -63,14 +56,24 @@ class HmacCtx
 
     void update(const Bytes &data) { update(data.data(), data.size()); }
 
-    /** Finish and return the MAC; init() again to reuse the context. */
-    Bytes
-    finish()
+    /** Finish into @p out (Hash::digestSize bytes). A context finishes
+     *  once; copy a keyed one to MAC several messages under one key. */
+    void
+    finishInto(std::uint8_t *out)
     {
         const auto inner_digest = inner_.finish();
         outer_.update(inner_digest.data(), inner_digest.size());
         const auto mac = outer_.finish();
-        return Bytes(mac.begin(), mac.end());
+        std::memcpy(out, mac.data(), mac.size());
+    }
+
+    /** Finish and return the MAC. */
+    Bytes
+    finish()
+    {
+        Bytes mac(Hash::digestSize);
+        finishInto(mac.data());
+        return mac;
     }
 
   private:
@@ -86,6 +89,15 @@ Bytes hmacSha1(const Bytes &key, const Bytes &message);
 
 /** HMAC-SHA256 of @p message under @p key. */
 Bytes hmacSha256(const Bytes &key, const Bytes &message);
+
+/**
+ * @p data XORed with the counter-mode stream whose block i is
+ * HMAC-SHA256(key, prefix || be64(i)), in place. Sealed blobs, MWL1
+ * mutations and transport messages each encrypt with it under their
+ * own prefix. The keyed context is built once and copied per block,
+ * so a 32-byte block costs 2 compressions and no allocation.
+ */
+Bytes hmacSha256Xor(const Bytes &key, const Bytes &prefix, Bytes data);
 
 /** Constant-time byte comparison (avoids modeling a timing oracle). */
 bool constantTimeEqual(const Bytes &a, const Bytes &b);

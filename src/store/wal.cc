@@ -33,34 +33,29 @@ crcTable()
     return table;
 }
 
-/** Keystream block i = HMAC-SHA256(log_key, "mwl-ks" || seq || i),
- *  mirroring the sealed-blob xorStream construction. */
+/** Record @p seq's stream prefix (crypto::hmacSha256Xor). */
 Bytes
-recordStream(const Bytes &log_key, std::uint64_t seq, const Bytes &input)
+streamPrefix(std::uint64_t seq)
 {
-    Bytes out(input.size());
-    Bytes block;
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        if (i % 32 == 0) {
-            ByteWriter w;
-            w.str("mwl-ks");
-            w.u64(seq);
-            w.u64(i / 32);
-            block = crypto::hmacSha256(log_key, w.bytes());
-        }
-        out[i] = input[i] ^ block[i % 32];
-    }
-    return out;
+    ByteWriter w;
+    w.str("mwl-ks");
+    w.u64(seq);
+    return w.take();
 }
 
+/** HMAC over "mwl-rec" || seq || lp(ct); the ciphertext streams
+ *  straight into the MAC after its header, as transport MACs do. */
 Bytes
 mutationMac(const Bytes &log_key, std::uint64_t seq, const Bytes &ct)
 {
     ByteWriter w;
     w.str("mwl-rec");
     w.u64(seq);
-    w.lengthPrefixed(ct);
-    return crypto::hmacSha256(log_key, w.bytes());
+    w.u32(static_cast<std::uint32_t>(ct.size()));
+    crypto::HmacSha256 mac(log_key);
+    mac.update(w.bytes());
+    mac.update(ct);
+    return mac.finish();
 }
 
 Bytes
@@ -183,7 +178,8 @@ encodeMutation(const Bytes &log_key, const Mutation &m)
     plain.u8(m.isRemove ? 2 : 1);
     plain.str(m.key);
     plain.lengthPrefixed(m.value);
-    const Bytes ct = recordStream(log_key, m.seq, plain.bytes());
+    const Bytes ct =
+        crypto::hmacSha256Xor(log_key, streamPrefix(m.seq), plain.take());
 
     ByteWriter w;
     w.u64(m.seq);
@@ -211,7 +207,8 @@ decodeMutation(const Bytes &log_key, const Bytes &payload,
         return Error(Errc::integrityFailure,
                      "mutation record MAC mismatch");
     }
-    const Bytes plain = recordStream(log_key, m.seq, ct);
+    const Bytes plain =
+        crypto::hmacSha256Xor(log_key, streamPrefix(m.seq), ct);
     ByteReader pr(plain);
     const std::uint8_t op = pr.getU8();
     if (pr.ok() && op != (is_remove ? 2 : 1)) {

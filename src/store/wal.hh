@@ -106,8 +106,9 @@ WalScan scanWal(const Bytes &image);
 /** @name Authenticated mutation payloads.
  * put/remove payload layout: u64 seq | u32 ctLen | ct | 32-byte MAC.
  * The plaintext (u8 op | str key | lengthPrefixed value) is encrypted
- * with an HMAC-SHA256 keystream under the generation log key and
- * MAC'd as HMAC(logKey, "mwl-rec" || seq || ct); commit payloads are
+ * with crypto::hmacSha256Xor under the generation log key, prefix
+ * str("mwl-ks") || u64 seq, and MAC'd as
+ * HMAC(logKey, "mwl-rec" || seq || lp(ct)); commit payloads are
  * u64 epoch | u64 upToSeq | 32-byte MAC with
  * HMAC(logKey, "mwl-commit" || epoch || upToSeq). @{ */
 

@@ -16,22 +16,13 @@ namespace
 
 constexpr std::uint32_t blobMagic = 0x5345414c; // "SEAL"
 
-/** Keystream block i = HMAC-SHA256(inner_key, "stream" || i). */
+/** The payload stream's prefix (crypto::hmacSha256Xor). */
 Bytes
-xorStream(const Bytes &inner_key, const Bytes &input)
+streamPrefix()
 {
-    Bytes out(input.size());
-    Bytes block;
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        if (i % 32 == 0) {
-            ByteWriter w;
-            w.str("stream");
-            w.u64(i / 32);
-            block = crypto::hmacSha256(inner_key, w.bytes());
-        }
-        out[i] = input[i] ^ block[i % 32];
-    }
-    return out;
+    ByteWriter w;
+    w.str("stream");
+    return w.take();
 }
 
 /** The MAC covers every field except the MAC itself. */
@@ -99,7 +90,8 @@ sealBlob(const crypto::RsaPublicKey &srk, Rng &rng, const Bytes &payload,
     auto encrypted = crypto::rsaEncrypt(srk, rng, inner_key);
     // The inner key always fits a >= 512-bit SRK modulus.
     blob.encryptedInnerKey = encrypted.take();
-    blob.ciphertext = xorStream(inner_key, payload);
+    blob.ciphertext = crypto::hmacSha256Xor(inner_key, streamPrefix(),
+                                            payload);
     blob.mac = crypto::hmacSha256(inner_key, macInput(blob));
     return blob;
 }
@@ -118,7 +110,8 @@ unsealBlob(const crypto::RsaPrivateKey &srk, const SealedBlob &blob)
         return Error(Errc::integrityFailure,
                      "bad MAC: sealed blob MAC mismatch");
     }
-    return xorStream(*inner_key, blob.ciphertext);
+    return crypto::hmacSha256Xor(*inner_key, streamPrefix(),
+                                 blob.ciphertext);
 }
 
 const char *

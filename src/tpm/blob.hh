@@ -8,7 +8,8 @@
  *
  *   - a fresh 32-byte inner key is RSA-encrypted under the Storage Root
  *     Key (public operation => seal is cheap, matching the paper);
- *   - the payload is stream-encrypted with an HMAC-SHA256 keystream;
+ *   - the payload is XORed with crypto::hmacSha256Xor's counter-mode
+ *     stream under the inner key, prefix str("stream");
  *   - the PCR policy travels in the clear but is bound by an HMAC trailer;
  *   - unseal performs the SRK *private* operation (the paper's dominant
  *     unseal cost) and releases the payload only if the policy PCRs match.

@@ -8,9 +8,10 @@
  * response carries one u8 status + length-prefixed payload per inner
  * command. Both endpoints use a per-epoch traffic key k =
  * HMAC-SHA256(master, "ts-epoch" || epoch); the initial accept is epoch
- * 0 and every resumption advances the ticket's epoch. Encryption: XOR
- * keystream HMAC-SHA256(k, "ts-enc" || direction || counter || block).
- * MAC: HMAC-SHA256(k, "ts-mac" || direction || counter || ciphertext);
+ * 0 and every resumption advances the ticket's epoch. Encryption:
+ * crypto::hmacSha256Xor under k, prefix "ts-enc" || direction ||
+ * counter, so stream block i is HMAC-SHA256(k, prefix || i).
+ * MAC: HMAC-SHA256(k, "ts-mac" || direction || counter || lp(ciphertext));
  * the counter gives replay protection within an epoch and the epoch key
  * keeps recordings from an earlier session life from verifying after a
  * resumption resets the counters.
@@ -37,24 +38,16 @@ epochKey(const Bytes &master, std::uint64_t epoch)
 namespace
 {
 
+/** The stream prefix of message @p counter in @p direction
+ *  (crypto::hmacSha256Xor). */
 Bytes
-keystream(const Bytes &key, std::uint8_t direction, std::uint64_t counter,
-          std::size_t length)
+streamPrefix(std::uint8_t direction, std::uint64_t counter)
 {
-    Bytes out(length);
-    Bytes block;
-    for (std::size_t i = 0; i < length; ++i) {
-        if (i % 32 == 0) {
-            ByteWriter w;
-            w.str("ts-enc");
-            w.u8(direction);
-            w.u64(counter);
-            w.u64(i / 32);
-            block = crypto::hmacSha256(key, w.bytes());
-        }
-        out[i] = block[i % 32];
-    }
-    return out;
+    ByteWriter w;
+    w.str("ts-enc");
+    w.u8(direction);
+    w.u64(counter);
+    return w.take();
 }
 
 Bytes
@@ -77,14 +70,11 @@ computeMac(const Bytes &key, std::uint8_t direction,
 
 WrappedMessage
 wrap(const Bytes &key, std::uint8_t direction, std::uint64_t counter,
-     const Bytes &plaintext)
+     Bytes plaintext)
 {
     WrappedMessage m;
-    const Bytes stream = keystream(key, direction, counter,
-                                   plaintext.size());
-    m.ciphertext.resize(plaintext.size());
-    for (std::size_t i = 0; i < plaintext.size(); ++i)
-        m.ciphertext[i] = plaintext[i] ^ stream[i];
+    m.ciphertext = crypto::hmacSha256Xor(
+        key, streamPrefix(direction, counter), std::move(plaintext));
     m.mac = computeMac(key, direction, counter, m.ciphertext);
     return m;
 }
@@ -99,12 +89,8 @@ unwrap(const Bytes &key, std::uint8_t direction, std::uint64_t counter,
         return Error(Errc::integrityFailure,
                      "transport MAC mismatch (tamper or replay)");
     }
-    const Bytes stream = keystream(key, direction, counter,
-                                   m.ciphertext.size());
-    Bytes plaintext(m.ciphertext.size());
-    for (std::size_t i = 0; i < plaintext.size(); ++i)
-        plaintext[i] = m.ciphertext[i] ^ stream[i];
-    return plaintext;
+    return crypto::hmacSha256Xor(key, streamPrefix(direction, counter),
+                                 m.ciphertext);
 }
 
 void
@@ -177,7 +163,7 @@ TransportClient::wrapCommand(TransportOp op, std::uint32_t pcr,
 {
     ByteWriter w;
     writeCommand(w, op, pcr, payload);
-    return wrap(key_, toTpm, sendCounter_++, w.bytes());
+    return wrap(key_, toTpm, sendCounter_++, w.take());
 }
 
 WrappedMessage
@@ -190,7 +176,7 @@ TransportClient::wrapBatch(const std::vector<TransportCommand> &commands)
 
     ByteWriter w;
     writeCommand(w, TransportOp::batch, 0, inner.bytes());
-    return wrap(key_, toTpm, sendCounter_++, w.bytes());
+    return wrap(key_, toTpm, sendCounter_++, w.take());
 }
 
 Result<Bytes>
@@ -381,7 +367,7 @@ TpmTransportServer::execute(const WrappedMessage &message)
         if (op != TransportOp::pcrExtend)
             response.lengthPrefixed(*result);
     }
-    return wrap(key_, fromTpm, sendCounter_++, response.bytes());
+    return wrap(key_, fromTpm, sendCounter_++, response.take());
 }
 
 } // namespace mintcb::tpm

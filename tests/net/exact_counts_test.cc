@@ -154,8 +154,8 @@ hashBlocksOf(Work &&work)
 
 /**
  * One 4 KiB sealBlob: the payload's keystream is 128 blocks of 32
- * bytes, each HMAC-SHA256(inner key, "stream" || i) from scratch at 4
- * compressions (ipad, opad, message, outer digest). The trailer MAC
+ * bytes. crypto::hmacSha256Xor absorbs the two key pads once and then
+ * pays 2 compressions a block (inner and outer finish). The trailer MAC
  * over the 4197-byte MAC input adds 2 pad blocks, 66 message blocks
  * and 1 outer block.
  */
@@ -168,7 +168,7 @@ TEST(ExactCounts, SealBlobHashBlocks)
     const Bytes payload(4096, 0x5a);
     const auto counts = hashBlocksOf(
         [&] { (void)tpm::sealBlob(srk.pub, rng, payload, policy); });
-    EXPECT_EQ(counts.sha256, 4 * 128 + 69u);
+    EXPECT_EQ(counts.sha256, 2 * 128 + 2 + 69u);
     EXPECT_EQ(counts.sha1, 0u);
 }
 
@@ -176,10 +176,10 @@ TEST(ExactCounts, SealBlobHashBlocks)
  * One steady-state storeSealedState of a 1 KiB blob (a put and a
  * commit), after a first write that settles the store. The mutation
  * plaintext (op, key "pal-state", value) is 1042 bytes, a 33-block
- * keystream at 4 compressions a block. Its MAC streams 1065 bytes (2
- * pads, 17 message blocks, 1 outer) and the commit MAC 30 bytes (2
- * pads, 1 message block, 1 outer). Counter and NV persistence hash
- * nothing.
+ * keystream at 2 compressions a block plus 2 for the key pads. Its MAC
+ * streams 1065 bytes (2 pads, 17 message blocks, 1 outer) and the
+ * commit MAC 30 bytes (2 pads, 1 message block, 1 outer). Counter and
+ * NV persistence hash nothing.
  */
 TEST(ExactCounts, StoreSealedStateHashBlocks)
 {
@@ -191,7 +191,7 @@ TEST(ExactCounts, StoreSealedStateHashBlocks)
     const auto counts = hashBlocksOf([&] {
         ASSERT_TRUE((*store)->storeSealedState("pal-state", blob).ok());
     });
-    EXPECT_EQ(counts.sha256, 4 * 33 + 20 + 4u);
+    EXPECT_EQ(counts.sha256, 2 * 33 + 2 + 20 + 4u);
     EXPECT_EQ(counts.sha1, 0u);
 }
 
@@ -199,9 +199,10 @@ TEST(ExactCounts, StoreSealedStateHashBlocks)
  * One transport exchange: a getRandom of 256 bytes. The command
  * stream is 9 bytes (1 block) and the response stream 261 bytes (9
  * blocks); each is generated twice, once to encrypt and once to
- * decrypt, at 4 compressions a block. Each side MACs each message
- * once: 4 compressions for the command (23-byte header plus 9 bytes)
- * and 8 for the response (2 pads, 5 message blocks, 1 outer).
+ * decrypt, at 2 compressions a block plus 2 for the key pads. Each
+ * side MACs each message once: 4 compressions for the command (23-byte
+ * header plus 9 bytes) and 8 for the response (2 pads, 5 message
+ * blocks, 1 outer).
  */
 TEST(ExactCounts, TransportExchangeHashBlocks)
 {
@@ -221,7 +222,8 @@ TEST(ExactCounts, TransportExchangeHashBlocks)
         ASSERT_TRUE(plain.ok());
         EXPECT_EQ(plain->size(), 5 + 256u);
     });
-    EXPECT_EQ(counts.sha256, 2 * (4 * 1 + 4 * 9) + 2 * (4 + 8u));
+    EXPECT_EQ(counts.sha256,
+              2 * ((2 * 1 + 2) + (2 * 9 + 2)) + 2 * (4 + 8u));
     EXPECT_EQ(counts.sha1, 0u);
 }
 
