@@ -4,10 +4,6 @@
  */
 
 #include "crypto/sha1.hh"
-#include "crypto/sha256.hh"
-
-#include <algorithm>
-#include <cstring>
 
 namespace mintcb::crypto
 {
@@ -24,21 +20,9 @@ rotl32(std::uint32_t x, int k)
 } // namespace
 
 void
-Sha1::reset()
+Sha1::compress(std::uint32_t *state, const std::uint8_t *block)
 {
-    h_[0] = 0x67452301u;
-    h_[1] = 0xefcdab89u;
-    h_[2] = 0x98badcfeu;
-    h_[3] = 0x10325476u;
-    h_[4] = 0xc3d2e1f0u;
-    bufferLen_ = 0;
-    totalBits_ = 0;
-}
-
-void
-Sha1::processBlock(const std::uint8_t *block)
-{
-    ++detail::hashBlocks.sha1;
+    ++threadHashBlocks.sha1;
     std::uint32_t w[80];
     for (int t = 0; t < 16; ++t) {
         w[t] = static_cast<std::uint32_t>(block[t * 4]) << 24 |
@@ -49,7 +33,8 @@ Sha1::processBlock(const std::uint8_t *block)
     for (int t = 16; t < 80; ++t)
         w[t] = rotl32(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
 
-    std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                  e = state[4];
 
     for (int t = 0; t < 80; ++t) {
         std::uint32_t f, k;
@@ -74,73 +59,11 @@ Sha1::processBlock(const std::uint8_t *block)
         a = temp;
     }
 
-    h_[0] += a;
-    h_[1] += b;
-    h_[2] += c;
-    h_[3] += d;
-    h_[4] += e;
-}
-
-void
-Sha1::update(const std::uint8_t *data, std::size_t len)
-{
-    totalBits_ += static_cast<std::uint64_t>(len) * 8;
-    while (len > 0) {
-        const std::size_t take =
-            std::min(len, sizeof(buffer_) - bufferLen_);
-        std::memcpy(buffer_ + bufferLen_, data, take);
-        bufferLen_ += take;
-        data += take;
-        len -= take;
-        if (bufferLen_ == sizeof(buffer_)) {
-            processBlock(buffer_);
-            bufferLen_ = 0;
-        }
-    }
-}
-
-Sha1Digest
-Sha1::finish()
-{
-    const std::uint64_t bit_count = totalBits_;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0x00;
-    while (bufferLen_ != 56)
-        update(&zero, 1);
-    std::uint8_t length_be[8];
-    for (int i = 0; i < 8; ++i)
-        length_be[i] = static_cast<std::uint8_t>(bit_count >> (56 - 8 * i));
-    update(length_be, 8);
-
-    Sha1Digest out;
-    for (int i = 0; i < 5; ++i) {
-        out[i * 4] = static_cast<std::uint8_t>(h_[i] >> 24);
-        out[i * 4 + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-        out[i * 4 + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-        out[i * 4 + 3] = static_cast<std::uint8_t>(h_[i]);
-    }
-    return out;
-}
-
-Sha1Digest
-Sha1::digest(const Bytes &data)
-{
-    Sha1 ctx;
-    ctx.update(data);
-    return ctx.finish();
-}
-
-Bytes
-Sha1::digestBytes(const Bytes &data)
-{
-    return toBytes(digest(data));
-}
-
-Bytes
-toBytes(const Sha1Digest &d)
-{
-    return Bytes(d.begin(), d.end());
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
 }
 
 } // namespace mintcb::crypto

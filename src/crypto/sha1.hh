@@ -14,7 +14,7 @@
 #include <array>
 #include <cstdint>
 
-#include "common/types.hh"
+#include "crypto/mdhash.hh"
 
 namespace mintcb::crypto
 {
@@ -26,46 +26,15 @@ inline constexpr std::size_t sha1DigestSize = 20;
 using Sha1Digest = std::array<std::uint8_t, sha1DigestSize>;
 
 /** Incremental SHA-1 context. */
-class Sha1
+class Sha1 : public MdHash<Sha1, 5>
 {
   public:
-    Sha1() { reset(); }
+    static constexpr std::uint32_t initialState[5] = {
+        0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u, 0xc3d2e1f0u};
 
-    /** Restart the hash computation. */
-    void reset();
-
-    /** Absorb @p len bytes at @p data. */
-    void update(const std::uint8_t *data, std::size_t len);
-
-    /** Absorb a byte vector. */
-    void update(const Bytes &data) { update(data.data(), data.size()); }
-
-    /** Finish and return the digest; the context must be reset to reuse. */
-    Sha1Digest finish();
-
-    /** One-shot digest of a byte vector. */
-    static Sha1Digest digest(const Bytes &data);
-
-    /** One-shot digest returned as a 20-entry byte vector. */
-    static Bytes digestBytes(const Bytes &data);
-
-    /** Digest size as a Bytes-compatible constant. */
-    static constexpr std::size_t digestSize = sha1DigestSize;
-
-    /** Internal block size in bytes (for HMAC). */
-    static constexpr std::size_t blockSize = 64;
-
-  private:
-    void processBlock(const std::uint8_t *block);
-
-    std::uint32_t h_[5];
-    std::uint8_t buffer_[64];
-    std::size_t bufferLen_;
-    std::uint64_t totalBits_;
+    /** One compression of @p block into @p state. */
+    static void compress(std::uint32_t *state, const std::uint8_t *block);
 };
-
-/** Convert a digest array to a Bytes vector. */
-Bytes toBytes(const Sha1Digest &d);
 
 } // namespace mintcb::crypto
 

@@ -5,9 +5,6 @@
 
 #include "crypto/sha256.hh"
 
-#include <algorithm>
-#include <cstring>
-
 namespace mintcb::crypto
 {
 
@@ -37,24 +34,9 @@ constexpr std::uint32_t kRound[64] = {
 } // namespace
 
 void
-Sha256::reset()
+Sha256::compress(std::uint32_t *state, const std::uint8_t *block)
 {
-    h_[0] = 0x6a09e667u;
-    h_[1] = 0xbb67ae85u;
-    h_[2] = 0x3c6ef372u;
-    h_[3] = 0xa54ff53au;
-    h_[4] = 0x510e527fu;
-    h_[5] = 0x9b05688cu;
-    h_[6] = 0x1f83d9abu;
-    h_[7] = 0x5be0cd19u;
-    bufferLen_ = 0;
-    totalBits_ = 0;
-}
-
-void
-Sha256::processBlock(const std::uint8_t *block)
-{
-    ++detail::hashBlocks.sha256;
+    ++threadHashBlocks.sha256;
     std::uint32_t w[64];
     for (int t = 0; t < 16; ++t) {
         w[t] = static_cast<std::uint32_t>(block[t * 4]) << 24 |
@@ -70,8 +52,8 @@ Sha256::processBlock(const std::uint8_t *block)
         w[t] = w[t - 16] + s0 + w[t - 7] + s1;
     }
 
-    std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-    std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
     for (int t = 0; t < 64; ++t) {
         const std::uint32_t s1 =
@@ -92,76 +74,14 @@ Sha256::processBlock(const std::uint8_t *block)
         a = temp1 + temp2;
     }
 
-    h_[0] += a;
-    h_[1] += b;
-    h_[2] += c;
-    h_[3] += d;
-    h_[4] += e;
-    h_[5] += f;
-    h_[6] += g;
-    h_[7] += h;
-}
-
-void
-Sha256::update(const std::uint8_t *data, std::size_t len)
-{
-    totalBits_ += static_cast<std::uint64_t>(len) * 8;
-    while (len > 0) {
-        const std::size_t take =
-            std::min(len, sizeof(buffer_) - bufferLen_);
-        std::memcpy(buffer_ + bufferLen_, data, take);
-        bufferLen_ += take;
-        data += take;
-        len -= take;
-        if (bufferLen_ == sizeof(buffer_)) {
-            processBlock(buffer_);
-            bufferLen_ = 0;
-        }
-    }
-}
-
-Sha256Digest
-Sha256::finish()
-{
-    const std::uint64_t bit_count = totalBits_;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0x00;
-    while (bufferLen_ != 56)
-        update(&zero, 1);
-    std::uint8_t length_be[8];
-    for (int i = 0; i < 8; ++i)
-        length_be[i] = static_cast<std::uint8_t>(bit_count >> (56 - 8 * i));
-    update(length_be, 8);
-
-    Sha256Digest out;
-    for (int i = 0; i < 8; ++i) {
-        out[i * 4] = static_cast<std::uint8_t>(h_[i] >> 24);
-        out[i * 4 + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-        out[i * 4 + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-        out[i * 4 + 3] = static_cast<std::uint8_t>(h_[i]);
-    }
-    return out;
-}
-
-Sha256Digest
-Sha256::digest(const Bytes &data)
-{
-    Sha256 ctx;
-    ctx.update(data);
-    return ctx.finish();
-}
-
-Bytes
-Sha256::digestBytes(const Bytes &data)
-{
-    return toBytes(digest(data));
-}
-
-Bytes
-toBytes(const Sha256Digest &d)
-{
-    return Bytes(d.begin(), d.end());
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
 }
 
 } // namespace mintcb::crypto

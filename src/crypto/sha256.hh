@@ -13,7 +13,7 @@
 #include <array>
 #include <cstdint>
 
-#include "common/types.hh"
+#include "crypto/mdhash.hh"
 
 namespace mintcb::crypto
 {
@@ -25,69 +25,16 @@ inline constexpr std::size_t sha256DigestSize = 32;
 using Sha256Digest = std::array<std::uint8_t, sha256DigestSize>;
 
 /** Incremental SHA-256 context. */
-class Sha256
+class Sha256 : public MdHash<Sha256, 8>
 {
   public:
-    Sha256() { reset(); }
+    static constexpr std::uint32_t initialState[8] = {
+        0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+        0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
 
-    /** Restart the hash computation. */
-    void reset();
-
-    /** Absorb @p len bytes at @p data. */
-    void update(const std::uint8_t *data, std::size_t len);
-
-    /** Absorb a byte vector. */
-    void update(const Bytes &data) { update(data.data(), data.size()); }
-
-    /** Finish and return the digest. */
-    Sha256Digest finish();
-
-    /** One-shot digest of a byte vector. */
-    static Sha256Digest digest(const Bytes &data);
-
-    /** One-shot digest returned as a 32-entry byte vector. */
-    static Bytes digestBytes(const Bytes &data);
-
-    static constexpr std::size_t digestSize = sha256DigestSize;
-    static constexpr std::size_t blockSize = 64;
-
-  private:
-    void processBlock(const std::uint8_t *block);
-
-    std::uint32_t h_[8];
-    std::uint8_t buffer_[64];
-    std::size_t bufferLen_;
-    std::uint64_t totalBits_;
+    /** One compression of @p block into @p state. */
+    static void compress(std::uint32_t *state, const std::uint8_t *block);
 };
-
-/** Convert a digest array to a Bytes vector. */
-Bytes toBytes(const Sha256Digest &d);
-
-/**
- * Compression-function calls (processBlock) made on the calling
- * thread since it started, per hash. They are exact and
- * host-independent, so a test gates a path's hash work with EXPECT_EQ
- * on its own thread. The counters are thread-local: the per-block
- * path runs on every reactor and worker thread and shares no cache
- * line.
- */
-struct HashBlockCounts
-{
-    std::uint64_t sha1 = 0;
-    std::uint64_t sha256 = 0;
-};
-
-namespace detail
-{
-inline thread_local HashBlockCounts hashBlocks;
-} // namespace detail
-
-/** This thread's counts so far. */
-inline HashBlockCounts
-hashBlockCounts()
-{
-    return detail::hashBlocks;
-}
 
 } // namespace mintcb::crypto
 

@@ -57,9 +57,6 @@ struct SealedBlob
     Bytes ciphertext;        //!< stream-encrypted payload
     Bytes mac;               //!< HMAC-SHA256 over all of the above
 
-    /** Total wire size, which drives the size-dependent seal latency. */
-    std::size_t wireSize() const { return encode().size(); }
-
     Bytes encode() const;
     static Result<SealedBlob> decode(const Bytes &wire);
 };

@@ -270,7 +270,6 @@ Result<Bytes>
 TpmTransportServer::executeOne(TransportOp op, std::uint32_t pcr,
                                const Bytes &payload)
 {
-    ByteWriter response;
     switch (op) {
       case TransportOp::pcrRead: {
           auto value = tpm_.pcrRead(pcr);
