@@ -33,7 +33,8 @@ hmacSha256Xor(const Bytes &key, const Bytes &prefix, Bytes data)
         return data;
     HmacSha256 keyed(key);
     keyed.update(prefix);
-    std::uint8_t counter[8], block[Sha256::digestSize];
+    std::uint8_t counter[8] = {};
+    std::uint8_t block[Sha256::digestSize] = {};
     for (std::size_t off = 0; off < data.size(); off += sizeof(block)) {
         for (int b = 0; b < 8; ++b)
             counter[b] = static_cast<std::uint8_t>(

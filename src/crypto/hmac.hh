@@ -92,8 +92,8 @@ Bytes hmacSha256(const Bytes &key, const Bytes &message);
 
 /**
  * @p data XORed with the counter-mode stream whose block i is
- * HMAC-SHA256(key, prefix || be64(i)), in place. Sealed blobs, MWL1
- * mutations and transport messages each encrypt with it under their
+ * HMAC-SHA256(key, prefix || be64(i)); encrypts and decrypts. Sealed
+ * blobs, MWL1 mutations and transport messages each use it under their
  * own prefix. The keyed context is built once and copied per block,
  * so a 32-byte block costs 2 compressions and no allocation.
  */
