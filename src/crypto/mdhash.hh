@@ -123,7 +123,11 @@ class MdHash
     }
 
     /** One-shot digest returned as a byte vector. */
-    static Bytes digestBytes(const Bytes &data) { return toBytes(digest(data)); }
+    static Bytes
+    digestBytes(const Bytes &data)
+    {
+        return toBytes(digest(data));
+    }
 
   private:
     std::uint32_t h_[Words];
