@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hh"
 #include "crypto/bignum.hh"
 #include "crypto/prime.hh"
@@ -235,6 +238,21 @@ TEST_P(BigNumProperty, DivModReconstructs)
     EXPECT_LT(dm.remainder, b);
 }
 
+/** base^exp mod m by division-based square-and-multiply: an oracle
+ *  that shares no code with the Montgomery path. */
+BigNum
+naiveModExp(const BigNum &base, const BigNum &exp, const BigNum &m)
+{
+    BigNum result(1);
+    BigNum b = base % m;
+    for (std::size_t i = 0; i < exp.bitLength(); ++i) {
+        if (exp.bit(i))
+            result = (result * b) % m;
+        b = (b * b) % m;
+    }
+    return result % m;
+}
+
 TEST_P(BigNumProperty, MontgomeryAgreesWithNaiveModExp)
 {
     // Compare Montgomery modexp against an independent square-and-multiply
@@ -244,15 +262,40 @@ TEST_P(BigNumProperty, MontgomeryAgreesWithNaiveModExp)
         m = m.addU64(1);
     const BigNum base = randomBits(rng_, 100);
     const BigNum exp = randomBits(rng_, 24);
+    EXPECT_EQ(base.modExp(exp, m), naiveModExp(base, exp, m));
 
-    BigNum naive(1);
-    BigNum b = base % m;
-    for (std::size_t i = 0; i < exp.bitLength(); ++i) {
-        if (exp.bit(i))
-            naive = (naive * b) % m;
-        b = (b * b) % m;
+    // Wide moduli: the CRT-half and RSA-2048 widths (16 and 32 limbs),
+    // a 17-limb width, and for each limb-aligned width a modulus whose
+    // top limb is all ones, so the final conditional subtraction runs.
+    // Exponents of 160 bits take the windowed path, 17 bits the ladder.
+    for (const std::size_t bits : {1024u, 2048u, 1025u}) {
+        std::vector<BigNum> moduli{randomBits(rng_, bits)};
+        if (bits % 64 == 0) {
+            const BigNum low = randomBits(rng_, bits - 64);
+            const BigNum top = BigNum(~std::uint64_t{0}).shiftLeft(bits - 64);
+            moduli.push_back(top + low);
+        }
+        for (BigNum n : moduli) {
+            if (!n.isOdd())
+                n = n.addU64(1);
+            ASSERT_EQ(n.bitLength(), bits);
+            const BigNum bases[] = {
+                BigNum(),          BigNum(1),
+                n.subU64(1),       n,
+                n.addU64(12345),   randomBelow(rng_, n),
+                randomBits(rng_, 2 * bits),
+            };
+            for (const std::size_t expBits : {160u, 17u}) {
+                const BigNum e = randomBits(rng_, expBits);
+                for (const BigNum &a : bases) {
+                    EXPECT_EQ(a.modExp(e, n), naiveModExp(a, e, n))
+                        << bits << "-bit modulus " << n.toHexString()
+                        << ", " << expBits << "-bit exponent, base "
+                        << a.toHexString();
+                }
+            }
+        }
     }
-    EXPECT_EQ(base.modExp(exp, m), naive);
 }
 
 TEST_P(BigNumProperty, EncodingRoundTrips)
