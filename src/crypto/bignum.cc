@@ -10,6 +10,7 @@
 #include <cassert>
 
 #include "common/hex.hh"
+#include "crypto/montgomery.hh"
 
 namespace mintcb::crypto
 {
@@ -349,6 +350,7 @@ montMul(const std::vector<u64> &a, const std::vector<u64> &b,
         const std::vector<u64> &n, u64 n0inv, std::vector<u64> &out,
         std::vector<u64> &scratch)
 {
+    ++threadMontCounts.mul;
     const std::size_t k = n.size();
     std::vector<u64> &t = scratch;
     std::fill(t.begin(), t.end(), 0); // k + 2 limbs

@@ -1,17 +1,19 @@
 /**
  * @file
  * Exact, host-independent operation counts on the request path: RSA
- * operations per gateway op, and hash compressions per sealed blob,
- * store write and transport exchange. A count is the same on every
- * host and every run, so it is gated with EXPECT_EQ: a change that
- * adds or removes an RSA operation or a hash block fails here,
- * whatever the host's speed.
+ * operations per gateway op, Montgomery products per RSA signature,
+ * and hash compressions per sealed blob, store write and transport
+ * exchange. A count is the same on every host and every run, so it is
+ * gated with EXPECT_EQ: a change that adds or removes an RSA
+ * operation, a Montgomery product or a hash block fails here, whatever
+ * the host's speed.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/hex.hh"
 #include "crypto/keycache.hh"
+#include "crypto/montgomery.hh"
 #include "crypto/rsa.hh"
 #include "crypto/sha256.hh"
 #include "net/client.hh"
@@ -139,6 +141,31 @@ TEST(ExactCounts, ResumedChurnRsaOperationsPerOp)
     EXPECT_EQ(stats.ticketsResumed, ops);
     EXPECT_EQ(stats.ticketsRefused, 0u);
     EXPECT_EQ(client.ticket()->epoch, ops);
+}
+
+/**
+ * One 2048-bit CRT rsaSignSha1, the quote's private operation: two
+ * 1024-bit modExps (dP has 1023 bits, dQ 1024), each a 4-bit fixed
+ * window over 256 windows. Per half: 1 product into the Montgomery
+ * domain, 14 to fill the table, 4 squarings for each of the 255
+ * windows below the top one, and 1 product out of the domain. On top
+ * of that comes 1 multiply per nonzero window below the top: 481 of
+ * the 510 for this key. The total changes only if the window or the
+ * exponentiation does.
+ */
+TEST(ExactCounts, RsaSignMontgomeryProducts)
+{
+    const crypto::RsaPrivateKey &key =
+        crypto::cachedKey("privacy-ca", crypto::tpmKeyBits);
+    ASSERT_TRUE(key.hasCrt());
+    ASSERT_EQ(key.dP.bitLength(), 1023u);
+    ASSERT_EQ(key.dQ.bitLength(), 1024u);
+    const crypto::MontCounts before = crypto::montCounts();
+    (void)crypto::rsaSignSha1(key, asciiBytes("exact-counts montgomery"));
+    const crypto::MontCounts after = crypto::montCounts();
+    const std::uint64_t products =
+        (after.mul - before.mul) + (after.sqr - before.sqr);
+    EXPECT_EQ(products, 2 * (1 + 14 + 4 * 255 + 1) + 481u);
 }
 
 /** Hash compressions made on this thread by @p work. */
