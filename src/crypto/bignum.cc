@@ -1,13 +1,14 @@
 /**
  * @file
  * Bignum implementation: schoolbook multiply, Knuth Algorithm D division,
- * Montgomery modular exponentiation.
+ * Montgomery modular exponentiation (kernels in crypto/montgomery.hh).
  */
 
 #include "crypto/bignum.hh"
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "common/hex.hh"
 #include "crypto/montgomery.hh"
@@ -328,88 +329,72 @@ BigNum::divmod(const BigNum &divisor) const
     return {fromLimbs(std::move(q)), remainder};
 }
 
-namespace
+template <std::size_t K>
+BigNum
+BigNum::montExp(const BigNum &base, const BigNum &exp, const BigNum &m)
 {
+    using Kernel = MontKernel<K>;
+    constexpr std::size_t cap = Kernel::capacity;
+    const std::size_t k = m.limbs_.size();
+    const Kernel mont(m.limbs_.data(), k);
 
-/** -n^{-1} mod 2^64 for odd n (Newton/Hensel lifting). */
-u64
-montgomeryN0Inv(u64 n0)
-{
-    u64 inv = n0; // 3-bit correct seed for odd n0
-    for (int i = 0; i < 6; ++i)
-        inv *= 2 - n0 * inv; // doubles correct bits each step
-    return ~inv + 1; // -inv mod 2^64
-}
+    // R mod n and R^2 mod n via shifting.
+    const BigNum r_mod_n = BigNum(1).shiftLeft(64 * k) % m;
+    const BigNum r2_mod_n = (r_mod_n * r_mod_n) % m;
 
-/**
- * CIOS Montgomery multiplication: returns a*b*R^{-1} mod n, where all
- * operands are k-limb little-endian arrays and R = 2^(64k).
- */
-void
-montMul(const std::vector<u64> &a, const std::vector<u64> &b,
-        const std::vector<u64> &n, u64 n0inv, std::vector<u64> &out,
-        std::vector<u64> &scratch)
-{
-    ++threadMontCounts.mul;
-    const std::size_t k = n.size();
-    std::vector<u64> &t = scratch;
-    std::fill(t.begin(), t.end(), 0); // k + 2 limbs
+    const auto load = [k](u64 *out, const BigNum &v) {
+        std::copy(v.limbs_.begin(), v.limbs_.end(), out);
+        std::fill(out + v.limbs_.size(), out + k, 0);
+    };
 
-    for (std::size_t i = 0; i < k; ++i) {
-        // t += a[i] * b
-        u64 carry = 0;
-        const u64 ai = a[i];
-        for (std::size_t j = 0; j < k; ++j) {
-            const u128 cur = static_cast<u128>(ai) * b[j] + t[j] + carry;
-            t[j] = static_cast<u64>(cur);
-            carry = static_cast<u64>(cur >> 64);
-        }
-        u128 sum = static_cast<u128>(t[k]) + carry;
-        t[k] = static_cast<u64>(sum);
-        t[k + 1] = static_cast<u64>(sum >> 64);
+    // table[v] = base^v in the Montgomery domain; the ladder uses only
+    // table[1].
+    constexpr std::size_t windowBits = 4;
+    u64 table[std::size_t{1} << windowBits][cap];
+    u64 acc[cap];
+    u64 raw[cap];
+    load(raw, base);
+    load(acc, r2_mod_n);
+    mont.mul(table[1], raw, acc); // to Montgomery
 
-        // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
-        const u64 m = t[0] * n0inv;
-        carry = 0;
-        {
-            const u128 cur = static_cast<u128>(m) * n[0] + t[0];
-            carry = static_cast<u64>(cur >> 64);
-        }
-        for (std::size_t j = 1; j < k; ++j) {
-            const u128 cur = static_cast<u128>(m) * n[j] + t[j] + carry;
-            t[j - 1] = static_cast<u64>(cur);
-            carry = static_cast<u64>(cur >> 64);
-        }
-        sum = static_cast<u128>(t[k]) + carry;
-        t[k - 1] = static_cast<u64>(sum);
-        t[k] = t[k + 1] + static_cast<u64>(sum >> 64);
-        t[k + 1] = 0;
-    }
-
-    // Conditional final subtraction: t may be in [0, 2n).
-    bool ge = t[k] != 0;
-    if (!ge) {
-        ge = true;
-        for (std::size_t i = k; i-- > 0;) {
-            if (t[i] != n[i]) {
-                ge = t[i] > n[i];
-                break;
+    // Fixed 4-bit windows pay for their 14-entry table only when the
+    // exponent is long (RSA private exponents, Miller-Rabin witnesses);
+    // short exponents (65537 verify path) keep the plain ladder.
+    const std::size_t expBits = exp.bitLength();
+    if (expBits >= 2 * 64) {
+        load(table[0], r_mod_n);
+        for (std::size_t i = 2; i < std::size(table); ++i)
+            mont.mul(table[i], table[i - 1], table[1]);
+        const std::size_t nwin =
+            (expBits + windowBits - 1) / windowBits;
+        for (std::size_t w = nwin; w-- > 0;) {
+            std::size_t v = 0;
+            for (std::size_t b = windowBits; b-- > 0;)
+                v = (v << 1) | (exp.bit(w * windowBits + b) ? 1u : 0u);
+            if (w == nwin - 1) {
+                // top window: skip the 1^16 squarings
+                std::copy_n(table[v], k, acc);
+                continue;
             }
+            for (std::size_t s = 0; s < windowBits; ++s)
+                mont.sqr(acc, acc);
+            if (v)
+                mont.mul(acc, acc, table[v]);
+        }
+    } else {
+        load(acc, r_mod_n);
+        for (std::size_t i = expBits; i-- > 0;) {
+            mont.sqr(acc, acc);
+            if (exp.bit(i))
+                mont.mul(acc, acc, table[1]);
         }
     }
-    if (ge) {
-        u64 borrow = 0;
-        for (std::size_t i = 0; i < k; ++i) {
-            const u128 sub = static_cast<u128>(t[i]) - n[i] - borrow;
-            t[i] = static_cast<u64>(sub);
-            borrow = (sub >> 64) ? 1 : 0;
-        }
-    }
-    std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k),
-              out.begin());
-}
 
-} // namespace
+    // Convert out of the Montgomery domain: multiply by 1.
+    load(raw, BigNum(1));
+    mont.mul(acc, acc, raw);
+    return fromLimbs(std::vector<u64>(acc, acc + k));
+}
 
 BigNum
 BigNum::modExp(const BigNum &exp, const BigNum &m) const
@@ -423,85 +408,26 @@ BigNum::modExp(const BigNum &exp, const BigNum &m) const
     if (base.isZero())
         return BigNum();
 
-    if (!m.isOdd()) {
-        // Rare in RSA; fall back to square-and-multiply with division.
-        BigNum result(1);
-        BigNum b = base;
-        for (std::size_t i = 0; i < exp.bitLength(); ++i) {
-            if (exp.bit(i))
-                result = (result * b) % m;
-            b = (b * b) % m;
-        }
-        return result;
-    }
-
-    // Montgomery ladder (left-to-right square-and-multiply in the
-    // Montgomery domain).
     const std::size_t k = m.limbs_.size();
-    std::vector<u64> n(m.limbs_);
-    const u64 n0inv = montgomeryN0Inv(n[0]);
-
-    // R mod n and R^2 mod n via shifting.
-    const BigNum r_mod_n = BigNum(1).shiftLeft(64 * k) % m;
-    const BigNum r2_mod_n = (r_mod_n * r_mod_n) % m;
-
-    auto widen = [k](const BigNum &v) {
-        std::vector<u64> out(v.limbs_);
-        out.resize(k, 0);
-        return out;
-    };
-
-    std::vector<u64> scratch(k + 2, 0);
-    std::vector<u64> base_mont(k, 0);
-    std::vector<u64> acc(k, 0);
-    const std::vector<u64> base_raw = widen(base);
-    const std::vector<u64> r2 = widen(r2_mod_n);
-    const std::vector<u64> one_mont = widen(r_mod_n);
-
-    montMul(base_raw, r2, n, n0inv, base_mont, scratch); // to Montgomery
-
-    // Fixed 4-bit windows pay for their 14-entry table only when the
-    // exponent is long (RSA private exponents, Miller-Rabin witnesses);
-    // short exponents (65537 verify path) keep the plain ladder.
-    constexpr std::size_t windowBits = 4;
-    const std::size_t expBits = exp.bitLength();
-    if (expBits >= 2 * 64) {
-        std::vector<std::vector<u64>> table(std::size_t{1} << windowBits);
-        table[0] = one_mont;
-        table[1] = base_mont;
-        for (std::size_t i = 2; i < table.size(); ++i) {
-            table[i].assign(k, 0);
-            montMul(table[i - 1], base_mont, n, n0inv, table[i], scratch);
-        }
-        const std::size_t nwin =
-            (expBits + windowBits - 1) / windowBits;
-        for (std::size_t w = nwin; w-- > 0;) {
-            std::size_t v = 0;
-            for (std::size_t b = windowBits; b-- > 0;)
-                v = (v << 1) | (exp.bit(w * windowBits + b) ? 1u : 0u);
-            if (w == nwin - 1) {
-                acc = table[v]; // top window: skip the 1^16 squarings
-                continue;
-            }
-            for (std::size_t s = 0; s < windowBits; ++s)
-                montMul(acc, acc, n, n0inv, acc, scratch);
-            if (v)
-                montMul(acc, table[v], n, n0inv, acc, scratch);
-        }
-    } else {
-        acc = one_mont;
-        for (std::size_t i = expBits; i-- > 0;) {
-            montMul(acc, acc, n, n0inv, acc, scratch);
-            if (exp.bit(i))
-                montMul(acc, base_mont, n, n0inv, acc, scratch);
-        }
+    if (m.isOdd()) {
+        if (k == 16)
+            return montExp<16>(base, exp, m);
+        if (k == 32)
+            return montExp<32>(base, exp, m);
+        if (k <= montMaxLimbs)
+            return montExp<0>(base, exp, m);
     }
 
-    // Convert out of the Montgomery domain: multiply by 1.
-    std::vector<u64> one(k, 0);
-    one[0] = 1;
-    montMul(acc, one, n, n0inv, acc, scratch);
-    return fromLimbs(std::move(acc));
+    // Even (rare in RSA) or wider than the Montgomery kernel takes:
+    // square-and-multiply with division.
+    BigNum result(1);
+    BigNum b = base;
+    for (std::size_t i = 0; i < exp.bitLength(); ++i) {
+        if (exp.bit(i))
+            result = (result * b) % m;
+        b = (b * b) % m;
+    }
+    return result;
 }
 
 BigNum

@@ -98,8 +98,9 @@ class BigNum
     /** @} */
 
     /** Modular exponentiation: this^exp mod m (m nonzero). Uses Montgomery
-     *  multiplication when m is odd (fixed 4-bit windows for long
-     *  exponents), division-based reduction otherwise. */
+     *  multiplication and squaring when m is odd and at most
+     *  montMaxLimbs wide (fixed 4-bit windows for long exponents),
+     *  division-based reduction otherwise. */
     BigNum modExp(const BigNum &exp, const BigNum &m) const;
 
     /** Greatest common divisor. */
@@ -114,6 +115,10 @@ class BigNum
   private:
     void trim();
     static BigNum fromLimbs(std::vector<std::uint64_t> limbs);
+    /** base^exp mod m for odd m, base < m, through MontKernel<K>. */
+    template <std::size_t K>
+    static BigNum montExp(const BigNum &base, const BigNum &exp,
+                          const BigNum &m);
 
     std::vector<std::uint64_t> limbs_; // little-endian, no trailing zeros
 };

@@ -1,12 +1,19 @@
 /**
  * @file
- * Montgomery arithmetic for BigNum::modExp: per-thread counts of the
- * Montgomery products it makes.
+ * Montgomery arithmetic for BigNum::modExp: one kernel body over a
+ * limb-count parameter, with a CIOS multiply and a dedicated squaring.
+ *
+ * modExp instantiates it at 16 limbs (the CRT halves of an RSA-2048
+ * key), at 32 limbs (the 2048-bit public operation) and once at run-time
+ * width for every other odd modulus up to montMaxLimbs. Operands and
+ * scratch live on the stack; nothing here allocates.
  */
 
 #ifndef MINTCB_CRYPTO_MONTGOMERY_HH
 #define MINTCB_CRYPTO_MONTGOMERY_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 namespace mintcb::crypto
@@ -25,6 +32,173 @@ inline thread_local MontCounts threadMontCounts;
 
 /** This thread's counts so far. */
 inline MontCounts montCounts() { return threadMontCounts; }
+
+/** Widest modulus the run-time-width kernel takes, in limbs (8192
+ *  bits). modExp reduces a wider odd modulus by division instead. */
+inline constexpr std::size_t montMaxLimbs = 128;
+
+/** -n^{-1} mod 2^64 for odd @p n0 (Newton/Hensel lifting). */
+constexpr std::uint64_t
+montN0Inv(std::uint64_t n0)
+{
+    std::uint64_t inv = n0; // 3-bit correct seed for odd n0
+    for (int i = 0; i < 6; ++i)
+        inv *= 2 - n0 * inv; // doubles correct bits each step
+    return ~inv + 1; // -inv mod 2^64
+}
+
+/**
+ * Montgomery arithmetic modulo an odd k-limb @p n, R = 2^(64k). K > 0
+ * fixes k at compile time, so every loop has a constant trip count;
+ * K == 0 takes k at run time (k <= montMaxLimbs). Operands are k-limb
+ * little-endian arrays below n, and @p out may alias an input.
+ */
+template <std::size_t K>
+class MontKernel
+{
+    using u64 = std::uint64_t;
+    using u128 = unsigned __int128;
+
+  public:
+    /** Limbs a caller's stack operand needs. */
+    static constexpr std::size_t capacity = K ? K : montMaxLimbs;
+
+    MontKernel(const u64 *n, std::size_t k)
+        : n_(n), k_(K ? K : k), n0inv_(montN0Inv(n[0]))
+    {
+    }
+
+    /** The modulus's limb count. */
+    std::size_t limbs() const { return K ? K : k_; }
+
+    /** out = a * b * R^-1 mod n, by CIOS: each row adds a[i] * b, then
+     *  one reduction step shifts the sum down a limb. */
+    void
+    mul(u64 *out, const u64 *a, const u64 *b) const
+    {
+        ++threadMontCounts.mul;
+        const std::size_t k = limbs();
+        u64 t[capacity + 2];
+        std::fill_n(t, k + 2, 0);
+        for (std::size_t i = 0; i < k; ++i) {
+            u64 carry = 0;
+            const u64 ai = a[i];
+            for (std::size_t j = 0; j < k; ++j) {
+                const u128 cur = static_cast<u128>(ai) * b[j] + t[j] + carry;
+                t[j] = static_cast<u64>(cur);
+                carry = static_cast<u64>(cur >> 64);
+            }
+            u128 sum = static_cast<u128>(t[k]) + carry;
+            t[k] = static_cast<u64>(sum);
+            t[k + 1] = static_cast<u64>(sum >> 64);
+
+            // m = t[0] * n0inv mod 2^64; t = (t + m * n) >> 64
+            const u64 m = t[0] * n0inv_;
+            carry = static_cast<u64>(
+                (static_cast<u128>(m) * n_[0] + t[0]) >> 64);
+            for (std::size_t j = 1; j < k; ++j) {
+                const u128 cur = static_cast<u128>(m) * n_[j] + t[j] + carry;
+                t[j - 1] = static_cast<u64>(cur);
+                carry = static_cast<u64>(cur >> 64);
+            }
+            sum = static_cast<u128>(t[k]) + carry;
+            t[k - 1] = static_cast<u64>(sum);
+            t[k] = t[k + 1] + static_cast<u64>(sum >> 64);
+        }
+        reduceInto(out, t, t[k]);
+    }
+
+    /** out = a^2 * R^-1 mod n: the products a[i] * a[j] for i < j
+     *  once, doubled, plus the diagonal a[i]^2, then REDC (Montgomery
+     *  reduction) of the 2k-limb square. */
+    void
+    sqr(u64 *out, const u64 *a) const
+    {
+        ++threadMontCounts.sqr;
+        const std::size_t k = limbs();
+        u64 t[2 * capacity];
+        std::fill_n(t, 2 * k, 0);
+        for (std::size_t i = 0; i + 1 < k; ++i) {
+            u64 carry = 0;
+            const u64 ai = a[i];
+            for (std::size_t j = i + 1; j < k; ++j) {
+                const u128 cur =
+                    static_cast<u128>(ai) * a[j] + t[i + j] + carry;
+                t[i + j] = static_cast<u64>(cur);
+                carry = static_cast<u64>(cur >> 64);
+            }
+            t[i + k] = carry;
+        }
+
+        // t = 2 * t + sum of a[i]^2 * 2^(128i); a < R, so nothing
+        // carries out of the top limb.
+        u64 shifted = 0; // the bit the doubling moves into the next limb
+        u64 carry = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            const u128 sq = static_cast<u128>(a[i]) * a[i];
+            const u64 lo = t[2 * i];
+            const u64 hi = t[2 * i + 1];
+            u128 cur = static_cast<u128>((lo << 1) | shifted) +
+                       static_cast<u64>(sq) + carry;
+            t[2 * i] = static_cast<u64>(cur);
+            cur = static_cast<u128>((hi << 1) | (lo >> 63)) +
+                  static_cast<u64>(sq >> 64) + (cur >> 64);
+            t[2 * i + 1] = static_cast<u64>(cur);
+            carry = static_cast<u64>(cur >> 64);
+            shifted = hi >> 63;
+        }
+
+        // REDC: each row clears t[i] by adding m * n * 2^(64i); `top`
+        // is the carry out of t[i + k], owed to the next row's t[i + k].
+        u64 top = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            const u64 m = t[i] * n0inv_;
+            u64 c = 0;
+            for (std::size_t j = 0; j < k; ++j) {
+                const u128 cur = static_cast<u128>(m) * n_[j] + t[i + j] + c;
+                t[i + j] = static_cast<u64>(cur);
+                c = static_cast<u64>(cur >> 64);
+            }
+            const u128 cur = static_cast<u128>(t[i + k]) + c + top;
+            t[i + k] = static_cast<u64>(cur);
+            top = static_cast<u64>(cur >> 64);
+        }
+        reduceInto(out, t + k, top);
+    }
+
+  private:
+    /** out = (carry:t) mod n for a (k+1)-limb value below 2n: a
+     *  conditional final subtraction. */
+    void
+    reduceInto(u64 *out, const u64 *t, u64 carry) const
+    {
+        const std::size_t k = limbs();
+        bool ge = carry != 0;
+        if (!ge) {
+            ge = true;
+            for (std::size_t i = k; i-- > 0;) {
+                if (t[i] != n_[i]) {
+                    ge = t[i] > n_[i];
+                    break;
+                }
+            }
+        }
+        if (!ge) {
+            std::copy_n(t, k, out);
+            return;
+        }
+        u64 borrow = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            const u128 sub = static_cast<u128>(t[i]) - n_[i] - borrow;
+            out[i] = static_cast<u64>(sub);
+            borrow = static_cast<u64>(sub >> 64) & 1;
+        }
+    }
+
+    const u64 *n_;
+    std::size_t k_;
+    u64 n0inv_;
+};
 
 } // namespace mintcb::crypto
 

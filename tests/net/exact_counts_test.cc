@@ -151,7 +151,7 @@ TEST(ExactCounts, ResumedChurnRsaOperationsPerOp)
  * windows below the top one, and 1 product out of the domain. On top
  * of that comes 1 multiply per nonzero window below the top: 481 of
  * the 510 for this key. The total changes only if the window or the
- * exponentiation does.
+ * exponentiation does; every squaring takes the squaring kernel.
  */
 TEST(ExactCounts, RsaSignMontgomeryProducts)
 {
@@ -166,6 +166,7 @@ TEST(ExactCounts, RsaSignMontgomeryProducts)
     const std::uint64_t products =
         (after.mul - before.mul) + (after.sqr - before.sqr);
     EXPECT_EQ(products, 2 * (1 + 14 + 4 * 255 + 1) + 481u);
+    EXPECT_EQ(after.sqr - before.sqr, 2 * 4 * 255u);
 }
 
 /** Hash compressions made on this thread by @p work. */
