@@ -87,21 +87,24 @@ class MdHash
     /** Absorb a byte vector. */
     void update(const Bytes &data) { update(data.data(), data.size()); }
 
-    /** Finish and return the digest; reset() before reusing. */
+    /** Finish and return the digest; reset() before reusing. Pads in
+     *  place: 0x80, zeros up to byte 56 (through one extra block when
+     *  fewer than 9 bytes are left), then the bit count. */
     Digest
     finish()
     {
-        const std::uint64_t bit_count = totalBits_;
-        const std::uint8_t pad = 0x80;
-        update(&pad, 1);
-        const std::uint8_t zero = 0x00;
-        while (bufferLen_ != 56)
-            update(&zero, 1);
-        std::uint8_t length_be[8];
-        for (int i = 0; i < 8; ++i)
-            length_be[i] =
-                static_cast<std::uint8_t>(bit_count >> (56 - 8 * i));
-        update(length_be, 8);
+        buffer_[bufferLen_++] = 0x80;
+        if (bufferLen_ > blockSize - 8) {
+            std::memset(buffer_ + bufferLen_, 0, blockSize - bufferLen_);
+            Hash::compress(h_, buffer_);
+            bufferLen_ = 0;
+        }
+        std::memset(buffer_ + bufferLen_, 0, blockSize - 8 - bufferLen_);
+        for (std::size_t i = 0; i < 8; ++i)
+            buffer_[blockSize - 8 + i] =
+                static_cast<std::uint8_t>(totalBits_ >> (56 - 8 * i));
+        Hash::compress(h_, buffer_);
+        bufferLen_ = 0;
 
         Digest out;
         for (std::size_t i = 0; i < Words; ++i) {
