@@ -25,11 +25,12 @@ streamPrefix()
     return w.take();
 }
 
-/** The MAC covers every field except the MAC itself. */
-Bytes
-macInput(const SealedBlob &blob)
+/** Every field before the ciphertext's bytes, up to and including its
+ *  length prefix. Those fields and the ciphertext are what the MAC
+ *  covers: everything except the MAC itself. */
+void
+writeHeader(ByteWriter &w, const SealedBlob &blob)
 {
-    ByteWriter w;
     w.u8(blob.sePcrBound ? 1 : 0);
     w.lengthPrefixed(blob.encryptedInnerKey);
     w.u32(static_cast<std::uint32_t>(blob.policy.size()));
@@ -37,8 +38,19 @@ macInput(const SealedBlob &blob)
         w.u32(b.index);
         w.lengthPrefixed(b.digestAtRelease);
     }
-    w.lengthPrefixed(blob.ciphertext);
-    return w.take();
+    w.u32(static_cast<std::uint32_t>(blob.ciphertext.size()));
+}
+
+/** HMAC-SHA256 of the header and the ciphertext, streamed in place. */
+Bytes
+blobMac(const Bytes &inner_key, const SealedBlob &blob)
+{
+    ByteWriter header;
+    writeHeader(header, blob);
+    crypto::HmacSha256 mac(inner_key);
+    mac.update(header.bytes());
+    mac.update(blob.ciphertext);
+    return mac.finish();
 }
 
 } // namespace
@@ -48,7 +60,8 @@ SealedBlob::encode() const
 {
     ByteWriter w;
     w.u32(blobMagic);
-    w.raw(macInput(*this));
+    writeHeader(w, *this);
+    w.raw(ciphertext);
     w.lengthPrefixed(mac);
     return w.take();
 }
@@ -92,7 +105,7 @@ sealBlob(const crypto::RsaPublicKey &srk, Rng &rng, const Bytes &payload,
     blob.encryptedInnerKey = encrypted.take();
     blob.ciphertext = crypto::hmacSha256Xor(inner_key, streamPrefix(),
                                             payload);
-    blob.mac = crypto::hmacSha256(inner_key, macInput(blob));
+    blob.mac = blobMac(inner_key, blob);
     return blob;
 }
 
@@ -104,9 +117,7 @@ unsealBlob(const crypto::RsaPrivateKey &srk, const SealedBlob &blob)
         return Error(Errc::integrityFailure,
                      "corrupt blob: sealed inner key does not decrypt");
     }
-    const Bytes expected_mac = crypto::hmacSha256(*inner_key,
-                                                  macInput(blob));
-    if (!crypto::constantTimeEqual(expected_mac, blob.mac)) {
+    if (!crypto::constantTimeEqual(blobMac(*inner_key, blob), blob.mac)) {
         return Error(Errc::integrityFailure,
                      "bad MAC: sealed blob MAC mismatch");
     }
