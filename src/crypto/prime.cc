@@ -84,7 +84,6 @@ isProbablePrime(const BigNum &n, Rng &rng, int rounds)
         ++r;
     }
 
-    const BigNum two(2);
     const BigNum n_minus_3 = n.subU64(3);
     for (int round = 0; round < rounds; ++round) {
         // a uniform in [2, n-2]
@@ -94,7 +93,7 @@ isProbablePrime(const BigNum &n, Rng &rng, int rounds)
             continue;
         bool witness = true;
         for (std::size_t i = 0; i + 1 < r; ++i) {
-            x = x.modExp(two, n);
+            x = (x * x) % n;
             if (x == n_minus_1) {
                 witness = false;
                 break;
