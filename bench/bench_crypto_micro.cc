@@ -1,8 +1,8 @@
 /**
  * @file
  * Crypto hot-path microbenchmark: RSA-CRT + windowed Montgomery vs the
- * plain full-width modexp fallback, and incremental SHA/HMAC contexts
- * vs one-shot digests.
+ * plain full-width modexp fallback, the 16-limb Montgomery squaring vs
+ * the multiply, and incremental SHA/HMAC contexts vs one-shot digests.
  *
  * Unlike the figure benches, the interesting quantity here is *host*
  * wall time -- the simulated-time model is deliberately untouched by
@@ -15,12 +15,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 
 #include "common/rng.hh"
 #include "crypto/hmac.hh"
 #include "crypto/keycache.hh"
+#include "crypto/montgomery.hh"
 #include "crypto/rsa.hh"
 #include "crypto/sha1.hh"
 #include "crypto/sha256.hh"
@@ -116,6 +118,65 @@ rsaSection()
     benchutil::counterDelta("ratio_rsa_crt_speedup", ratio);
     benchutil::counterDelta("host_ms_rsa_crt_sign", crt_ms);
     benchutil::counterDelta("host_ms_rsa_plain_sign", plain_ms);
+
+    // The public operation every seal pays (SRK encryption of the
+    // 32-byte inner key): the 32-limb kernel on the e = 65537 ladder.
+    Rng rng(0x5ea1);
+    const Bytes inner_key = rng.bytes(32);
+    const double encrypt_ms = bestHostMs(
+        [&] {
+            benchmark::DoNotOptimize(
+                crypto::rsaEncrypt(crt.pub, rng, inner_key));
+        },
+        50);
+    benchutil::rowSimOnly("RSA-2048 encrypt, 32 B (host ms)", encrypt_ms,
+                          "ms");
+    benchutil::counterDelta("host_ms_rsa_encrypt", encrypt_ms);
+}
+
+/** @p v as 16 little-endian limbs (v < 2^1024). */
+std::array<std::uint64_t, 16>
+limbs16(const crypto::BigNum &v)
+{
+    const Bytes be = v.toBytesBE(128);
+    std::array<std::uint64_t, 16> out{};
+    for (std::size_t i = 0; i < be.size(); ++i)
+        out[15 - i / 8] = (out[15 - i / 8] << 8) | be[i];
+    return out;
+}
+
+void
+montSection()
+{
+    benchutil::heading("Montgomery kernels: 16-limb squaring vs multiply");
+
+    // A CRT half's modulus and two residues below it.
+    const crypto::RsaPrivateKey &key = benchKey();
+    const auto p = limbs16(key.p);
+    const auto a = limbs16(key.dP);
+    const auto b = limbs16(key.qInv);
+    const crypto::MontKernel<16> mont(p.data(), p.size());
+
+    auto squared = a;
+    auto product = a;
+    mont.sqr(squared.data(), squared.data());
+    mont.mul(product.data(), a.data(), a.data());
+    benchutil::check("montSqr(a) == montMul(a, a)", squared == product);
+
+    // Each call feeds the next, so the timing is one dependent chain.
+    constexpr int iters = 20000;
+    auto x = a;
+    const double mul_ns =
+        bestHostMs([&] { mont.mul(x.data(), x.data(), b.data()); }, iters) *
+        1e6;
+    const double sqr_ns =
+        bestHostMs([&] { mont.sqr(x.data(), x.data()); }, iters) * 1e6;
+    benchmark::DoNotOptimize(x);
+    benchutil::rowSimOnly("16-limb montMul (host ns)", mul_ns, "ns");
+    benchutil::rowSimOnly("16-limb montSqr (host ns)", sqr_ns, "ns");
+    benchutil::rowSimOnly("montSqr / montMul (host)", sqr_ns / mul_ns, "x");
+    benchutil::counterDelta("host_ns_mont16_mul", mul_ns);
+    benchutil::counterDelta("host_ns_mont16_sqr", sqr_ns);
 }
 
 void
@@ -211,6 +272,7 @@ main(int argc, char **argv)
 {
     benchutil::stripJsonFlag(&argc, argv);
     rsaSection();
+    montSection();
     shaSection();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

@@ -350,9 +350,9 @@ BigNum::montExp(const BigNum &base, const BigNum &exp, const BigNum &m)
     // table[v] = base^v in the Montgomery domain; the ladder uses only
     // table[1].
     constexpr std::size_t windowBits = 4;
-    u64 table[std::size_t{1} << windowBits][cap];
-    u64 acc[cap];
-    u64 raw[cap];
+    u64 table[std::size_t{1} << windowBits][cap] = {};
+    u64 acc[cap] = {};
+    u64 raw[cap] = {};
     load(raw, base);
     load(acc, r2_mod_n);
     mont.mul(table[1], raw, acc); // to Montgomery

@@ -78,8 +78,7 @@ class MontKernel
     {
         ++threadMontCounts.mul;
         const std::size_t k = limbs();
-        u64 t[capacity + 2];
-        std::fill_n(t, k + 2, 0);
+        u64 t[capacity + 2] = {};
         for (std::size_t i = 0; i < k; ++i) {
             u64 carry = 0;
             const u64 ai = a[i];
@@ -116,8 +115,7 @@ class MontKernel
     {
         ++threadMontCounts.sqr;
         const std::size_t k = limbs();
-        u64 t[2 * capacity];
-        std::fill_n(t, 2 * k, 0);
+        u64 t[2 * capacity] = {};
         for (std::size_t i = 0; i + 1 < k; ++i) {
             u64 carry = 0;
             const u64 ai = a[i];
