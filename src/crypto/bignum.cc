@@ -391,7 +391,8 @@ BigNum::montExp(const BigNum &base, const BigNum &exp, const BigNum &m)
     }
 
     // Convert out of the Montgomery domain: multiply by 1.
-    load(raw, BigNum(1));
+    std::fill_n(raw, k, 0);
+    raw[0] = 1;
     mont.mul(acc, acc, raw);
     return fromLimbs(std::vector<u64>(acc, acc + k));
 }

@@ -13,6 +13,7 @@
 #define MINTCB_CRYPTO_MONTGOMERY_HH
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -64,8 +65,9 @@ class MontKernel
     static constexpr std::size_t capacity = K ? K : montMaxLimbs;
 
     MontKernel(const u64 *n, std::size_t k)
-        : n_(n), k_(K ? K : k), n0inv_(montN0Inv(n[0]))
+        : n_(n), k_(k), n0inv_(montN0Inv(n[0]))
     {
+        assert(K ? k == K : k >= 1 && k <= montMaxLimbs);
     }
 
     /** The modulus's limb count. */
