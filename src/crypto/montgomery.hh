@@ -70,9 +70,6 @@ class MontKernel
         assert(K ? k == K : k >= 1 && k <= montMaxLimbs);
     }
 
-    /** The modulus's limb count. */
-    std::size_t limbs() const { return K ? K : k_; }
-
     /** out = a * b * R^-1 mod n, by CIOS: each row adds a[i] * b, then
      *  one reduction step shifts the sum down a limb. */
     void
@@ -167,6 +164,9 @@ class MontKernel
     }
 
   private:
+    /** The modulus's limb count: a constant when K > 0. */
+    std::size_t limbs() const { return K ? K : k_; }
+
     /** out = (carry:t) mod n for a (k+1)-limb value below 2n: a
      *  conditional final subtraction. */
     void
