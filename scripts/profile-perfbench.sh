@@ -14,14 +14,12 @@
 # SHA-1/SHA-256 compression functions) or `hmacSha256`.
 #
 # Two gprof traps:
-#   - it drops compiler clones (symbols with a '.', such as the
-#     anonymous-namespace `montMul [clone .isra.0]`) and books their
-#     time and calls under the symbol just before them in the binary.
-#     That was crypto::toBytes; since SHA-1 and SHA-256 share
-#     crypto/mdhash.hh it is Sha256::compress, so RSA time and calls
-#     show up there (the call graph, gprof -b -q, lists them as calls
-#     from BigNum::modExp). The last line of the output names the
-#     symbol that hosts montMul in this build;
+#   - it drops compiler clones (symbols with a '.', such as
+#     `[clone .isra.0]`) and books their time and calls under the
+#     symbol just before them in the binary. The Montgomery kernels
+#     are not such a clone: they are inlined into
+#     `BigNum::montExp<16>`, `<32>` and `<0>`, which gprof lists by
+#     name, one call per modular exponentiation;
 #   - it splits a callee's time among its callers by call count, so
 #     read the call counts, not the inherited times.
 #
@@ -54,6 +52,3 @@ rm -f gmon.out
 ./perfbench --workload "$workload" --seed 1 --seconds "$seconds" \
     --trace 0 --state-dir "$state_dir/state" >&2
 gprof -b -p ./perfbench gmon.out
-host=$(nm -nC ./perfbench | grep -B1 'montMul(.*clone' | head -n 1 |
-    cut -d' ' -f3-)
-echo "montMul (a clone gprof drops) is booked under: ${host:-unknown}"
