@@ -64,15 +64,16 @@ CertificateAuthority::makeCaPal(bool initialize,
                 for (std::uint8_t b : *seed_bytes)
                     seed = seed << 8 | b;
                 Rng rng(seed);
-                const crypto::RsaPrivateKey key =
-                    crypto::rsaGenerate(rng, key_bits);
+                auto key = crypto::rsaGenerate(rng, key_bits);
+                if (!key)
+                    return key.error();
                 ctx.compute(keygenCost);
 
-                auto blob = ctx.sealState(key.encode());
+                auto blob = ctx.sealState(key->encode());
                 if (!blob)
                     return blob.error();
                 ByteWriter out;
-                out.lengthPrefixed(key.pub.encode());
+                out.lengthPrefixed(key->pub.encode());
                 out.lengthPrefixed(blob->encode());
                 ctx.setOutput(out.take());
                 return okStatus();

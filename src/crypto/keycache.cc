@@ -13,6 +13,7 @@
 #include <map>
 #include <mutex>
 
+#include "common/file.hh"
 #include "common/hex.hh"
 #include "crypto/sha256.hh"
 
@@ -43,12 +44,10 @@ cachePath(const std::string &label, std::size_t bits)
 bool
 loadFromDisk(const std::string &path, std::size_t bits, RsaPrivateKey &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const auto wire = readFile(path);
+    if (!wire)
         return false;
-    Bytes wire((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-    auto decoded = RsaPrivateKey::decode(wire);
+    auto decoded = RsaPrivateKey::decode(*wire);
     if (!decoded.ok() || decoded->pub.n.bitLength() != bits)
         return false;
     out = decoded.take();
@@ -59,7 +58,9 @@ void
 storeToDisk(const std::string &path, const RsaPrivateKey &key)
 {
     // Write-then-rename so concurrent test processes never read a torn
-    // file.
+    // file; the one write outside common/file, since a per-process tmp
+    // name keeps two processes from interleaving into writeFileDurable's
+    // fixed "<path>.tmp". A cache needs no fsync: bad entries fail decode.
     const std::string tmp_path =
         path + ".tmp" + std::to_string(::getpid());
     {
@@ -114,7 +115,13 @@ cachedKey(const std::string &label, std::size_t bits)
     for (int i = 0; i < 8; ++i)
         seed = (seed << 8) ^ digest[i] ^ (seed >> 56);
     Rng rng(seed);
-    auto [inserted, _] = cache.emplace(key, rsaGenerate(rng, bits));
+    auto generated = rsaGenerate(rng, bits);
+    if (!generated) { // callers pass fixed widths: a programming error
+        std::fprintf(stderr, "cachedKey(%s): %s\n", label.c_str(),
+                     generated.error().message.c_str());
+        std::abort();
+    }
+    auto [inserted, _] = cache.emplace(key, generated.take());
     storeToDisk(path, inserted->second);
     return inserted->second;
 }

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <atomic>
+#include <string>
 
 namespace mintcb::crypto
 {
@@ -118,17 +119,31 @@ primeGenerationCount()
     return primeGenerations.load(std::memory_order_relaxed);
 }
 
-BigNum
+Result<BigNum>
 generatePrime(Rng &rng, std::size_t bits)
 {
+    if (bits < 2) {
+        return Error(Errc::invalidArgument,
+                     "no odd prime has " + std::to_string(bits) + " bits");
+    }
     primeGenerations.fetch_add(1, std::memory_order_relaxed);
-    while (true) {
+    // Candidates are uniform over the odd b-bit integers, at least 1/b
+    // of which are prime for every b >= 2 (about 2/(b ln 2) for large
+    // b, by the prime number theorem). Miller-Rabin never rejects a
+    // prime, so all 128*b candidates miss with probability at most
+    // (1 - 1/b)^(128 b) < e^-128, about 2^-184. Exhausting the bound
+    // means the RNG or the arithmetic is broken, not bad luck.
+    const std::size_t maxCandidates = 128 * bits;
+    for (std::size_t i = 0; i < maxCandidates; ++i) {
         BigNum candidate = randomBits(rng, bits);
         if (!candidate.isOdd())
             candidate = candidate.addU64(1);
         if (isProbablePrime(candidate, rng))
             return candidate;
     }
+    return Error(Errc::resourceExhausted,
+                 "no " + std::to_string(bits) + "-bit prime in " +
+                     std::to_string(maxCandidates) + " candidates");
 }
 
 } // namespace mintcb::crypto

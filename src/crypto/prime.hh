@@ -6,6 +6,7 @@
 #ifndef MINTCB_CRYPTO_PRIME_HH
 #define MINTCB_CRYPTO_PRIME_HH
 
+#include "common/result.hh"
 #include "common/rng.hh"
 #include "crypto/bignum.hh"
 
@@ -27,9 +28,11 @@ bool isProbablePrime(const BigNum &n, Rng &rng, int rounds = 16);
 /**
  * Generate a random probable prime of exactly @p bits bits with both the
  * top bit and the low bit set. Uses trial division by small primes before
- * Miller-Rabin.
+ * Miller-Rabin. Refuses bits < 2 (no odd prime has fewer) with
+ * invalidArgument, and gives up with resourceExhausted after a bounded
+ * number of candidates instead of looping forever.
  */
-BigNum generatePrime(Rng &rng, std::size_t bits);
+Result<BigNum> generatePrime(Rng &rng, std::size_t bits);
 
 /**
  * Process-wide count of generatePrime() invocations. Prime search is the

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <string>
 
 #include "common/bytebuf.hh"
 #include "crypto/prime.hh"
@@ -137,14 +138,28 @@ RsaPrivateKey::decode(const Bytes &wire)
                     "trailing bytes in RSA key");
 }
 
-RsaPrivateKey
+Result<RsaPrivateKey>
 rsaGenerate(Rng &rng, std::size_t bits)
 {
-    assert(bits >= 128 && bits % 2 == 0 && "unsupported RSA modulus size");
+    if (bits < 128 || bits % 2 != 0) {
+        return Error(Errc::invalidArgument,
+                     "unsupported RSA modulus size: " +
+                         std::to_string(bits) + " bits");
+    }
     const BigNum e(65537);
-    while (true) {
-        const BigNum p = generatePrime(rng, bits / 2);
-        BigNum q = generatePrime(rng, bits / 2);
+    // An attempt succeeds with probability above 1/3 (two random
+    // half-width primes give a full-width modulus with probability
+    // 2 - 2 ln 2), so all 256 fail with probability below 2^-149.
+    constexpr int maxAttempts = 256;
+    for (int attempt = 0; attempt < maxAttempts; ++attempt) {
+        auto pGen = generatePrime(rng, bits / 2);
+        if (!pGen)
+            return pGen.error();
+        auto qGen = generatePrime(rng, bits / 2);
+        if (!qGen)
+            return qGen.error();
+        const BigNum p = pGen.take();
+        const BigNum q = qGen.take();
         if (p == q)
             continue;
         const BigNum n = p * q;
@@ -175,6 +190,9 @@ rsaGenerate(Rng &rng, std::size_t bits)
         assert(!key.qInv.isZero());
         return key;
     }
+    return Error(Errc::resourceExhausted,
+                 "no " + std::to_string(bits) + "-bit RSA modulus in " +
+                     std::to_string(maxAttempts) + " attempts");
 }
 
 RsaOpCounts

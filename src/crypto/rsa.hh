@@ -75,8 +75,10 @@ struct RsaPrivateKey
     static Result<RsaPrivateKey> decode(const Bytes &wire);
 };
 
-/** Generate an RSA key pair with modulus of exactly @p bits bits. */
-RsaPrivateKey rsaGenerate(Rng &rng, std::size_t bits);
+/** Generate an RSA key pair with modulus of exactly @p bits bits.
+ *  Refuses an odd width or one under 128 bits (invalidArgument); a
+ *  bounded retry loop ends in resourceExhausted, never a hang. */
+Result<RsaPrivateKey> rsaGenerate(Rng &rng, std::size_t bits);
 
 /**
  * Process-wide counts of raw RSA operations since start-up: every

@@ -12,7 +12,6 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/uio.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -40,15 +39,6 @@ loopbackAddr(std::uint16_t port)
 }
 
 } // namespace
-
-void
-OwnedFd::reset()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
 
 Result<TcpStream>
 TcpStream::connectLoopback(std::uint16_t port, int timeout_ms)

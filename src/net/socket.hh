@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/file.hh"
 #include "common/result.hh"
 #include "common/types.hh"
 #include "net/wire.hh"
@@ -22,47 +23,6 @@ struct iovec; // <sys/uio.h>; only the implementation needs the layout
 
 namespace mintcb::net
 {
-
-/** Owns one file descriptor; closes on destruction. Movable. */
-class OwnedFd
-{
-  public:
-    OwnedFd() = default;
-    explicit OwnedFd(int fd) : fd_(fd) {}
-    ~OwnedFd() { reset(); }
-
-    OwnedFd(OwnedFd &&other) noexcept : fd_(other.fd_)
-    {
-        other.fd_ = -1;
-    }
-    OwnedFd &
-    operator=(OwnedFd &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            fd_ = other.fd_;
-            other.fd_ = -1;
-        }
-        return *this;
-    }
-    OwnedFd(const OwnedFd &) = delete;
-    OwnedFd &operator=(const OwnedFd &) = delete;
-
-    int get() const { return fd_; }
-    bool valid() const { return fd_ >= 0; }
-    /** Release ownership (caller closes). */
-    int
-    release()
-    {
-        int fd = fd_;
-        fd_ = -1;
-        return fd;
-    }
-    void reset();
-
-  private:
-    int fd_ = -1;
-};
 
 /** A connected TCP stream (blocking unless setNonBlocking). */
 class TcpStream

@@ -9,25 +9,10 @@
 
 #include "crypto/sha1.hh"
 #include "tpm/blob.hh"
+#include "tpm/pcr.hh"
 
 namespace mintcb::rec
 {
-
-namespace
-{
-
-/** One extend step v' = H(v || d), streamed (no concatenation buffer). */
-Bytes
-extendValue(const Bytes &value, const Bytes &digest)
-{
-    crypto::Sha1 ctx;
-    ctx.update(value);
-    ctx.update(digest);
-    const auto out = ctx.finish();
-    return Bytes(out.begin(), out.end());
-}
-
-} // namespace
 
 const char *
 sePcrStateName(SePcrState s)
@@ -90,8 +75,8 @@ SePcrTpm::allocateAndMeasure(const Bytes &pal_image,
         SePcr &p = sePcrs_[h];
         p.state = SePcrState::exclusive;
         p.value.assign(crypto::sha1DigestSize, 0x00);
-        p.value = extendValue(p.value,
-                              crypto::Sha1::digestBytes(pal_image));
+        p.value = tpm::extendPcr(p.value,
+                                 crypto::Sha1::digestBytes(pal_image));
         return h;
     }
     return Error(Errc::resourceExhausted,
@@ -131,7 +116,7 @@ SePcrTpm::extend(SePcrHandle h, const Bytes &digest, SePcrHandle caller)
     }
     base_.charge(base_.profile().extend, "sepcr:extend");
     SePcr &p = sePcrs_[h];
-    p.value = extendValue(p.value, digest);
+    p.value = tpm::extendPcr(p.value, digest);
     return okStatus();
 }
 
@@ -246,7 +231,7 @@ SePcrTpm::kill(SePcrHandle h, tpm::Locality locality)
     // Extend the kill marker (so any later quote shows the kill), then
     // transition straight to Free (Section 5.5).
     SePcr &p = sePcrs_[h];
-    p.value = extendValue(p.value, killMarker());
+    p.value = tpm::extendPcr(p.value, killMarker());
     p.state = SePcrState::free; // next allocateAndMeasure resets it
     return okStatus();
 }

@@ -5,25 +5,11 @@
 
 #include "rec/verifier.hh"
 
-#include "common/bytebuf.hh"
 #include "crypto/sha1.hh"
+#include "tpm/pcr.hh"
 
 namespace mintcb::rec
 {
-
-namespace
-{
-
-Bytes
-extendZero(const Bytes &measurement)
-{
-    ByteWriter w;
-    w.raw(Bytes(crypto::sha1DigestSize, 0x00));
-    w.raw(measurement);
-    return crypto::Sha1::digestBytes(w.bytes());
-}
-
-} // namespace
 
 void
 SeVerifier::trustPalImage(std::string name, const Bytes &pal_image)
@@ -36,7 +22,9 @@ void
 SeVerifier::trustMeasurement(std::string name, const Bytes &measurement)
 {
     whitelist_.push_back(
-        {std::move(name), measurement, extendZero(measurement)});
+        {std::move(name), measurement,
+         tpm::extendPcr(Bytes(crypto::sha1DigestSize, 0x00),
+                        measurement)});
 }
 
 Result<VerifiedSePcrLaunch>
@@ -65,10 +53,8 @@ SeVerifier::verify(const tpm::TpmQuote &quote,
     // A SKILLed PAL's chain ends in the kill marker; no whitelist entry
     // can match it, but name the condition for the caller.
     for (const Entry &e : whitelist_) {
-        ByteWriter w;
-        w.raw(e.expectedValue);
-        w.raw(SePcrTpm::killMarker());
-        if (*value == crypto::Sha1::digestBytes(w.bytes())) {
+        if (*value ==
+            tpm::extendPcr(e.expectedValue, SePcrTpm::killMarker())) {
             return Error(Errc::failedPrecondition,
                          "PAL \"" + e.name +
                              "\" was killed by SKILL before completing");

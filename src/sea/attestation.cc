@@ -8,6 +8,7 @@
 #include "common/bytebuf.hh"
 #include "crypto/keycache.hh"
 #include "crypto/sha1.hh"
+#include "tpm/pcr.hh"
 
 namespace mintcb::sea
 {
@@ -142,12 +143,10 @@ Verifier::trustPal(const Pal &pal)
 void
 Verifier::trustMeasurement(std::string name, Bytes measurement)
 {
-    Bytes zero(crypto::sha1DigestSize, 0x00);
-    ByteWriter w;
-    w.raw(zero);
-    w.raw(measurement);
-    whitelist_.push_back({std::move(name), measurement,
-                          crypto::Sha1::digestBytes(w.bytes())});
+    whitelist_.push_back(
+        {std::move(name), measurement,
+         tpm::extendPcr(Bytes(crypto::sha1DigestSize, 0x00),
+                        measurement)});
 }
 
 Result<VerifiedLaunch>

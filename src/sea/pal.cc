@@ -11,6 +11,7 @@
 #include "crypto/sha1.hh"
 #include "latelaunch/slb.hh"
 #include "machine/vmswitch.hh"
+#include "tpm/pcr.hh"
 
 namespace mintcb::sea
 {
@@ -39,12 +40,8 @@ Pal::fromLogic(std::string name, std::size_t code_bytes, PalBody body)
 Bytes
 Pal::expectedPcr17() const
 {
-    const Bytes zero(crypto::sha1DigestSize, 0x00);
-    crypto::Sha1 ctx;
-    ctx.update(zero);
-    ctx.update(measurement());
-    const auto digest = ctx.finish();
-    return Bytes(digest.begin(), digest.end());
+    return tpm::extendPcr(Bytes(crypto::sha1DigestSize, 0x00),
+                          measurement());
 }
 
 PalContext::PalContext(machine::Machine &machine, CpuId cpu, Bytes input)

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "crypto/sha1.hh"
+#include "tpm/pcr.hh"
 
 namespace mintcb::sea
 {
@@ -21,17 +22,9 @@ Bytes
 SeaDriver::expectedIoBoundPcr17(const Pal &pal, const Bytes &input,
                                 const Bytes &output)
 {
-    auto extend = [](const Bytes &value, const Bytes &measurement) {
-        crypto::Sha1 ctx;
-        ctx.update(value);
-        ctx.update(measurement);
-        const auto digest = ctx.finish();
-        return Bytes(digest.begin(), digest.end());
-    };
     Bytes pcr = pal.expectedPcr17(); // extend(0, H(pal))
-    pcr = extend(pcr, crypto::Sha1::digestBytes(input));
-    pcr = extend(pcr, crypto::Sha1::digestBytes(output));
-    return pcr;
+    pcr = tpm::extendPcr(pcr, crypto::Sha1::digestBytes(input));
+    return tpm::extendPcr(pcr, crypto::Sha1::digestBytes(output));
 }
 
 Result<ExecutionReport>

@@ -5,17 +5,10 @@
 
 #include "store/engine.hh"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <iterator>
 
 #include "common/bytebuf.hh"
+#include "common/file.hh"
 #include "crypto/sha256.hh"
 #include "latelaunch/latelaunch.hh"
 #include "store/migrate.hh"
@@ -29,105 +22,6 @@ namespace
 
 /** Where the identity SLB is staged for the launch. */
 constexpr PhysAddr storeSlbAddr = 0x10000;
-
-Error
-posixError(Errc code, const std::string &what)
-{
-    return Error(code, what + ": " + std::strerror(errno));
-}
-
-/** Read a whole file; notFound when it does not exist. */
-Result<Bytes>
-readFileBytes(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        if (errno == ENOENT)
-            return Error(Errc::notFound, "no such file: " + path);
-        return posixError(Errc::unavailable, "open " + path);
-    }
-    Bytes out;
-    std::uint8_t buf[64 * 1024];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0) {
-            ::close(fd);
-            return posixError(Errc::unavailable, "read " + path);
-        }
-        if (n == 0)
-            break;
-        out.insert(out.end(), buf, buf + n);
-    }
-    ::close(fd);
-    return out;
-}
-
-/** fsync the directory containing @p path so a rename is durable. */
-void
-syncParentDir(const std::string &path)
-{
-    const std::size_t slash = path.find_last_of('/');
-    const std::string dir = slash == std::string::npos
-                                ? std::string(".")
-                                : path.substr(0, slash);
-    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd >= 0) {
-        ::fsync(fd);
-        ::close(fd);
-    }
-}
-
-/** Durable whole-file replace: tmp + fsync + rename + dir fsync. */
-Status
-writeFileDurable(const std::string &path, const Bytes &data)
-{
-    const std::string tmp = path + ".tmp";
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        return posixError(Errc::unavailable, "create " + tmp);
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            ::close(fd);
-            return posixError(Errc::unavailable, "write " + tmp);
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        return posixError(Errc::unavailable, "fsync " + tmp);
-    }
-    ::close(fd);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        return posixError(Errc::unavailable, "rename to " + path);
-    syncParentDir(path);
-    return okStatus();
-}
-
-/** mkdir -p for the store directory. */
-Status
-makeDirs(const std::string &path)
-{
-    std::string sofar;
-    std::size_t pos = 0;
-    while (pos <= path.size()) {
-        const std::size_t slash = path.find('/', pos);
-        const std::size_t end =
-            slash == std::string::npos ? path.size() : slash;
-        sofar = path.substr(0, end);
-        pos = end + 1;
-        if (sofar.empty())
-            continue;
-        if (::mkdir(sofar.c_str(), 0755) != 0 && errno != EEXIST)
-            return posixError(Errc::unavailable, "mkdir " + sofar);
-        if (slash == std::string::npos)
-            break;
-    }
-    return okStatus();
-}
 
 } // namespace
 
@@ -282,12 +176,6 @@ SealedStore::SealedStore(StoreConfig cfg)
 {
 }
 
-SealedStore::~SealedStore()
-{
-    if (walFd_ >= 0)
-        ::close(walFd_);
-}
-
 Result<std::unique_ptr<SealedStore>>
 SealedStore::open(StoreConfig cfg)
 {
@@ -318,7 +206,7 @@ SealedStore::launchIdentity()
 Status
 SealedStore::loadChipNv()
 {
-    auto image = readFileBytes(nvPath_);
+    auto image = readFile(nvPath_);
     if (!image) {
         if (image.error().code != Errc::notFound)
             return image.error();
@@ -400,7 +288,7 @@ SealedStore::unsealWithDiagnosis(const tpm::SealedBlob &blob)
 Result<Bytes>
 SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
 {
-    auto image = readFileBytes(snapPath_);
+    auto image = readFile(snapPath_);
     if (!image)
         return image.error();
     auto container = SnapshotContainer::decode(*image);
@@ -428,16 +316,13 @@ SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
 }
 
 Status
-SealedStore::sealSnapshotTo(const std::string &path,
-                            std::uint64_t at_epoch)
+SealedStore::sealSnapshot()
 {
-    auto blob = idMachine_.tpmAs(0).seal(encodeMapPayload(at_epoch),
-                                         {17});
+    auto blob = idMachine_.tpmAs(0).seal(encodeMapPayload(epoch_), {17});
     if (!blob)
         return blob.error();
-    return writeFileDurable(path,
-                            SnapshotContainer{at_epoch, blob->encode()}
-                                .encode());
+    return writeFileDurable(
+        snapPath_, SnapshotContainer{epoch_, blob->encode()}.encode());
 }
 
 Status
@@ -463,13 +348,8 @@ SealedStore::writeFreshWal()
     appendRecord(image, RecordType::keyBlob, blob->encode());
     if (auto s = writeFileDurable(walPath_, image); !s.ok())
         return s;
-    if (walFd_ >= 0)
-        ::close(walFd_);
-    walFd_ = ::open(walPath_.c_str(), O_WRONLY | O_APPEND);
-    if (walFd_ < 0)
-        return posixError(Errc::unavailable, "open " + walPath_);
-    walBytes_ = image.size();
-    syncedBytes_ = image.size();
+    if (auto s = wal_.open(walPath_, image.size()); !s.ok())
+        return s;
     nextSeq_ = 1;
     lastJournaledSeq_ = 0;
     pending_ = 0;
@@ -479,7 +359,7 @@ SealedStore::writeFreshWal()
 Status
 SealedStore::replayWal(std::uint64_t snap_epoch)
 {
-    auto image = readFileBytes(walPath_);
+    auto image = readFile(walPath_);
     if (!image) {
         if (image.error().code != Errc::notFound)
             return image.error();
@@ -601,26 +481,20 @@ SealedStore::replayWal(std::uint64_t snap_epoch)
     lastJournaledSeq_ = 0;
     pending_ = 0;
 
+    if (auto s = wal_.open(walPath_, image->size()); !s.ok())
+        return s;
     // Truncate everything past the last committed record: the torn
     // tail (power loss) and any uncommitted mutations both die here,
     // so the on-disk log equals the replayed state exactly.
     if (lastCommittedEnd < image->size()) {
-        if (::truncate(walPath_.c_str(),
-                       static_cast<off_t>(lastCommittedEnd)) != 0) {
-            return posixError(Errc::unavailable,
-                              "truncate " + walPath_);
-        }
+        if (auto s = wal_.truncate(lastCommittedEnd); !s.ok())
+            return s;
         // The discarded bytes may include a partially written record
         // whose ciphertext prefix used a sequence number nextSeq_
         // would reissue; openInternal rotates the generation before
         // the store accepts writes, so no keystream repeats.
         truncatedOnRecovery_ = true;
     }
-    walFd_ = ::open(walPath_.c_str(), O_WRONLY | O_APPEND);
-    if (walFd_ < 0)
-        return posixError(Errc::unavailable, "open " + walPath_);
-    walBytes_ = lastCommittedEnd;
-    syncedBytes_ = lastCommittedEnd;
     return okStatus();
 }
 
@@ -681,7 +555,7 @@ SealedStore::openInternal()
     // before anything overwrites its snapshot.
     if (truncatedOnRecovery_) {
         truncatedOnRecovery_ = false;
-        if (auto s = sealSnapshotTo(snapPath_, epoch_); !s.ok())
+        if (auto s = sealSnapshot(); !s.ok())
             return s;
         if (auto s = writeFreshWal(); !s.ok())
             return s;
@@ -705,29 +579,23 @@ SealedStore::requireAlive() const
 Status
 SealedStore::die(const char *what)
 {
-    dead_ = true;
-    deadReason_ = what;
-    if (walFd_ >= 0) {
-        ::close(walFd_);
-        walFd_ = -1;
-    }
-    return Error(Errc::failedPrecondition,
-                 std::string("store killed at sync point: ") + what);
+    return fatal(Error(Errc::failedPrecondition,
+                       std::string("store killed at sync point: ") + what),
+                 what);
 }
 
-/** A durability step failed partway through a protocol a retry would
- *  corrupt (duplicate commit epoch, double counter advance): kill this
- *  instance and surface the underlying cause. Reopening repairs via
+/** The one kill path, for injected crashes, the migration hand-off and
+ *  a durability step that failed partway through a protocol a retry
+ *  would corrupt (torn bytes left in the log, duplicate commit epoch,
+ *  double counter advance): kill this instance, close the WAL so
+ *  nothing more reaches it, and return @p cause. Reopening repairs via
  *  recovery instead. */
 Status
 SealedStore::fatal(Status cause, const char *what)
 {
     dead_ = true;
     deadReason_ = what;
-    if (walFd_ >= 0) {
-        ::close(walFd_);
-        walFd_ = -1;
-    }
+    wal_.close();
     return cause;
 }
 
@@ -737,18 +605,6 @@ SealedStore::observe(SyncPoint point)
     if (config_.observer == nullptr)
         return false;
     return config_.observer->onSyncPoint(point, epoch_);
-}
-
-Status
-SealedStore::fsyncWal()
-{
-    if (walFd_ < 0)
-        return Error(Errc::failedPrecondition, "WAL is closed");
-    if (::fsync(walFd_) != 0)
-        return posixError(Errc::unavailable, "fsync " + walPath_);
-    syncedBytes_ = walBytes_;
-    ++stats_.fsyncs;
-    return okStatus();
 }
 
 void
@@ -766,8 +622,6 @@ SealedStore::journalMutation(bool is_remove, const std::string &key,
 {
     if (auto s = requireAlive(); !s.ok())
         return s;
-    if (walFd_ < 0)
-        return Error(Errc::failedPrecondition, "WAL is closed");
     // Refuse before anything is written: a record whose payload the
     // replay scanner would call oversized must never reach the log (it
     // would commit fine, then read back as a torn tail and turn the
@@ -791,15 +645,12 @@ SealedStore::journalMutation(bool is_remove, const std::string &key,
     appendRecord(framed,
                  is_remove ? RecordType::remove : RecordType::put,
                  encodeMutation(logKey_, m));
-    std::size_t off = 0;
-    while (off < framed.size()) {
-        const ssize_t n = ::write(walFd_, framed.data() + off,
-                                  framed.size() - off);
-        if (n < 0)
-            return posixError(Errc::unavailable, "append " + walPath_);
-        off += static_cast<std::size_t>(n);
-    }
-    walBytes_ += framed.size();
+    // A failed append may leave a torn prefix of the record in the
+    // log. Nothing may land behind it: replay stops at the torn bytes,
+    // so a later commit would be dropped while the hardware counter
+    // advanced for it -- a permanent rollback refusal.
+    if (auto s = wal_.append(framed); !s.ok())
+        return fatal(std::move(s), "WAL append failed");
     ++stats_.walRecordsAppended;
     stats_.walBytesAppended += framed.size();
     lastJournaledSeq_ = nextSeq_;
@@ -850,24 +701,15 @@ SealedStore::commit()
     Bytes framed;
     appendRecord(framed, RecordType::commit,
                  encodeCommit(logKey_, mark));
-    std::size_t off = 0;
-    while (off < framed.size()) {
-        const ssize_t n = ::write(walFd_, framed.data() + off,
-                                  framed.size() - off);
-        if (n < 0) {
-            return fatal(
-                posixError(Errc::unavailable, "append " + walPath_),
-                "commit record write failed");
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    walBytes_ += framed.size();
+    if (auto s = wal_.append(framed); !s.ok())
+        return fatal(std::move(s), "commit record write failed");
     ++stats_.walRecordsAppended;
     stats_.walBytesAppended += framed.size();
     if (observe(SyncPoint::commitAppended))
         return die("commitAppended");
-    if (auto s = fsyncWal(); !s.ok())
+    if (auto s = wal_.sync(); !s.ok())
         return fatal(std::move(s), "commit fsync failed");
+    ++stats_.fsyncs;
     if (observe(SyncPoint::commitSynced))
         return die("commitSynced");
 
@@ -913,12 +755,16 @@ SealedStore::checkpointLocked()
                      "checkpoint with uncommitted mutations; commit "
                      "first");
     }
-    if (auto s = sealSnapshotTo(snapPath_, epoch_); !s.ok())
+    if (auto s = sealSnapshot(); !s.ok())
         return s;
     if (observe(SyncPoint::snapshotReplaced))
         return die("snapshotReplaced");
+    // writeFreshWal has already chained logKey_ forward, and a failure
+    // after its rename leaves wal_ naming the replaced file: either way
+    // the next append would be lost or unreadable. Reopen recovers from
+    // the new snapshot and whichever log is on disk.
     if (auto s = writeFreshWal(); !s.ok())
-        return s;
+        return fatal(std::move(s), "WAL rewrite failed mid-checkpoint");
     if (observe(SyncPoint::walRewritten))
         return die("walRewritten");
     commitsSinceCheckpoint_ = 0;
@@ -1017,7 +863,7 @@ std::size_t
 SealedStore::syncedWalBytes() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return syncedBytes_;
+    return wal_.syncedBytes();
 }
 
 Bytes
@@ -1084,12 +930,7 @@ SealedStore::exportForMigration(
     }
     ++stats_.migrationsOut;
     traceInstant("store:migrate-out");
-    dead_ = true;
-    deadReason_ = "state migrated away";
-    if (walFd_ >= 0) {
-        ::close(walFd_);
-        walFd_ = -1;
-    }
+    fatal(okStatus(), "state migrated away");
     return bundle;
 }
 

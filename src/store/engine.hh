@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/counters.hh"
+#include "common/file.hh"
 #include "common/result.hh"
 #include "machine/machine.hh"
 #include "obs/span.hh"
@@ -187,12 +188,11 @@ class SealedStore final : public sea::SealedStateStore
      *  detected" message, never a silently accepted stale map. */
     static Result<std::unique_ptr<SealedStore>> open(StoreConfig cfg);
 
-    ~SealedStore() override;
-
     SealedStore(const SealedStore &) = delete;
     SealedStore &operator=(const SealedStore &) = delete;
 
-    /** @name Mutations (journaled immediately, durable at commit()). @{ */
+    /** @name Mutations (journaled immediately, durable at commit(); a
+     *  failed append kills the instance). @{ */
     Status put(const std::string &key, const Bytes &value);
     Status remove(const std::string &key);
     /** Durably commit every mutation since the last commit: append the
@@ -290,8 +290,7 @@ class SealedStore final : public sea::SealedStateStore
     Status journalMutation(bool is_remove, const std::string &key,
                            const Bytes &value);
     Status checkpointLocked();
-    Status sealSnapshotTo(const std::string &path,
-                          std::uint64_t at_epoch);
+    Status sealSnapshot();
     Bytes encodeMapPayload(std::uint64_t at_epoch) const;
     Status applyMapPayload(const Bytes &payload,
                            std::uint64_t *out_epoch);
@@ -301,7 +300,6 @@ class SealedStore final : public sea::SealedStateStore
     Bytes srkPublicEncodedLocked() const;
     bool observe(SyncPoint point);
     Status requireAlive() const;
-    Status fsyncWal();
     void traceInstant(const char *name);
 
     StoreConfig config_;
@@ -326,9 +324,8 @@ class SealedStore final : public sea::SealedStateStore
     std::uint64_t lastJournaledSeq_ = 0;
     std::size_t pending_ = 0;
     std::size_t commitsSinceCheckpoint_ = 0;
-    int walFd_ = -1;
-    std::size_t walBytes_ = 0;
-    std::size_t syncedBytes_ = 0;
+    /** The open WAL generation; closed once the instance is dead. */
+    AppendFile wal_;
     /** Recovery discarded bytes (torn tail or uncommitted records): a
      *  partially written record's ciphertext may survive on the
      *  attacker-visible disk under a sequence number a new write would

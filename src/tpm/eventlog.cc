@@ -7,6 +7,7 @@
 
 #include "common/bytebuf.hh"
 #include "crypto/sha1.hh"
+#include "tpm/pcr.hh"
 
 namespace mintcb::tpm
 {
@@ -29,10 +30,7 @@ EventLog::replay() const
         Bytes &value = pcrs[e.pcrIndex];
         if (value.empty())
             value.assign(crypto::sha1DigestSize, 0x00); // boot value
-        ByteWriter w;
-        w.raw(value);
-        w.raw(e.measurement);
-        value = crypto::Sha1::digestBytes(w.bytes());
+        value = extendPcr(value, e.measurement);
     }
     return pcrs;
 }

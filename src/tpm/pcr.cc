@@ -11,6 +11,16 @@
 namespace mintcb::tpm
 {
 
+PcrValue
+extendPcr(const PcrValue &value, const Bytes &measurement)
+{
+    crypto::Sha1 ctx;
+    ctx.update(value);
+    ctx.update(measurement);
+    const auto digest = ctx.finish();
+    return PcrValue(digest.begin(), digest.end());
+}
+
 void
 PcrBank::reboot()
 {
@@ -37,13 +47,7 @@ PcrBank::extend(std::size_t index, const Bytes &measurement)
         return Error(Errc::invalidArgument,
                      "PCR extend requires a 20-byte SHA-1 digest");
     }
-    // v_{t+1} = H(v_t || m)  (Section 2.1.1), streamed through the
-    // incremental context so the extend never materializes v_t || m.
-    crypto::Sha1 ctx;
-    ctx.update(values_[index]);
-    ctx.update(measurement);
-    const auto digest = ctx.finish();
-    values_[index].assign(digest.begin(), digest.end());
+    values_[index] = extendPcr(values_[index], measurement);
     return okStatus();
 }
 

@@ -39,6 +39,14 @@ inline constexpr std::size_t intelMlePcr = 18;
 /** A PCR value: one SHA-1 digest. */
 using PcrValue = Bytes; // always 20 bytes
 
+/**
+ * The TPM extend rule v' = SHA-1(v || m) (Section 2.1.1), streamed so
+ * v || m is never materialised. Every PCR and sePCR value, and every
+ * verifier's expected value, is computed here: one SHA-1 compression
+ * for a 20-byte value and a 20-byte measurement.
+ */
+PcrValue extendPcr(const PcrValue &value, const Bytes &measurement);
+
 /** The 24-register PCR bank with v1.2 reset semantics. */
 class PcrBank
 {

@@ -64,7 +64,7 @@ TEST(KeyCache, KeysAreDeterministicAcrossTheDiskLayer)
     for (int i = 0; i < 8; ++i)
         seed = (seed << 8) ^ digest[i] ^ (seed >> 56);
     Rng rng(seed);
-    const RsaPrivateKey fresh = rsaGenerate(rng, 512);
+    const RsaPrivateKey fresh = rsaGenerate(rng, 512).value();
     EXPECT_EQ(cached.pub.n, fresh.pub.n);
     EXPECT_EQ(cached.d, fresh.d);
 }
@@ -106,7 +106,7 @@ TEST(KeyCache, LegacyDiskEntryAugmentedWithoutPrimeSearch)
     // CRT-complete, the disk copy must be upgraded, and no prime
     // generation may run -- a cache hit never pays for a prime search.
     Rng rng(0x1eac);
-    RsaPrivateKey planted = rsaGenerate(rng, 512);
+    RsaPrivateKey planted = rsaGenerate(rng, 512).value();
     RsaPrivateKey legacy = planted;
     legacy.dP = BigNum();
     legacy.dQ = BigNum();

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hex.hh"
 #include "crypto/prime.hh"
+#include "crypto/rsa.hh"
 
 namespace mintcb::crypto
 {
@@ -43,8 +45,8 @@ TEST(Prime, CarmichaelNumbersRejected)
 TEST(Prime, ProductOfTwoPrimesRejected)
 {
     Rng rng(4);
-    const BigNum p = generatePrime(rng, 64);
-    const BigNum q = generatePrime(rng, 64);
+    const BigNum p = generatePrime(rng, 64).value();
+    const BigNum q = generatePrime(rng, 64).value();
     EXPECT_FALSE(isProbablePrime(p * q, rng));
 }
 
@@ -69,7 +71,7 @@ TEST(Prime, GeneratedPrimeHasRequestedWidthAndIsOdd)
 {
     Rng rng(7);
     for (std::size_t bits : {64u, 128u, 256u}) {
-        const BigNum p = generatePrime(rng, bits);
+        const BigNum p = generatePrime(rng, bits).value();
         EXPECT_EQ(p.bitLength(), bits);
         EXPECT_TRUE(p.isOdd());
         EXPECT_TRUE(isProbablePrime(p, rng));
@@ -79,7 +81,35 @@ TEST(Prime, GeneratedPrimeHasRequestedWidthAndIsOdd)
 TEST(Prime, GenerationIsDeterministicPerSeed)
 {
     Rng a(42), b(42);
-    EXPECT_EQ(generatePrime(a, 96), generatePrime(b, 96));
+    EXPECT_EQ(generatePrime(a, 96).value(), generatePrime(b, 96).value());
+}
+
+TEST(Prime, BoundedSearchKeepsTheKnownAnswers)
+{
+    // Recorded from the unbounded search loops: bounding them must not
+    // move a byte of any generated prime or key.
+    Rng a(42);
+    EXPECT_EQ(toHex(generatePrime(a, 96).value().toBytesBE()),
+              "fe64976e726ee9c23dbc5f77");
+    Rng b(0x11);
+    EXPECT_EQ(toHex(rsaGenerate(b, 256).value().pub.n.toBytesBE()),
+              "89cbbad7378dffb408cef26f1d538b26"
+              "a0ab32ce05d8debb0087697c16271327");
+}
+
+TEST(Prime, FewerThanTwoBitsIsATypedRefusal)
+{
+    // randomBits(rng, 1) is always 1, which is not prime: without the
+    // refusal this loops forever, so it must end even with NDEBUG.
+    Rng rng(8);
+    for (std::size_t bits : {0u, 1u}) {
+        auto p = generatePrime(rng, bits);
+        ASSERT_FALSE(p.ok()) << bits;
+        EXPECT_EQ(p.error().code, Errc::invalidArgument) << bits;
+    }
+    auto two = generatePrime(rng, 2);
+    ASSERT_TRUE(two.ok());
+    EXPECT_EQ(*two, BigNum(3));
 }
 
 } // namespace

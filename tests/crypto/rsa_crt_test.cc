@@ -57,7 +57,7 @@ TEST(RsaCrt, RandomizedKeysAgree)
     // factorization, not just a lucky one.
     for (std::uint64_t seed : {0x11ull, 0x22ull, 0x33ull}) {
         Rng rng(seed);
-        const RsaPrivateKey crt = rsaGenerate(rng, 256);
+        const RsaPrivateKey crt = rsaGenerate(rng, 256).value();
         ASSERT_TRUE(crt.hasCrt());
         const RsaPrivateKey plain = stripCrt(crt);
         for (int i = 0; i < 4; ++i) {

@@ -34,6 +34,16 @@ TEST(Rsa, KeyInternalConsistency)
     EXPECT_EQ((key.q * key.qInv) % key.p, BigNum(1));
 }
 
+TEST(Rsa, UnsupportedWidthIsATypedRefusal)
+{
+    Rng rng(9);
+    for (std::size_t bits : {0u, 2u, 64u, 129u}) {
+        auto key = rsaGenerate(rng, bits);
+        ASSERT_FALSE(key.ok()) << bits;
+        EXPECT_EQ(key.error().code, Errc::invalidArgument) << bits;
+    }
+}
+
 TEST(Rsa, PrivateThenPublicIsIdentity)
 {
     const RsaPrivateKey &key = testKey();

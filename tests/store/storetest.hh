@@ -1,12 +1,16 @@
 /**
  * @file
  * Shared helpers for the sealed-store test suite: a self-cleaning
- * temporary directory and workload/digest utilities.
+ * temporary directory, a file-size cap for disk faults, and
+ * workload/digest utilities.
  */
 
 #ifndef MINTCB_TESTS_STORE_STORETEST_HH
 #define MINTCB_TESTS_STORE_STORETEST_HH
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -54,6 +58,45 @@ configFor(const TempDir &tmp)
     cfg.dir = tmp.storeDir();
     return cfg;
 }
+
+/** A real disk fault with no hook: caps this process's file size
+ *  (RLIMIT_FSIZE) and ignores SIGXFSZ, so a write that crosses the cap
+ *  is cut short and the next one fails with EFBIG. restore() (or the
+ *  destructor) puts the old limit and SIGXFSZ disposition back; call
+ *  it right after the faulted call, before anything else writes. */
+class FileSizeCap
+{
+  public:
+    explicit FileSizeCap(rlim_t bytes)
+    {
+        ::getrlimit(RLIMIT_FSIZE, &saved_);
+        savedHandler_ = std::signal(SIGXFSZ, SIG_IGN);
+        rlimit capped = saved_;
+        capped.rlim_cur = bytes;
+        active_ = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+    }
+    ~FileSizeCap() { restore(); }
+
+    FileSizeCap(const FileSizeCap &) = delete;
+    FileSizeCap &operator=(const FileSizeCap &) = delete;
+
+    bool active() const { return active_; }
+
+    void
+    restore()
+    {
+        if (savedHandler_ == SIG_ERR)
+            return;
+        ::setrlimit(RLIMIT_FSIZE, &saved_);
+        std::signal(SIGXFSZ, savedHandler_);
+        savedHandler_ = SIG_ERR;
+    }
+
+  private:
+    rlimit saved_{};
+    void (*savedHandler_)(int) = SIG_ERR;
+    bool active_ = false;
+};
 
 /** Whole-file read/write, for the rollback/corruption tests that play
  *  the adversarial OS. */

@@ -17,9 +17,9 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 
+#include "common/file.hh"
 #include "sea/service.hh"
 #include "verify/race.hh"
 #include "verify/temporal.hh"
@@ -91,15 +91,9 @@ lintTrace(const verify::ExecutionTrace &trace, bool verbose)
 int
 lintFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "mintcb-lint: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    Bytes blob((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-    auto trace = verify::ExecutionTrace::decode(blob);
+    const auto blob = readFile(path);
+    auto trace = blob ? verify::ExecutionTrace::decode(*blob)
+                      : Result<verify::ExecutionTrace>(blob.error());
     if (!trace) {
         std::fprintf(stderr, "mintcb-lint: %s: %s\n", path.c_str(),
                      trace.error().str().c_str());
@@ -122,13 +116,9 @@ recordMode(const std::string &path)
                      s.error().str().c_str());
         return 2;
     }
-    const Bytes blob = trace.encode();
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char *>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-    if (!out) {
-        std::fprintf(stderr, "mintcb-lint: cannot write %s\n",
-                     path.c_str());
+    if (auto s = writeFileDurable(path, trace.encode()); !s.ok()) {
+        std::fprintf(stderr, "mintcb-lint: %s\n",
+                     s.error().message.c_str());
         return 2;
     }
     std::printf("recorded %zu events to %s\n", trace.size(),

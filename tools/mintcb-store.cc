@@ -9,7 +9,8 @@
  *                                 snapshot container (CRC-checked),
  *                                 sidecar presence. Reads the raw
  *                                 files; never unseals. Exit 1 on a
- *                                 torn log or a corrupt snapshot.
+ *                                 missing WAL, a torn log, a corrupt
+ *                                 snapshot or any unreadable file.
  *   mintcb-store verify <dir>     full open: replay, MAC checks, the
  *                                 rollback test against the chip
  *                                 counter. Prints epoch/size/digest;
@@ -32,12 +33,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "common/file.hh"
 #include "common/hex.hh"
 #include "store/engine.hh"
 #include "store/migrate.hh"
@@ -47,16 +48,6 @@ namespace
 {
 
 using namespace mintcb;
-
-Bytes
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return {};
-    return Bytes(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-}
 
 store::StoreConfig
 configFor(const std::string &dir, std::uint64_t seed)
@@ -68,41 +59,60 @@ configFor(const std::string &dir, std::uint64_t seed)
     return cfg;
 }
 
+/** Read one store file for inspect and print its size, or why it has
+ *  none. A missing file prints @p absent, or is damage when that is
+ *  null; any other failed read is damage. */
+std::optional<Bytes>
+readStoreFile(const char *label, const std::string &path,
+              const char *absent, bool &damaged)
+{
+    auto bytes = readFile(path);
+    if (bytes) {
+        std::printf("%-9s %s (%zu bytes)\n", label, path.c_str(),
+                    bytes->size());
+        return bytes.take();
+    }
+    if (bytes.error().code == Errc::notFound && absent != nullptr) {
+        std::printf("%-9s %s\n", label, absent);
+    } else {
+        std::printf("%-9s UNREADABLE: %s\n", label,
+                    bytes.error().message.c_str());
+        damaged = true;
+    }
+    return std::nullopt;
+}
+
 int
 inspect(const std::string &dir)
 {
-    const std::string walPath = dir + "/wal.mwl";
-    const std::string snapPath = dir + "/snapshot.mss";
-    const std::string nvPath = dir + ".tpmnv";
-
-    const Bytes wal = readFile(walPath);
-    std::printf("wal:      %s (%zu bytes)\n", walPath.c_str(),
-                wal.size());
-    const store::WalScan scan = store::scanWal(wal);
-    std::size_t counts[5] = {0, 0, 0, 0, 0};
-    for (const store::WalRecord &r : scan.records) {
-        const auto t = static_cast<std::size_t>(r.type);
-        ++counts[t < 5 ? t : 0];
+    bool damaged = false;
+    // Every opened store has a log, so a missing one is damage, not an
+    // empty log: verify refuses a non-empty store without it.
+    if (const auto wal =
+            readStoreFile("wal:", dir + "/wal.mwl", nullptr, damaged)) {
+        const store::WalScan scan = store::scanWal(*wal);
+        std::size_t counts[5] = {0, 0, 0, 0, 0};
+        for (const store::WalRecord &r : scan.records) {
+            const auto t = static_cast<std::size_t>(r.type);
+            ++counts[t < 5 ? t : 0];
+        }
+        std::printf("  records: %zu (keyBlob=%zu put=%zu remove=%zu "
+                    "commit=%zu)\n",
+                    scan.records.size(), counts[1], counts[2], counts[3],
+                    counts[4]);
+        if (scan.torn) {
+            std::printf("  TORN tail after %zu clean bytes: %s\n",
+                        scan.validBytes, scan.tornReason.c_str());
+        } else {
+            std::printf("  clean: every byte parsed\n");
+        }
+        damaged |= scan.torn;
     }
-    std::printf("  records: %zu (keyBlob=%zu put=%zu remove=%zu "
-                "commit=%zu)\n",
-                scan.records.size(), counts[1], counts[2], counts[3],
-                counts[4]);
-    if (scan.torn) {
-        std::printf("  TORN tail after %zu clean bytes: %s\n",
-                    scan.validBytes, scan.tornReason.c_str());
-    } else {
-        std::printf("  clean: every byte parsed\n");
-    }
 
-    const Bytes snap = readFile(snapPath);
-    bool snapCorrupt = false;
-    if (snap.empty()) {
-        std::printf("snapshot: none\n");
-    } else {
-        std::printf("snapshot: %s (%zu bytes)\n", snapPath.c_str(),
-                    snap.size());
-        auto container = store::SnapshotContainer::decode(snap);
+    // An empty snapshot is present, and decodes as corrupt.
+    if (const auto snap = readStoreFile("snapshot:", dir + "/snapshot.mss",
+                                        "none", damaged)) {
+        auto container = store::SnapshotContainer::decode(*snap);
         if (container) {
             std::printf("  MSS1 v%u, clear epoch %llu (advisory; the "
                         "sealed epoch is authoritative)\n",
@@ -110,19 +120,15 @@ inspect(const std::string &dir)
                         static_cast<unsigned long long>(
                             container->clearEpoch));
         } else {
-            snapCorrupt = true;
+            damaged = true;
             std::printf("  CORRUPT: %s\n",
                         container.error().message.c_str());
         }
     }
 
-    const Bytes nv = readFile(nvPath);
-    if (nv.empty())
-        std::printf("chip NV:  none (fresh chip on next open)\n");
-    else
-        std::printf("chip NV:  %s (%zu bytes)\n", nvPath.c_str(),
-                    nv.size());
-    return scan.torn || snapCorrupt ? 1 : 0;
+    readStoreFile("chip NV:", dir + ".tpmnv",
+                  "none (fresh chip on next open)", damaged);
+    return damaged ? 1 : 0;
 }
 
 int
@@ -153,14 +159,13 @@ compact(const std::string &dir, std::uint64_t seed)
                      opened.error().message.c_str());
         return 1;
     }
-    const std::size_t before =
-        readFile((*opened)->walPath()).size();
+    const std::size_t before = (*opened)->syncedWalBytes();
     if (auto s = (*opened)->checkpoint(); !s.ok()) {
         std::fprintf(stderr, "compact: checkpoint failed: %s\n",
                      s.error().message.c_str());
         return 1;
     }
-    const std::size_t after = readFile((*opened)->walPath()).size();
+    const std::size_t after = (*opened)->syncedWalBytes();
     std::printf("compacted: wal %zu -> %zu bytes (epoch %llu, %zu "
                 "keys)\n",
                 before, after,
@@ -268,6 +273,23 @@ selftest()
     }
     if (verify(src, 0, /*quiet=*/true) != 0) {
         std::fprintf(stderr, "FAIL: verify after compact\n");
+        return 1;
+    }
+    // inspect must refuse what verify refuses: an empty snapshot or a
+    // deleted WAL is damage, not an absent file.
+    const std::string fresh = tmpl + "/fresh";
+    const std::string emptySnap = tmpl + "/empty-snapshot";
+    const std::string noWal = tmpl + "/no-wal";
+    std::filesystem::copy(src, emptySnap);
+    std::filesystem::copy(src, noWal);
+    std::filesystem::resize_file(emptySnap + "/snapshot.mss", 0);
+    std::filesystem::remove(noWal + "/wal.mwl");
+    if (verify(fresh, 0, true) != 0 || inspect(fresh) != 0 ||
+        inspect(src) != 0 || verify(emptySnap, 0, true) != 1 ||
+        inspect(emptySnap) != 1 || verify(noWal, 0, true) != 1 ||
+        inspect(noWal) != 1) {
+        std::fprintf(stderr, "FAIL: inspect disagrees with verify on a "
+                             "fresh, healthy or damaged store\n");
         return 1;
     }
     if (migrate(src, dst, 0) != 0) {

@@ -24,9 +24,9 @@
 
 #include <cstdio>
 #include <functional>
-#include <fstream>
 #include <string>
 
+#include "common/file.hh"
 #include "obs/bridge.hh"
 #include "obs/chromejson.hh"
 #include "obs/metrics.hh"
@@ -89,11 +89,10 @@ writeExport(const obs::SpanTracer &tracer,
             const std::string &path)
 {
     const std::string json = tracer.exportChromeTrace(tracks);
-    std::ofstream out(path, std::ios::binary);
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) {
-        std::fprintf(stderr, "mintcb-trace: cannot write %s\n",
-                     path.c_str());
+    if (auto s = writeFileDurable(path, Bytes(json.begin(), json.end()));
+        !s.ok()) {
+        std::fprintf(stderr, "mintcb-trace: %s\n",
+                     s.error().message.c_str());
         return 2;
     }
     std::printf("exported %zu spans to %s\n", tracer.spans().size(),
@@ -104,15 +103,9 @@ writeExport(const obs::SpanTracer &tracer,
 int
 replayFile(const std::string &path, const std::string &exportPath)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "mintcb-trace: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    Bytes blob((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-    auto trace = verify::ExecutionTrace::decode(blob);
+    const auto blob = readFile(path);
+    auto trace = blob ? verify::ExecutionTrace::decode(*blob)
+                      : Result<verify::ExecutionTrace>(blob.error());
     if (!trace) {
         std::fprintf(stderr, "mintcb-trace: %s: %s\n", path.c_str(),
                      trace.error().str().c_str());
@@ -171,9 +164,9 @@ selftest()
     const std::string path = "trace_selftest.json";
     if (writeExport(tracer, tracks, path) != 0)
         ok = false;
-    std::ifstream in(path, std::ios::binary);
-    const std::string json((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
+    const auto file = readFile(path);
+    const std::string json = file ? std::string(file->begin(), file->end())
+                                  : std::string();
     auto parsed = obs::parseChromeTrace(json);
     if (!parsed) {
         std::printf("export parse FAILED: %s\n",
