@@ -6,6 +6,7 @@
 #include "common/file.hh"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -26,6 +27,29 @@ ioError(const std::string &what)
     return Error(Errc::unavailable, what + ": " + std::strerror(errno));
 }
 
+/** @name The counted system calls (threadFileOps). @{ */
+int
+openFile(const char *path, int flags, mode_t mode = 0)
+{
+    ++threadFileOps.opens;
+    return ::open(path, flags, mode);
+}
+
+int
+syncFile(int fd)
+{
+    ++threadFileOps.fsyncs;
+    return ::fsync(fd);
+}
+
+int
+renameFile(const std::string &from, const std::string &to)
+{
+    ++threadFileOps.renames;
+    return std::rename(from.c_str(), to.c_str());
+}
+/** @} */
+
 /** The one write-all loop: the bytes written, short only when a write
  *  failed (errno says why). */
 std::size_t
@@ -33,6 +57,7 @@ writeAll(int fd, const Bytes &data)
 {
     std::size_t off = 0;
     while (off < data.size()) {
+        ++threadFileOps.writes;
         const ssize_t n =
             ::write(fd, data.data() + off, data.size() - off);
         if (n <= 0)
@@ -40,6 +65,22 @@ writeAll(int fd, const Bytes &data)
         off += static_cast<std::size_t>(n);
     }
     return off;
+}
+
+/** Read @p fd from its offset to end-of-file. */
+Result<Bytes>
+readAll(int fd, const std::string &path)
+{
+    Bytes out;
+    std::uint8_t buf[64 * 1024];
+    for (;;) {
+        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n < 0)
+            return ioError("read " + path);
+        if (n == 0)
+            return out;
+        out.insert(out.end(), buf, buf + n);
+    }
 }
 
 } // namespace
@@ -54,22 +95,13 @@ OwnedFd::reset()
 Result<Bytes>
 readFile(const std::string &path)
 {
-    OwnedFd fd(::open(path.c_str(), O_RDONLY));
+    OwnedFd fd(openFile(path.c_str(), O_RDONLY));
     if (!fd.valid()) {
         if (errno == ENOENT)
             return Error(Errc::notFound, "no such file: " + path);
         return ioError("open " + path);
     }
-    Bytes out;
-    std::uint8_t buf[64 * 1024];
-    for (;;) {
-        const ssize_t n = ::read(fd.get(), buf, sizeof buf);
-        if (n < 0)
-            return ioError("read " + path);
-        if (n == 0)
-            return out;
-        out.insert(out.end(), buf, buf + n);
-    }
+    return readAll(fd.get(), path);
 }
 
 Status
@@ -88,17 +120,17 @@ Status
 writeFileDurable(const std::string &path, const Bytes &data)
 {
     const std::string tmp = path + ".tmp";
-    OwnedFd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
+    OwnedFd fd(openFile(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
     Status s = okStatus();
     if (!fd.valid())
         s = ioError("create " + tmp);
     else if (writeAll(fd.get(), data) != data.size())
         s = ioError("write " + tmp);
-    else if (::fsync(fd.get()) != 0)
+    else if (syncFile(fd.get()) != 0)
         s = ioError("fsync " + tmp);
     else if (::close(fd.release()) != 0)
         s = ioError("close " + tmp);
-    else if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    else if (renameFile(tmp, path) != 0)
         s = ioError("rename to " + path);
     if (!s.ok()) {
         ::unlink(tmp.c_str());
@@ -110,10 +142,10 @@ writeFileDurable(const std::string &path, const Bytes &data)
         slash == std::string::npos
             ? std::string(".")
             : path.substr(0, std::max<std::size_t>(slash, 1));
-    fd = OwnedFd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
+    fd = OwnedFd(openFile(dir.c_str(), O_RDONLY | O_DIRECTORY));
     if (!fd.valid())
         return ioError("open " + dir);
-    if (::fsync(fd.get()) != 0)
+    if (syncFile(fd.get()) != 0)
         return ioError("fsync " + dir);
     return okStatus();
 }
@@ -122,7 +154,7 @@ Status
 AppendFile::open(const std::string &path, std::size_t size)
 {
     fd_.reset(); // before the open, so its errno survives to ioError
-    fd_ = OwnedFd(::open(path.c_str(), O_WRONLY | O_APPEND));
+    fd_ = OwnedFd(openFile(path.c_str(), O_WRONLY | O_APPEND));
     if (!fd_.valid())
         return ioError("open " + path);
     path_ = path;
@@ -144,7 +176,7 @@ AppendFile::append(const Bytes &data)
 Status
 AppendFile::sync()
 {
-    if (::fsync(fd_.get()) != 0)
+    if (syncFile(fd_.get()) != 0)
         return ioError("fsync " + path_);
     synced_ = size_;
     return okStatus();
@@ -157,6 +189,61 @@ AppendFile::truncate(std::size_t len)
         return ioError("truncate " + path_);
     size_ = len;
     synced_ = std::min(synced_, len);
+    return okStatus();
+}
+
+Result<Bytes>
+SlotFile::open(const std::string &path, std::size_t slot_bytes)
+{
+    fd_.reset(); // before the open, so its errno survives to ioError
+    fd_ = OwnedFd(openFile(path.c_str(), O_RDWR));
+    if (!fd_.valid()) {
+        if (errno == ENOENT)
+            return Error(Errc::notFound, "no such file: " + path);
+        return ioError("open " + path);
+    }
+    auto contents = readAll(fd_.get(), path);
+    if (!contents) {
+        fd_.reset();
+        return contents;
+    }
+    path_ = path;
+    slotBytes_ = slot_bytes;
+    size_ = contents->size();
+    return contents;
+}
+
+Status
+SlotFile::write(std::size_t slot, const Bytes &data)
+{
+    if (data.size() > slotBytes_ || (slot + 1) * slotBytes_ > size_) {
+        return Error(Errc::invalidArgument,
+                     "slot " + std::to_string(slot) + " of " + path_ +
+                         " cannot hold " + std::to_string(data.size()) +
+                         " bytes");
+    }
+    struct stat st{};
+    if (::fstat(fd_.get(), &st) != 0)
+        return ioError("stat " + path_);
+    if (st.st_nlink == 0) {
+        return Error(Errc::unavailable,
+                     "write " + path_ + ": the file was removed");
+    }
+    Bytes padded = data;
+    padded.resize(slotBytes_, 0);
+    std::size_t off = 0;
+    while (off < padded.size()) {
+        ++threadFileOps.pwrites;
+        const ssize_t n =
+            ::pwrite(fd_.get(), padded.data() + off, padded.size() - off,
+                     static_cast<off_t>(slot * slotBytes_ + off));
+        if (n <= 0)
+            return ioError("write " + path_);
+        off += static_cast<std::size_t>(n);
+    }
+    ++threadFileOps.fdatasyncs;
+    if (::fdatasync(fd_.get()) != 0)
+        return ioError("fdatasync " + path_);
     return okStatus();
 }
 

@@ -4,11 +4,13 @@
  * goes through here (the key cache's per-process tmp write aside).
  * Every system call is checked; a failure is Errc::unavailable naming
  * the call, the path and the errno text ("append <path>: ...").
+ * fileOpCounts() counts the calls by kind, per thread.
  */
 
 #ifndef MINTCB_COMMON_FILE_HH
 #define MINTCB_COMMON_FILE_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -17,6 +19,25 @@
 
 namespace mintcb
 {
+
+/** File system calls made on this thread through this layer, by kind.
+ *  They are exact and host-independent, so a test gates the calls one
+ *  store operation makes with EXPECT_EQ; thread-local, like
+ *  crypto::hashBlockCounts(). */
+struct FileOpCounts
+{
+    std::uint64_t opens = 0;      //!< open(2), files and directories
+    std::uint64_t writes = 0;     //!< write(2)
+    std::uint64_t pwrites = 0;    //!< pwrite(2)
+    std::uint64_t fsyncs = 0;     //!< fsync(2)
+    std::uint64_t fdatasyncs = 0; //!< fdatasync(2)
+    std::uint64_t renames = 0;    //!< rename(2)
+};
+
+inline thread_local FileOpCounts threadFileOps;
+
+/** This thread's counts so far. */
+inline FileOpCounts fileOpCounts() { return threadFileOps; }
 
 /** Owns one file descriptor; closes on destruction. Movable. */
 class OwnedFd
@@ -80,6 +101,35 @@ class AppendFile
     OwnedFd fd_;
     std::size_t size_ = 0;
     std::size_t synced_ = 0;
+};
+
+/** A file of equal fixed-size slots, each rewritten in place (the
+ *  store's chip-NV A/B pair). writeFileDurable creates the file whole;
+ *  a slot write never changes its size, so one pwrite and one
+ *  fdatasync make the slot durable: fdatasync skips only metadata
+ *  (times) that reading the slot back does not need. */
+class SlotFile
+{
+  public:
+    /** Close any open file, then open the existing @p path for slot
+     *  writes of @p slot_bytes each and return its whole contents
+     *  (notFound when it does not exist). The caller checks the
+     *  layout; write() refuses any slot past the end of the file. */
+    Result<Bytes> open(const std::string &path, std::size_t slot_bytes);
+    void close() { fd_.reset(); }
+    bool isOpen() const { return fd_.valid(); }
+
+    /** Overwrite slot @p slot with @p data, zero-padded to the slot
+     *  size: one pwrite (more only after a short one) and one
+     *  fdatasync. A file whose last link is gone is refused: the bytes
+     *  would reach an inode no later open can find. */
+    Status write(std::size_t slot, const Bytes &data);
+
+  private:
+    std::string path_;
+    OwnedFd fd_;
+    std::size_t slotBytes_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace mintcb

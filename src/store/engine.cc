@@ -13,6 +13,7 @@
 #include "latelaunch/latelaunch.hh"
 #include "store/migrate.hh"
 #include "tpm/blob.hh"
+#include "tpm/tpm.hh"
 
 namespace mintcb::store
 {
@@ -26,48 +27,87 @@ constexpr PhysAddr storeSlbAddr = 0x10000;
 } // namespace
 
 Bytes
-SnapshotContainer::encode() const
+EpochContainer::encode(const ContainerFormat &format) const
 {
     Bytes wire;
     ByteWriter w(wire);
-    w.u32(snapshotMagic);
-    w.u16(snapshotVersion);
-    w.u64(clearEpoch);
-    w.lengthPrefixed(sealed);
+    w.u32(format.magic);
+    w.u16(format.version);
+    w.u64(epoch);
+    w.lengthPrefixed(body);
     w.u32(crc32(wire, 0, wire.size()));
     return wire;
 }
 
-Result<SnapshotContainer>
-SnapshotContainer::decode(const Bytes &file)
+Result<EpochContainer>
+EpochContainer::decode(const ContainerFormat &format, const Bytes &wire)
 {
-    if (file.size() < walCrcBytes) {
+    const std::string corrupt = std::string("corrupt ") + format.what;
+    if (wire.size() < walCrcBytes)
+        return Error(Errc::integrityFailure, corrupt + ": short container");
+    const std::size_t body = wire.size() - walCrcBytes;
+    if (loadBe32(wire.data() + body) != crc32(wire, 0, body)) {
         return Error(Errc::integrityFailure,
-                     "corrupt snapshot: short container");
+                     corrupt + ": container CRC mismatch");
     }
-    const std::size_t body = file.size() - walCrcBytes;
-    if (loadBe32(file.data() + body) != crc32(file, 0, body)) {
-        return Error(Errc::integrityFailure,
-                     "corrupt snapshot: container CRC mismatch");
-    }
-    const Bytes fields(file.begin(),
-                       file.begin() + static_cast<std::ptrdiff_t>(body));
+    const Bytes fields(wire.begin(),
+                       wire.begin() + static_cast<std::ptrdiff_t>(body));
     ByteReader r(fields);
     const std::uint32_t magic = r.getU32();
-    if (r.ok() && magic != snapshotMagic) {
-        return Error(Errc::integrityFailure,
-                     "corrupt snapshot: bad magic");
-    }
+    if (r.ok() && magic != format.magic)
+        return Error(Errc::integrityFailure, corrupt + ": bad magic");
     const std::uint16_t version = r.getU16();
-    if (r.ok() && version != snapshotVersion) {
+    if (r.ok() && version != format.version) {
         return Error(Errc::invalidArgument,
-                     "unknown snapshot version");
+                     std::string("unknown ") + format.what + " version");
     }
-    SnapshotContainer c;
-    c.clearEpoch = r.getU64();
-    c.sealed = r.getLengthPrefixed();
+    EpochContainer c;
+    c.epoch = r.getU64();
+    c.body = r.getLengthPrefixed();
+    const std::string trailing = corrupt + ": trailing bytes";
     return r.finish(std::move(c), Errc::integrityFailure,
-                    "corrupt snapshot: trailing bytes");
+                    trailing.c_str());
+}
+
+Status
+checkChipNvLayout(const Bytes &file)
+{
+    if (file.size() == nvSlotCount * nvSlotBytes)
+        return okStatus();
+    if (file.size() >= 4 && loadBe32(file.data()) == tpm::nvStateMagic) {
+        return Error(Errc::invalidArgument,
+                     "chip NV file is a bare TNV1 image, not the "
+                     "two-slot MNV1 layout");
+    }
+    return Error(Errc::integrityFailure,
+                 "corrupt chip NV file: " + std::to_string(file.size()) +
+                     " bytes, not " + std::to_string(nvSlotCount) +
+                     " slots of " + std::to_string(nvSlotBytes));
+}
+
+Result<EpochContainer>
+decodeNvSlot(const Bytes &file, std::size_t slot)
+{
+    if (slot >= nvSlotCount || file.size() != nvSlotCount * nvSlotBytes) {
+        return Error(Errc::invalidArgument,
+                     "NV slot " + std::to_string(slot) +
+                         " is outside the chip NV file");
+    }
+    // The container sits at the slot's front; its length field says
+    // where it ends and the zero padding begins.
+    constexpr std::size_t lengthAt = 4 + 2 + 8;
+    const auto begin = file.begin() +
+                       static_cast<std::ptrdiff_t>(slot * nvSlotBytes);
+    const std::uint64_t length =
+        lengthAt + 4 + std::uint64_t{loadBe32(&*begin + lengthAt)} +
+        walCrcBytes;
+    if (length > nvSlotBytes) {
+        return Error(Errc::integrityFailure,
+                     "corrupt NV slot: length overruns the slot");
+    }
+    return EpochContainer::decode(
+        nvSlotFormat,
+        Bytes(begin, begin + static_cast<std::ptrdiff_t>(length)));
 }
 
 const char *
@@ -206,18 +246,38 @@ SealedStore::launchIdentity()
 Status
 SealedStore::loadChipNv()
 {
-    auto image = readFile(nvPath_);
-    if (!image) {
-        if (image.error().code != Errc::notFound)
-            return image.error();
+    auto file = nvFile_.open(nvPath_, nvSlotBytes);
+    if (!file) {
+        if (file.error().code != Errc::notFound)
+            return file.error();
         // Fresh chip: bind the store's freshness counter (handle 0).
+        // The slot file is created at the first persist.
         auto handle = idMachine_.tpm().counterCreate();
         if (!handle)
             return handle.error();
         counterHandle_ = *handle;
         return okStatus();
     }
-    if (auto s = idMachine_.tpm().importNvState(*image); !s.ok())
+    if (auto s = checkChipNvLayout(*file); !s.ok())
+        return Error(s.error().code, s.error().message + ": " + nvPath_);
+    // The newest slot whose CRC checks. A torn newest slot reads as
+    // the one before it, one increment behind: recovery repairs that
+    // forward like any other lost increment.
+    std::optional<EpochContainer> newest;
+    for (std::size_t i = 0; i < nvSlotCount; ++i) {
+        auto slot = decodeNvSlot(*file, i);
+        if (slot && (!newest || slot->epoch > newest->epoch)) {
+            newest = slot.take();
+            nvSlot_ = i;
+        }
+    }
+    if (!newest) {
+        return Error(Errc::integrityFailure,
+                     "corrupt chip NV file: no slot's CRC checks: " +
+                         nvPath_);
+    }
+    nvGeneration_ = newest->epoch;
+    if (auto s = idMachine_.tpm().importNvState(newest->body); !s.ok())
         return s;
     counterHandle_ = 0;
     if (!idMachine_.tpm().counterRead(counterHandle_).ok()) {
@@ -230,7 +290,32 @@ SealedStore::loadChipNv()
 Status
 SealedStore::persistChipNv()
 {
-    return writeFileDurable(nvPath_, idMachine_.tpm().exportNvState());
+    const Bytes slot =
+        EpochContainer{nvGeneration_ + 1, idMachine_.tpm().exportNvState()}
+            .encode(nvSlotFormat);
+    if (slot.size() > nvSlotBytes) {
+        return Error(Errc::resourceExhausted,
+                     "chip NV image does not fit its slot");
+    }
+    if (nvFile_.isOpen()) {
+        // Overwrite the older slot; the newer one stays intact until
+        // this write is durable.
+        if (auto s = nvFile_.write(nvSlot_ ^ 1, slot); !s.ok())
+            return s;
+        nvSlot_ ^= 1;
+    } else {
+        // A fresh chip's first persist creates the file whole: the
+        // image in slot 0, slot 1 zeros. Its size never changes again.
+        Bytes file = slot;
+        file.resize(nvSlotCount * nvSlotBytes, 0);
+        if (auto s = writeFileDurable(nvPath_, file); !s.ok())
+            return s;
+        if (auto opened = nvFile_.open(nvPath_, nvSlotBytes); !opened)
+            return opened.error();
+        nvSlot_ = 0;
+    }
+    ++nvGeneration_;
+    return okStatus();
 }
 
 Bytes
@@ -291,10 +376,10 @@ SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
     auto image = readFile(snapPath_);
     if (!image)
         return image.error();
-    auto container = SnapshotContainer::decode(*image);
+    auto container = EpochContainer::decode(snapshotFormat, *image);
     if (!container)
         return container.error();
-    auto blob = tpm::SealedBlob::decode(container->sealed);
+    auto blob = tpm::SealedBlob::decode(container->body);
     if (!blob)
         return blob.error();
     auto payload = unsealWithDiagnosis(*blob);
@@ -306,7 +391,7 @@ SealedStore::loadSnapshot(std::uint64_t *snap_epoch)
     // The clear epoch is advisory (the inspect tool reads it without
     // unsealing); the sealed one is authoritative. Disagreement means
     // the container was stitched together from two snapshots.
-    if (sealedEpoch != container->clearEpoch) {
+    if (sealedEpoch != container->epoch) {
         return Error(Errc::integrityFailure,
                      "corrupt snapshot: clear epoch does not match "
                      "the sealed epoch");
@@ -322,7 +407,8 @@ SealedStore::sealSnapshot()
     if (!blob)
         return blob.error();
     return writeFileDurable(
-        snapPath_, SnapshotContainer{epoch_, blob->encode()}.encode());
+        snapPath_,
+        EpochContainer{epoch_, blob->encode()}.encode(snapshotFormat));
 }
 
 Status
@@ -361,8 +447,10 @@ SealedStore::replayWal(std::uint64_t snap_epoch)
 {
     auto image = readFile(walPath_);
     if (!image) {
-        if (image.error().code != Errc::notFound)
+        if (image.error().code != Errc::notFound ||
+            !config_.createIfMissing) {
             return image.error();
+        }
         if (snap_epoch > 0 ||
             idMachine_.tpm().counterRead(counterHandle_).value() > 0) {
             return Error(Errc::integrityFailure,
@@ -504,8 +592,10 @@ SealedStore::openInternal()
     launchStatus_ = launchIdentity();
     if (!launchStatus_.ok())
         return launchStatus_;
-    if (auto s = makeDirs(config_.dir); !s.ok())
-        return s;
+    if (config_.createIfMissing) {
+        if (auto s = makeDirs(config_.dir); !s.ok())
+            return s;
+    }
     if (auto s = loadChipNv(); !s.ok())
         return s;
 
@@ -587,15 +677,16 @@ SealedStore::die(const char *what)
 /** The one kill path, for injected crashes, the migration hand-off and
  *  a durability step that failed partway through a protocol a retry
  *  would corrupt (torn bytes left in the log, duplicate commit epoch,
- *  double counter advance): kill this instance, close the WAL so
- *  nothing more reaches it, and return @p cause. Reopening repairs via
- *  recovery instead. */
+ *  double counter advance): kill this instance, close the WAL and the
+ *  chip-NV file so nothing more reaches them, and return @p cause.
+ *  Reopening repairs via recovery instead. */
 Status
 SealedStore::fatal(Status cause, const char *what)
 {
     dead_ = true;
     deadReason_ = what;
     wal_.close();
+    nvFile_.close();
     return cause;
 }
 

@@ -18,7 +18,8 @@
  * seal/unseal traffic charges the store's own clocks and can never
  * perturb a service timeline (the PR 4 byte-identity argument). The
  * counter lives in chip NVRAM, persisted via Tpm::exportNvState to a
- * sidecar file *outside* the store directory: an adversary who rolls
+ * two-slot sidecar file *outside* the store directory (each commit
+ * rewrites the older slot in place): an adversary who rolls
  * the directory back to yesterday cannot roll the chip back with it,
  * so open() sees sealed epoch < hardware counter and refuses with a
  * typed rollback error instead of silently serving stale state.
@@ -55,31 +56,72 @@
 namespace mintcb::store
 {
 
-/** Snapshot container magic: "MSS1". */
+/** What one epoch container holds: its magic, its layout version and
+ *  the name its refusals use ("corrupt <what>: ..."). */
+struct ContainerFormat
+{
+    std::uint32_t magic;
+    std::uint16_t version;
+    const char *what;
+};
+
+/** MSS1, the snapshot file a checkpoint writes: the epoch is an
+ *  advisory copy of the sealed epoch (what the inspect tool shows
+ *  without unsealing; the sealed one is authoritative) and the body is
+ *  the SealedBlob wire of the map payload. */
 inline constexpr std::uint32_t snapshotMagic = 0x4d535331;
 inline constexpr std::uint16_t snapshotVersion = 1;
+inline constexpr ContainerFormat snapshotFormat{snapshotMagic,
+                                                snapshotVersion, "snapshot"};
+
+/** MNV1, one chip-NV slot: the epoch is the slot's write generation
+ *  and the body the chip's TNV1 image (Tpm::exportNvState). */
+inline constexpr std::uint32_t nvSlotMagic = 0x4d4e5631;
+inline constexpr std::uint16_t nvSlotVersion = 1;
+inline constexpr ContainerFormat nvSlotFormat{nvSlotMagic, nvSlotVersion,
+                                              "NV slot"};
 
 /**
- * The MSS1 snapshot file a checkpoint writes:
+ * The one epoch-container codec, for MSS1 snapshots and MNV1 chip-NV
+ * slots:
  *
- *     u32 magic | u16 version | u64 clearEpoch |
- *     lengthPrefixed(sealed) | u32 crc32 (IEEE, over all before it)
+ *     u32 magic | u16 version | u64 epoch |
+ *     lengthPrefixed(body) | u32 crc32 (IEEE, over all before it)
  *
  * Like the MWL1 CRC, this one is keyless: it catches bit rot and torn
- * writes before anything is unsealed, not an adversary.
+ * writes before anything is unsealed or imported, not an adversary.
  */
-struct SnapshotContainer
+struct EpochContainer
 {
-    /** Advisory copy of the sealed epoch (what the inspect tool shows
-     *  without unsealing); the sealed one is authoritative. */
-    std::uint64_t clearEpoch = 0;
-    Bytes sealed; //!< SealedBlob wire of the map payload
+    std::uint64_t epoch = 0;
+    Bytes body;
 
-    Bytes encode() const;
-    /** CRC first, then the fields; refusals read "corrupt snapshot:
-     *  ..." (or "unknown snapshot version"). */
-    static Result<SnapshotContainer> decode(const Bytes &file);
+    Bytes encode(const ContainerFormat &format) const;
+    /** CRC first, then the fields; refusals read "corrupt <what>:
+     *  ..." (or "unknown <what> version"). */
+    static Result<EpochContainer> decode(const ContainerFormat &format,
+                                         const Bytes &wire);
 };
+
+/** @name The chip-NV file: two slots, each rewritten in place.
+ * Slot i is bytes [i * nvSlotBytes, (i + 1) * nvSlotBytes): an MNV1
+ * container at its front, zeros after it. A commit writes the older
+ * slot at the next generation; a load takes the newest slot whose CRC
+ * checks (DESIGN.md section 15.2). @{ */
+inline constexpr std::size_t nvSlotCount = 2;
+/** One page a slot, so the two slots never share a disk block and a
+ *  torn write of one cannot reach the other. */
+inline constexpr std::size_t nvSlotBytes = 4096;
+
+/** Check that @p file is nvSlotCount slots. A bare TNV1 image (the
+ *  pre-slot sidecar) is refused as invalidArgument, any other size as
+ *  integrityFailure. */
+Status checkChipNvLayout(const Bytes &file);
+
+/** Decode slot @p slot of a file that passed checkChipNvLayout (any
+ *  other file or slot is invalidArgument). */
+Result<EpochContainer> decodeNvSlot(const Bytes &file, std::size_t slot);
+/** @} */
 
 /** Where the engine is between two durability actions. Observers are
  *  invoked *after* the named action completed. */
@@ -89,7 +131,7 @@ enum class SyncPoint
     commitAppended,   //!< the commit record reached the OS file
     commitSynced,     //!< fsync returned: the batch is on the platter
     counterAdvanced,  //!< the hardware freshness counter incremented
-    nvWritten,        //!< the chip-NV sidecar was rewritten
+    nvWritten,        //!< the chip-NV slot was written and synced
     snapshotReplaced, //!< the checkpoint atomically replaced the old one
     walRewritten,     //!< the log was compacted to a fresh generation
 };
@@ -149,6 +191,11 @@ struct StoreConfig
      *  *outside* dir: rolling the store directory back must not roll
      *  the chip back (that is the whole point of the counter). */
     std::string nvPath;
+
+    /** False: open only an existing store. A missing WAL is then
+     *  notFound ("no such file: <dir>/wal.mwl") and open creates
+     *  nothing -- no directory, log or sidecar. */
+    bool createIfMissing = true;
 
     /** Seed for the identity machine (same seed across restarts =>
      *  same SRK => old blobs still unseal). */
@@ -326,6 +373,12 @@ class SealedStore final : public sea::SealedStateStore
     std::size_t commitsSinceCheckpoint_ = 0;
     /** The open WAL generation; closed once the instance is dead. */
     AppendFile wal_;
+    /** The chip-NV slot file (closed until the first persist of a
+     *  fresh chip creates it, and once the instance is dead), the slot
+     *  holding the newest image and that image's generation. */
+    SlotFile nvFile_;
+    std::size_t nvSlot_ = 0;
+    std::uint64_t nvGeneration_ = 0;
     /** Recovery discarded bytes (torn tail or uncommitted records): a
      *  partially written record's ciphertext may survive on the
      *  attacker-visible disk under a sequence number a new write would

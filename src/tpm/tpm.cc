@@ -334,14 +334,6 @@ Tpm::nvWrite(std::uint32_t index, const Bytes &data)
     return okStatus();
 }
 
-namespace
-{
-
-/** Chip-NV image magic: "TNV1". */
-constexpr std::uint32_t nvStateMagic = 0x544e5631;
-
-} // namespace
-
 Bytes
 Tpm::exportNvState() const
 {
@@ -372,6 +364,29 @@ Tpm::importNvState(const Bytes &wire)
                      "chip already holds NV state; import is a "
                      "cold-boot operation");
     }
+    std::vector<std::uint64_t> counters;
+    std::vector<NvSpace> spaces;
+    if (auto s = decodeNvState(wire, counters, spaces); !s.ok())
+        return s;
+    counters_ = std::move(counters);
+    nvSpaces_ = std::move(spaces);
+    return okStatus();
+}
+
+Result<std::vector<std::uint64_t>>
+Tpm::nvStateCounters(const Bytes &wire)
+{
+    std::vector<std::uint64_t> counters;
+    std::vector<NvSpace> spaces;
+    if (auto s = decodeNvState(wire, counters, spaces); !s.ok())
+        return s.error();
+    return counters;
+}
+
+Status
+Tpm::decodeNvState(const Bytes &wire, std::vector<std::uint64_t> &counters,
+                   std::vector<NvSpace> &spaces)
+{
     ByteReader r(wire);
     const std::uint32_t magic = r.getU32();
     if (r.ok() && magic != nvStateMagic)
@@ -380,7 +395,6 @@ Tpm::importNvState(const Bytes &wire)
     if (r.ok() && version != 1)
         return Error(Errc::invalidArgument, "unknown NV image version");
 
-    std::vector<std::uint64_t> counters;
     const std::uint32_t counterCount = r.getU32();
     if (r.ok() && counterCount > 4)
         return Error(Errc::integrityFailure, "NV image counter overflow");
@@ -391,7 +405,6 @@ Tpm::importNvState(const Bytes &wire)
         counters.push_back(value);
     }
 
-    std::vector<NvSpace> spaces;
     const std::uint32_t spaceCount = r.getU32();
     if (r.ok() && spaceCount > 8)
         return Error(Errc::integrityFailure, "NV image space overflow");
@@ -416,14 +429,7 @@ Tpm::importNvState(const Bytes &wire)
         }
         spaces.push_back(std::move(space));
     }
-    if (auto s = r.finish(Errc::integrityFailure, "trailing NV image bytes");
-        !s.ok()) {
-        return s;
-    }
-
-    counters_ = std::move(counters);
-    nvSpaces_ = std::move(spaces);
-    return okStatus();
+    return r.finish(Errc::integrityFailure, "trailing NV image bytes");
 }
 
 Result<Bytes>

@@ -87,6 +87,9 @@ class TpmCommandObserver
                            TimePoint start, TimePoint end) = 0;
 };
 
+/** Chip-NV image magic: "TNV1" (Tpm::exportNvState). */
+inline constexpr std::uint32_t nvStateMagic = 0x544e5631;
+
 /** The TPM chip model. */
 class Tpm
 {
@@ -178,6 +181,11 @@ class Tpm
      *  chip untouched) when the image is malformed or the chip already
      *  holds NV state -- restore is a cold-boot operation. */
     Status importNvState(const Bytes &wire);
+    /** The counters a valid NV image holds, in handle order; the same
+     *  checks and refusals as importNvState, with no chip involved
+     *  (what a tool reads from a sidecar). */
+    static Result<std::vector<std::uint64_t>>
+    nvStateCounters(const Bytes &wire);
     /** @} */
 
     /** @name Late-launch hash interface (locality 4 / hardware only).
@@ -271,6 +279,10 @@ class Tpm
         Bytes data;
     };
     std::vector<NvSpace> nvSpaces_; //!< persists across reboot()
+    /** Parse a TNV1 image into @p counters and @p spaces. */
+    static Status decodeNvState(const Bytes &wire,
+                                std::vector<std::uint64_t> &counters,
+                                std::vector<NvSpace> &spaces);
     mutable TpmStats stats_;
     TpmCommandObserver *observer_ = nullptr;
 };

@@ -1,7 +1,8 @@
 /**
  * @file
  * File layer tests: readFile's missing/empty distinction, the durable
- * replace, and AppendFile's byte accounting.
+ * replace, AppendFile's byte accounting, SlotFile's in-place writes and
+ * the per-thread call counts.
  */
 
 #include <gtest/gtest.h>
@@ -127,6 +128,93 @@ TEST(File, FailedReopenLeavesTheAppendFileClosed)
     // Nothing may still reach the file the instance had open.
     EXPECT_FALSE(file.append({2}).ok());
     EXPECT_EQ(*readFile(path), Bytes{1});
+}
+
+TEST(File, SlotFileWritesOneSlotInPlaceAndNeverGrows)
+{
+    ScratchDir dir;
+    const std::string path = dir.path("slots");
+    SlotFile file;
+    auto missing = file.open(path, 4);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.error().code, Errc::notFound);
+    EXPECT_FALSE(file.isOpen());
+
+    ASSERT_TRUE(writeFileDurable(path, Bytes(8, 0)).ok());
+    auto contents = file.open(path, 4);
+    ASSERT_TRUE(contents.ok());
+    EXPECT_EQ(*contents, Bytes(8, 0));
+
+    const FileOpCounts before = fileOpCounts();
+    ASSERT_TRUE(file.write(1, {7, 8}).ok());
+    const FileOpCounts after = fileOpCounts();
+    EXPECT_EQ(after.pwrites - before.pwrites, 1u);
+    EXPECT_EQ(after.fdatasyncs - before.fdatasyncs, 1u);
+    EXPECT_EQ(after.opens - before.opens, 0u);
+    EXPECT_EQ(after.fsyncs - before.fsyncs, 0u);
+    EXPECT_EQ(*readFile(path), (Bytes{0, 0, 0, 0, 7, 8, 0, 0}));
+
+    // A shorter write pads the whole slot; the other slot is untouched.
+    ASSERT_TRUE(file.write(0, {1, 2, 3, 4}).ok());
+    ASSERT_TRUE(file.write(1, {9}).ok());
+    EXPECT_EQ(*readFile(path), (Bytes{1, 2, 3, 4, 9, 0, 0, 0}));
+
+    // Nothing may grow the file: no slot past its end, no oversized
+    // slot.
+    EXPECT_EQ(file.write(2, {1}).error().code, Errc::invalidArgument);
+    EXPECT_EQ(file.write(0, Bytes(5, 1)).error().code,
+              Errc::invalidArgument);
+    EXPECT_EQ(std::filesystem::file_size(path), 8u);
+}
+
+TEST(File, SlotFileRefusesAWriteAfterItsFileWasRemoved)
+{
+    ScratchDir dir;
+    const std::string path = dir.path("slots");
+    ASSERT_TRUE(writeFileDurable(path, Bytes(8, 0)).ok());
+    SlotFile file;
+    ASSERT_TRUE(file.open(path, 4).ok());
+    std::filesystem::remove(path);
+    const Status s = file.write(0, {1});
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.error().code, Errc::unavailable);
+    EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(File, ShortSlotWriteIsAnError)
+{
+    ScratchDir dir;
+    const std::string path = dir.path("slots");
+    ASSERT_TRUE(writeFileDurable(path, Bytes(8, 0)).ok());
+    SlotFile file;
+    ASSERT_TRUE(file.open(path, 4).ok());
+    Status s = okStatus();
+    {
+        FileSizeCap cap(6);
+        ASSERT_TRUE(cap.active());
+        s = file.write(1, {1, 2, 3, 4});
+        cap.restore();
+    }
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.error().code, Errc::unavailable);
+    // The cap cut the slot after its first two bytes: a torn slot.
+    EXPECT_EQ(*readFile(path), (Bytes{0, 0, 0, 0, 1, 2, 0, 0}));
+}
+
+TEST(File, DurableReplaceCountsItsCalls)
+{
+    ScratchDir dir;
+    const FileOpCounts before = fileOpCounts();
+    ASSERT_TRUE(writeFileDurable(dir.path("f"), {1, 2, 3}).ok());
+    const FileOpCounts after = fileOpCounts();
+    // Create the tmp, write it, fsync it, rename it over the path,
+    // open the directory and fsync it.
+    EXPECT_EQ(after.opens - before.opens, 2u);
+    EXPECT_EQ(after.writes - before.writes, 1u);
+    EXPECT_EQ(after.fsyncs - before.fsyncs, 2u);
+    EXPECT_EQ(after.renames - before.renames, 1u);
+    EXPECT_EQ(after.pwrites - before.pwrites, 0u);
+    EXPECT_EQ(after.fdatasyncs - before.fdatasyncs, 0u);
 }
 
 } // namespace

@@ -2,15 +2,16 @@
  * @file
  * Exact, host-independent operation counts on the request path: RSA
  * operations per gateway op, Montgomery products per RSA signature,
- * and hash compressions per sealed blob, store write and transport
- * exchange. A count is the same on every host and every run, so it is
- * gated with EXPECT_EQ: a change that adds or removes an RSA
- * operation, a Montgomery product or a hash block fails here, whatever
- * the host's speed.
+ * hash compressions per sealed blob, store write and transport
+ * exchange, and file system calls per store write. A count is the same
+ * on every host and every run, so it is gated with EXPECT_EQ: a change
+ * that adds or removes an RSA operation, a Montgomery product, a hash
+ * block or a file system call fails here, whatever the host's speed.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/file.hh"
 #include "common/hex.hh"
 #include "crypto/keycache.hh"
 #include "crypto/montgomery.hh"
@@ -221,6 +222,33 @@ TEST(ExactCounts, StoreSealedStateHashBlocks)
     });
     EXPECT_EQ(counts.sha256, 2 * 33 + 2 + 20 + 4u);
     EXPECT_EQ(counts.sha1, 0u);
+}
+
+/**
+ * One steady-state storeSealedState (a put and a commit, no checkpoint
+ * due), after a first write that settles the store. The put appends
+ * its record to the open WAL (1 write) and the commit appends the
+ * commit record (1 write) and fsyncs the log (1 fsync). The counter
+ * advance then overwrites the older chip-NV slot in place (1 pwrite)
+ * and syncs its data (1 fdatasync): the slot file never changes size,
+ * so no tmp file is opened, no rename made and no directory fsynced.
+ */
+TEST(ExactCounts, StoreSealedStateFileOps)
+{
+    storetest::TempDir tmp;
+    auto store = store::SealedStore::open(storetest::configFor(tmp));
+    ASSERT_TRUE(store.ok());
+    const Bytes blob(1024, 0xb1);
+    ASSERT_TRUE((*store)->storeSealedState("warm", blob).ok());
+    const FileOpCounts before = fileOpCounts();
+    ASSERT_TRUE((*store)->storeSealedState("pal-state", blob).ok());
+    const FileOpCounts after = fileOpCounts();
+    EXPECT_EQ(after.writes - before.writes, 2u);
+    EXPECT_EQ(after.fsyncs - before.fsyncs, 1u);
+    EXPECT_EQ(after.pwrites - before.pwrites, 1u);
+    EXPECT_EQ(after.fdatasyncs - before.fdatasyncs, 1u);
+    EXPECT_EQ(after.opens - before.opens, 0u);
+    EXPECT_EQ(after.renames - before.renames, 0u);
 }
 
 /**

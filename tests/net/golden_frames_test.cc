@@ -12,8 +12,9 @@
  *
  *  - EXR2, the encoded sea::ExecutionReport a report frame carries;
  *  - MMB1, the store::MigrationBundle a migrated frame carries;
- *  - MSS1, the store::SnapshotContainer a checkpoint writes, around a
- *    sealed blob of fixed bytes.
+ *  - MSS1, the store::EpochContainer a checkpoint writes, around a
+ *    sealed blob of fixed bytes, and MNV1, the same container as one
+ *    chip-NV slot, around the TNV1 image of a one-counter chip.
  *
  * The hex is pinned, not derived: any codec refactor that changes one
  * byte on the wire or on disk fails here, whatever path produced it.
@@ -358,15 +359,38 @@ TEST(GoldenSnapshot, SnapshotContainerEncodeEmitsThePinnedBytes)
     blob.policy = {{17, asciiBytes("pcr17")}};
     blob.ciphertext = asciiBytes("ct");
     blob.mac = asciiBytes("mac");
-    const Bytes wire = store::SnapshotContainer{5, blob.encode()}.encode();
+    const Bytes wire =
+        store::EpochContainer{5, blob.encode()}.encode(store::snapshotFormat);
     EXPECT_EQ(toHex(wire),
               "4d535331000100000000000000050000002a5345414c00000000036b"
               "65790000000100000011000000057063723137000000026374000000"
               "036d6163fff80293");
-    auto back = store::SnapshotContainer::decode(wire);
+    auto back = store::EpochContainer::decode(store::snapshotFormat, wire);
     ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back->clearEpoch, 5u);
-    EXPECT_EQ(back->sealed, blob.encode());
+    EXPECT_EQ(back->epoch, 5u);
+    EXPECT_EQ(back->body, blob.encode());
+}
+
+TEST(GoldenSnapshot, NvSlotEncodeEmitsThePinnedBytes)
+{
+    // TNV1 v1, one counter at 3, no NV spaces.
+    const Bytes image = fromHex("544e5631000100000001"
+                                "0000000000000003"
+                                "00000000")
+                            .value();
+    const Bytes wire =
+        store::EpochContainer{9, image}.encode(store::nvSlotFormat);
+    EXPECT_EQ(toHex(wire),
+              "4d4e56310001000000000000000900000016544e5631000100000001"
+              "000000000000000300000000a85bda80");
+    auto back = store::EpochContainer::decode(store::nvSlotFormat, wire);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->epoch, 9u);
+    EXPECT_EQ(back->body, image);
+    // The snapshot codec refuses a slot by its magic.
+    auto other = store::EpochContainer::decode(store::snapshotFormat, wire);
+    ASSERT_FALSE(other.ok());
+    EXPECT_EQ(other.error().message, "corrupt snapshot: bad magic");
 }
 
 } // namespace

@@ -6,12 +6,15 @@
  * With SIGXFSZ ignored, a write that crosses the cap is cut short at
  * the cap and the next one fails with EFBIG ("File too large") -- a
  * short write followed by an error, exactly what a full disk does to
- * an append. Each test restores the limit and the signal disposition
- * right after the faulted call, before anything else writes.
+ * an append. The cap bounds the write position, not the file's growth,
+ * so it also cuts an in-place chip-NV slot write short. Each test
+ * restores the limit and the signal disposition right after the
+ * faulted call, before anything else writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "common/hex.hh"
@@ -26,15 +29,7 @@ namespace
 using storetest::FileSizeCap;
 using storetest::TempDir;
 using storetest::configFor;
-
-std::unique_ptr<SealedStore>
-mustOpen(const StoreConfig &cfg)
-{
-    auto store = SealedStore::open(cfg);
-    EXPECT_TRUE(store.ok())
-        << (store.ok() ? "" : store.error().message);
-    return store.ok() ? store.take() : nullptr;
-}
+using storetest::mustOpen;
 
 TEST(StoreDiskFault, ShortWalAppendKillsTheInstance)
 {
@@ -159,6 +154,59 @@ TEST(StoreDiskFault, FailedWalRewriteKillsTheInstance)
     ASSERT_TRUE(reopened.ok()) << reopened.error().message;
     EXPECT_EQ((*reopened)->epoch(), 4u);
     EXPECT_EQ((*reopened)->size(), 0u);
+}
+
+TEST(StoreDiskFault, ShortChipNvSlotWriteKillsTheInstance)
+{
+    TempDir tmp;
+    const StoreConfig cfg = configFor(tmp);
+    {
+        auto store = mustOpen(cfg);
+        ASSERT_NE(store, nullptr);
+        const std::string nvPath = store->nvPath();
+        const Bytes created = storetest::slurp(nvPath);
+        ASSERT_EQ(created.size(), nvSlotCount * nvSlotBytes);
+        // The fresh chip sits in slot 0, so the first commit writes
+        // slot 1. A cap 10 bytes into slot 1 leaves the log (far below
+        // it) alone and tears the slot after its first 10 bytes.
+        ASSERT_TRUE(store->put("kept", asciiBytes("v1")).ok());
+        ASSERT_LT(std::filesystem::file_size(store->walPath()) + 200,
+                  nvSlotBytes);
+
+        Status failed = okStatus();
+        {
+            FileSizeCap cap(nvSlotBytes + 10);
+            ASSERT_TRUE(cap.active());
+            failed = store->commit();
+            cap.restore();
+        }
+        ASSERT_FALSE(failed.ok());
+        EXPECT_EQ(failed.error().code, Errc::unavailable);
+        EXPECT_NE(failed.error().message.find("File too large"),
+                  std::string::npos)
+            << failed.error().message;
+        // The commit record is durable and the counter advanced: a
+        // retried commit would double-advance it.
+        EXPECT_FALSE(store->alive());
+        EXPECT_FALSE(store->commit().ok());
+        const Bytes torn = storetest::slurp(nvPath);
+        ASSERT_EQ(torn.size(), created.size());
+        EXPECT_TRUE(std::equal(created.begin(),
+                               created.begin() + nvSlotBytes, torn.begin()));
+        EXPECT_NE(torn, created);
+        EXPECT_FALSE(decodeNvSlot(torn, 1).ok());
+    }
+
+    // The torn slot reads as the one before it, one increment behind
+    // the durable commit: a forward repair, not a rollback refusal.
+    auto reopened = SealedStore::open(cfg);
+    ASSERT_TRUE(reopened.ok()) << reopened.error().message;
+    EXPECT_EQ((*reopened)->epoch(), 1u);
+    EXPECT_TRUE((*reopened)->has("kept"));
+    EXPECT_EQ((*reopened)->stats().counterRepairs, 1u);
+    EXPECT_EQ((*reopened)->stats().rollbackRejections, 0u);
+    ASSERT_TRUE((*reopened)->put("after", asciiBytes("v2")).ok());
+    ASSERT_TRUE((*reopened)->commit().ok());
 }
 
 } // namespace

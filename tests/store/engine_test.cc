@@ -23,18 +23,10 @@ namespace
 
 using storetest::TempDir;
 using storetest::configFor;
+using storetest::mustOpen;
 using storetest::contents;
 using storetest::slurp;
 using storetest::spew;
-
-std::unique_ptr<SealedStore>
-mustOpen(const StoreConfig &cfg)
-{
-    auto store = SealedStore::open(cfg);
-    EXPECT_TRUE(store.ok())
-        << (store.ok() ? "" : store.error().message);
-    return store.ok() ? store.take() : nullptr;
-}
 
 TEST(SealedStoreEngine, OpenCreatesAnEmptyStore)
 {
@@ -208,15 +200,16 @@ TEST(SealedStoreEngine, CorruptSnapshotIsDiagnosedNotServed)
 
 TEST(SnapshotContainer, CrcFlipIsRefusedBeforeTheFieldsAreRead)
 {
-    const Bytes wire = SnapshotContainer{7, asciiBytes("sealed")}.encode();
-    auto back = SnapshotContainer::decode(wire);
+    const Bytes wire =
+        EpochContainer{7, asciiBytes("sealed")}.encode(snapshotFormat);
+    auto back = EpochContainer::decode(snapshotFormat, wire);
     ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back->clearEpoch, 7u);
-    EXPECT_EQ(back->sealed, asciiBytes("sealed"));
+    EXPECT_EQ(back->epoch, 7u);
+    EXPECT_EQ(back->body, asciiBytes("sealed"));
 
     Bytes flipped = wire;
     flipped.back() ^= 0x01; // last byte of the CRC field
-    auto refused = SnapshotContainer::decode(flipped);
+    auto refused = EpochContainer::decode(snapshotFormat, flipped);
     ASSERT_FALSE(refused.ok());
     EXPECT_EQ(refused.error().code, Errc::integrityFailure);
     EXPECT_EQ(refused.error().message,

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the sealed-store test suite: a self-cleaning
- * temporary directory, a file-size cap for disk faults, and
- * workload/digest utilities.
+ * temporary directory, a checked open, a file-size cap for disk faults,
+ * and workload/digest utilities.
  */
 
 #ifndef MINTCB_TESTS_STORE_STORETEST_HH
@@ -10,11 +10,14 @@
 
 #include <sys/resource.h>
 
+#include <gtest/gtest.h>
+
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/types.hh"
@@ -57,6 +60,17 @@ configFor(const TempDir &tmp)
     store::StoreConfig cfg;
     cfg.dir = tmp.storeDir();
     return cfg;
+}
+
+/** Open a store, failing the current test (without aborting it) when
+ *  the open is refused. */
+inline std::unique_ptr<store::SealedStore>
+mustOpen(const store::StoreConfig &cfg)
+{
+    auto store = store::SealedStore::open(cfg);
+    EXPECT_TRUE(store.ok())
+        << (store.ok() ? "" : store.error().message);
+    return store.ok() ? store.take() : nullptr;
 }
 
 /** A real disk fault with no hook: caps this process's file size

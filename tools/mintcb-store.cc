@@ -7,10 +7,12 @@
  *   mintcb-store inspect <dir>    structural WAL/snapshot report --
  *                                 record counts, torn-tail diagnosis,
  *                                 snapshot container (CRC-checked),
- *                                 sidecar presence. Reads the raw
- *                                 files; never unseals. Exit 1 on a
- *                                 missing WAL, a torn log, a corrupt
- *                                 snapshot or any unreadable file.
+ *                                 both chip-NV slots (generation, CRC,
+ *                                 counter). Reads the raw files; never
+ *                                 unseals. Exit 1 on a missing WAL, a
+ *                                 torn log, a corrupt snapshot, a
+ *                                 chip-NV file with no valid slot or
+ *                                 any unreadable file.
  *   mintcb-store verify <dir>     full open: replay, MAC checks, the
  *                                 rollback test against the chip
  *                                 counter. Prints epoch/size/digest;
@@ -29,8 +31,12 @@
  *
  * Options: --seed N (store identity seed; migrate targets default to a
  * distinct lineage), --quiet (verify prints nothing on success).
+ *
+ * verify, compact and migrate's <src> open existing stores only: on a
+ * missing WAL they exit 1 with inspect's message and create nothing.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -43,6 +49,7 @@
 #include "store/engine.hh"
 #include "store/migrate.hh"
 #include "store/wal.hh"
+#include "tpm/tpm.hh"
 
 namespace
 {
@@ -57,6 +64,54 @@ configFor(const std::string &dir, std::uint64_t seed)
     if (seed != 0)
         cfg.seed = seed;
     return cfg;
+}
+
+/** The config verify, compact and a migration source open with: an
+ *  existing store only. */
+store::StoreConfig
+existingStore(const std::string &dir, std::uint64_t seed)
+{
+    store::StoreConfig cfg = configFor(dir, seed);
+    cfg.createIfMissing = false;
+    return cfg;
+}
+
+/** Print each chip-NV slot's generation, CRC verdict and counter;
+ *  false when no slot is valid or the layout is wrong. */
+bool
+inspectChipNv(const Bytes &file)
+{
+    if (auto s = store::checkChipNvLayout(file); !s.ok()) {
+        std::printf("  CORRUPT: %s\n", s.error().message.c_str());
+        return false;
+    }
+    bool anyValid = false;
+    for (std::size_t i = 0; i < store::nvSlotCount; ++i) {
+        const auto begin = file.begin() + static_cast<std::ptrdiff_t>(
+                                              i * store::nvSlotBytes);
+        if (std::all_of(begin, begin + store::nvSlotBytes,
+                        [](std::uint8_t b) { return b == 0; })) {
+            std::printf("  slot %zu: empty (never written)\n", i);
+            continue;
+        }
+        auto slot = store::decodeNvSlot(file, i);
+        if (!slot) {
+            std::printf("  slot %zu: CRC invalid (%s)\n", i,
+                        slot.error().message.c_str());
+            continue;
+        }
+        anyValid = true;
+        const auto counters = tpm::Tpm::nvStateCounters(slot->body);
+        std::string counter = "none";
+        if (!counters)
+            counter = "unreadable (" + counters.error().message + ")";
+        else if (!counters->empty())
+            counter = std::to_string(counters->front());
+        std::printf("  slot %zu: generation %llu, CRC valid, counter %s\n",
+                    i, static_cast<unsigned long long>(slot->epoch),
+                    counter.c_str());
+    }
+    return anyValid;
 }
 
 /** Read one store file for inspect and print its size, or why it has
@@ -112,13 +167,14 @@ inspect(const std::string &dir)
     // An empty snapshot is present, and decodes as corrupt.
     if (const auto snap = readStoreFile("snapshot:", dir + "/snapshot.mss",
                                         "none", damaged)) {
-        auto container = store::SnapshotContainer::decode(*snap);
+        auto container =
+            store::EpochContainer::decode(store::snapshotFormat, *snap);
         if (container) {
             std::printf("  MSS1 v%u, clear epoch %llu (advisory; the "
                         "sealed epoch is authoritative)\n",
                         static_cast<unsigned>(store::snapshotVersion),
                         static_cast<unsigned long long>(
-                            container->clearEpoch));
+                            container->epoch));
         } else {
             damaged = true;
             std::printf("  CORRUPT: %s\n",
@@ -126,15 +182,18 @@ inspect(const std::string &dir)
         }
     }
 
-    readStoreFile("chip NV:", dir + ".tpmnv",
-                  "none (fresh chip on next open)", damaged);
+    if (const auto nv = readStoreFile("chip NV:", dir + ".tpmnv",
+                                      "none (fresh chip on next open)",
+                                      damaged)) {
+        damaged |= !inspectChipNv(*nv);
+    }
     return damaged ? 1 : 0;
 }
 
 int
 verify(const std::string &dir, std::uint64_t seed, bool quiet)
 {
-    auto opened = store::SealedStore::open(configFor(dir, seed));
+    auto opened = store::SealedStore::open(existingStore(dir, seed));
     if (!opened) {
         std::fprintf(stderr, "verify FAILED: %s\n",
                      opened.error().message.c_str());
@@ -153,7 +212,7 @@ verify(const std::string &dir, std::uint64_t seed, bool quiet)
 int
 compact(const std::string &dir, std::uint64_t seed)
 {
-    auto opened = store::SealedStore::open(configFor(dir, seed));
+    auto opened = store::SealedStore::open(existingStore(dir, seed));
     if (!opened) {
         std::fprintf(stderr, "compact: open failed: %s\n",
                      opened.error().message.c_str());
@@ -178,7 +237,9 @@ int
 migrate(const std::string &srcDir, const std::string &dstDir,
         std::uint64_t seed)
 {
-    auto source = store::SealedStore::open(configFor(srcDir, 0));
+    // Only an existing store can be a source: opening a missing one
+    // would create an empty store here and then invalidate it.
+    auto source = store::SealedStore::open(existingStore(srcDir, 0));
     if (!source) {
         std::fprintf(stderr, "migrate: source open failed: %s\n",
                      source.error().message.c_str());
@@ -275,21 +336,46 @@ selftest()
         std::fprintf(stderr, "FAIL: verify after compact\n");
         return 1;
     }
-    // inspect must refuse what verify refuses: an empty snapshot or a
-    // deleted WAL is damage, not an absent file.
+    // inspect must refuse what verify refuses: an empty snapshot, a
+    // deleted WAL or a chip-NV file with no valid slot is damage, not
+    // an absent file.
     const std::string fresh = tmpl + "/fresh";
     const std::string emptySnap = tmpl + "/empty-snapshot";
     const std::string noWal = tmpl + "/no-wal";
+    const std::string badNv = tmpl + "/bad-nv";
+    if (!store::SealedStore::open(configFor(fresh, 0)).ok()) {
+        std::fprintf(stderr, "FAIL: open a fresh store\n");
+        return 1;
+    }
     std::filesystem::copy(src, emptySnap);
     std::filesystem::copy(src, noWal);
+    std::filesystem::copy(src, badNv);
+    std::filesystem::copy(src + ".tpmnv", badNv + ".tpmnv");
     std::filesystem::resize_file(emptySnap + "/snapshot.mss", 0);
     std::filesystem::remove(noWal + "/wal.mwl");
+    std::filesystem::resize_file(badNv + ".tpmnv", 0);
+    std::filesystem::resize_file(badNv + ".tpmnv",
+                                 store::nvSlotCount * store::nvSlotBytes);
     if (verify(fresh, 0, true) != 0 || inspect(fresh) != 0 ||
         inspect(src) != 0 || verify(emptySnap, 0, true) != 1 ||
         inspect(emptySnap) != 1 || verify(noWal, 0, true) != 1 ||
-        inspect(noWal) != 1) {
+        inspect(noWal) != 1 || verify(badNv, 0, true) != 1 ||
+        inspect(badNv) != 1) {
         std::fprintf(stderr, "FAIL: inspect disagrees with verify on a "
                              "fresh, healthy or damaged store\n");
+        return 1;
+    }
+    // verify, compact and a migration source open existing stores
+    // only: a missing WAL or directory is refused and nothing is
+    // created.
+    const std::string absent = tmpl + "/absent";
+    if (compact(noWal, 0) != 1 || verify(absent, 0, true) != 1 ||
+        compact(absent, 0) != 1 || migrate(absent, dst, 0) != 1 ||
+        std::filesystem::exists(absent) ||
+        std::filesystem::exists(absent + ".tpmnv") ||
+        std::filesystem::exists(noWal + "/wal.mwl")) {
+        std::fprintf(stderr, "FAIL: verify, compact or migrate created "
+                             "a store or accepted a missing WAL\n");
         return 1;
     }
     if (migrate(src, dst, 0) != 0) {
