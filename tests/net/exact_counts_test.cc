@@ -2,11 +2,12 @@
  * @file
  * Exact, host-independent operation counts on the request path: RSA
  * operations per gateway op, Montgomery products per RSA signature,
- * hash compressions per sealed blob, store write and transport
- * exchange, and file system calls per store write. A count is the same
- * on every host and every run, so it is gated with EXPECT_EQ: a change
- * that adds or removes an RSA operation, a Montgomery product, a hash
- * block or a file system call fails here, whatever the host's speed.
+ * hash compressions per sealed blob, store write, transport exchange
+ * and echo request, and file system calls per store write. A count is
+ * the same on every host and every run, so it is gated with EXPECT_EQ:
+ * a change that adds or removes an RSA operation, a Montgomery product,
+ * a hash block or a file system call fails here, whatever the host's
+ * speed.
  */
 
 #include <gtest/gtest.h>
@@ -249,6 +250,55 @@ TEST(ExactCounts, StoreSealedStateFileOps)
     EXPECT_EQ(after.fdatasyncs - before.fdatasyncs, 1u);
     EXPECT_EQ(after.opens - before.opens, 0u);
     EXPECT_EQ(after.renames - before.renames, 0u);
+}
+
+/**
+ * One pipelined-echo request as perfbench sends it: the "echo" PAL
+ * (4 KiB image), a 64-byte input and 200 us of sliced compute, drained
+ * inline on this thread after a warm-up drain that opens the audit
+ * transport session.
+ *
+ * SHA-1: SLAUNCH hashes the 4096-byte image (64 message blocks and 1
+ * pad block) and extends the sePCR with it (1). The PAL body hashes its
+ * 64-byte input and output (2 blocks each) and extends each into the
+ * sePCR (1 each). The audit trail hashes the 297-byte encoded report
+ * (5) and the TPM extends the audit PCR with it (1).
+ *
+ * SHA-256, all of it the audit's transport exchange: resuming the
+ * session derives the epoch key on both sides (an HMAC over 20 bytes:
+ * 2 pads, 1 message block, 1 outer) and the TPM hashes the 32-byte
+ * ticket key (1). The 42-byte batch command is a 2-block keystream
+ * (2 pads and 2 compressions a block), generated to encrypt and again
+ * to decrypt, and both sides MAC its 23-byte header and ciphertext
+ * (2 pads, 2 message blocks, 1 outer). The 10-byte response is a
+ * 1-block keystream, also generated twice, and both sides MAC it
+ * (2 pads, 1 message block, 1 outer).
+ */
+TEST(ExactCounts, EchoRequestHashBlocks)
+{
+    Machine machine = Machine::forPlatform(PlatformId::recTestbed);
+    sea::ExecutionService service(machine);
+    PalRegistry registry;
+    registry.addEcho("echo");
+    std::uint64_t sequence = 0;
+    const auto echoOnce = [&] {
+        WireRequest wire;
+        wire.sequence = ++sequence;
+        wire.palName = "echo";
+        wire.input = Bytes(64, static_cast<std::uint8_t>(sequence));
+        wire.slicedComputeTicks = Duration::micros(200).ticks();
+        auto request = registry.build(wire);
+        ASSERT_TRUE(request.ok());
+        auto report = service.runOne(request.take());
+        ASSERT_TRUE(report.ok());
+        ASSERT_TRUE(report->status.ok());
+        EXPECT_EQ(report->output, wire.input);
+    };
+    echoOnce();
+    const auto counts = hashBlocksOf(echoOnce);
+    EXPECT_EQ(counts.sha1, (64 + 1 + 1) + 2 * (2 + 1) + (5 + 1u));
+    EXPECT_EQ(counts.sha256, (4 + 4 + 1) + 2 * (2 + 2 * 2) + 2 * 5 +
+                                 2 * (2 + 2) + 2 * 4u);
 }
 
 /**
