@@ -1,9 +1,14 @@
 /**
  * @file
- * SHA-256 implementation (FIPS 180-4).
+ * SHA-256 implementation (FIPS 180-4): the portable kernel, the SHA-NI
+ * kernel and the once-per-process choice between them.
  */
 
 #include "crypto/sha256.hh"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace mintcb::crypto
 {
@@ -31,12 +36,43 @@ constexpr std::uint32_t kRound[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
+/** Probed once, before main; a read from an earlier static initialiser
+ *  sees the zero-initialised false and takes the portable kernel. */
+const bool useShaNi = shaNiAvailable();
+
 } // namespace
+
+bool
+shaNiAvailable()
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+    return false;
+#endif
+}
+
+bool
+sha256UsesShaNi()
+{
+    return useShaNi;
+}
 
 void
 Sha256::compress(std::uint32_t *state, const std::uint8_t *block)
 {
     ++threadHashBlocks.sha256;
+#if defined(__x86_64__)
+    if (useShaNi)
+        return sha256CompressShaNi(state, block);
+#endif
+    sha256CompressPortable(state, block);
+}
+
+void
+sha256CompressPortable(std::uint32_t *state, const std::uint8_t *block)
+{
     std::uint32_t w[64];
     for (int t = 0; t < 16; ++t) {
         w[t] = static_cast<std::uint32_t>(block[t * 4]) << 24 |
@@ -83,5 +119,69 @@ Sha256::compress(std::uint32_t *state, const std::uint8_t *block)
     state[6] += g;
     state[7] += h;
 }
+
+#if defined(__x86_64__)
+/**
+ * The state lives in two registers as ABEF and CDGH (highest lane
+ * first), the layout sha256rnds2 works on. Each group of four rounds
+ * adds its constants to four schedule words and runs sha256rnds2 twice.
+ * Words 16..63 are built four at a time: sha256msg1 adds the sigma0
+ * terms, an alignr and add bring in words t-7, and sha256msg2 adds the
+ * sigma1 terms one group before the words are used.
+ */
+__attribute__((target("sha,sse4.1"))) void
+sha256CompressShaNi(std::uint32_t *state, const std::uint8_t *block)
+{
+    const __m128i byteSwap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+    __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i *>(state));
+    __m128i hgfe =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state + 4));
+    const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+    const __m128i abefStart = abef;
+    const __m128i cdghStart = cdgh;
+
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i) {
+        msg[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(block + 16 * i)),
+            byteSwap);
+    }
+
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+        const __m128i w = msg[i & 3];
+        __m128i wk = _mm_add_epi32(
+            w, _mm_loadu_si128(
+                   reinterpret_cast<const __m128i *>(kRound + 4 * i)));
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        if (i >= 3 && i < 15) {
+            __m128i &next = msg[(i + 1) & 3];
+            next = _mm_add_epi32(next,
+                                 _mm_alignr_epi8(w, msg[(i - 1) & 3], 4));
+            next = _mm_sha256msg2_epu32(next, w);
+        }
+        wk = _mm_shuffle_epi32(wk, 0x0e);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+        if (i >= 1 && i < 13)
+            msg[(i - 1) & 3] = _mm_sha256msg1_epu32(msg[(i - 1) & 3], w);
+    }
+
+    abef = _mm_add_epi32(abef, abefStart);
+    cdgh = _mm_add_epi32(cdgh, cdghStart);
+
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+    hgfe = _mm_alignr_epi8(dchg, feba, 8);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state), dcba);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4), hgfe);
+}
+#endif
 
 } // namespace mintcb::crypto
