@@ -101,7 +101,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllPlatforms, PlatformSweep,
     ::testing::Values(PlatformId::hpDc5750, PlatformId::tyanN3600R,
                       PlatformId::intelTep, PlatformId::lenovoT60,
-                      PlatformId::amdInfineonWs, PlatformId::recTestbed),
+                      PlatformId::amdInfineonWs, PlatformId::recTestbed,
+                      PlatformId::recServer),
     [](const ::testing::TestParamInfo<PlatformId> &info) {
         switch (info.param) {
           case PlatformId::hpDc5750:
@@ -116,6 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
             return std::string("amdInfineonWs");
           case PlatformId::recTestbed:
             return std::string("recTestbed");
+          case PlatformId::recServer:
+            return std::string("recServer");
         }
         return std::string("unknown");
     });
