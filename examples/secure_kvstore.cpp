@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
 #include "apps/kvstore_pal.hh"
@@ -34,6 +35,17 @@ copyFile(const std::string &from, const std::string &to)
     return static_cast<bool>(out);
 }
 
+/** Removes the scenario's temporary directory on every exit path. */
+struct RemoveOnExit
+{
+    std::string path;
+    ~RemoveOnExit()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+};
+
 } // namespace
 
 int
@@ -44,11 +56,14 @@ main()
         std::perror("mkdtemp");
         return 1;
     }
+    const RemoveOnExit cleanup{dirTemplate};
     const std::string dir = std::string(dirTemplate) + "/state";
+    store::StoreConfig config;
+    config.dir = dir;
 
     // ===== Process 1: create the store, stash two credentials. =====
     {
-        auto engine = store::SealedStore::open({.dir = dir});
+        auto engine = store::SealedStore::open(config);
         if (!engine) {
             std::fprintf(stderr, "open failed: %s\n",
                          engine.error().str().c_str());
@@ -82,7 +97,7 @@ main()
     // ===== Process 2: restart, recover, revoke a credential. =====
     std::printf("== Process restart ==\n");
     {
-        auto engine = store::SealedStore::open({.dir = dir});
+        auto engine = store::SealedStore::open(config);
         if (!engine) {
             std::fprintf(stderr, "reopen failed: %s\n",
                          engine.error().str().c_str());
@@ -141,7 +156,7 @@ main()
 
     // ===== Process 3: the replayed disk meets the hardware counter. =====
     {
-        auto engine = store::SealedStore::open({.dir = dir});
+        auto engine = store::SealedStore::open(config);
         if (engine) {
             std::printf("OS replays the pre-revocation directory: "
                         "credential RESURRECTED (bug!)\n");
