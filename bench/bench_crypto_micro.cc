@@ -2,7 +2,9 @@
  * @file
  * Crypto hot-path microbenchmark: RSA-CRT + windowed Montgomery vs the
  * plain full-width modexp fallback, the 16-limb Montgomery squaring vs
- * the multiply, and incremental SHA/HMAC contexts vs one-shot digests.
+ * the multiply, incremental SHA/HMAC contexts vs one-shot digests, and
+ * the SHA-256 compression kernel this host dispatches to vs the
+ * portable one.
  *
  * Unlike the figure benches, the interesting quantity here is *host*
  * wall time -- the simulated-time model is deliberately untouched by
@@ -254,6 +256,36 @@ shaSection()
     const double mb_s = (64.0 / 1024.0) / (sha256_ms / 1000.0);
     benchutil::rowSimOnly("SHA-256 64 KiB (host ms)", sha256_ms, "ms");
     benchutil::counterDelta("host_sha256_mb_s", mb_s);
+
+    // One compression per call on a chained state, so the timing is
+    // one dependent chain.
+    constexpr int iters = 100000;
+    std::array<std::uint32_t, 8> state256;
+    std::copy_n(crypto::Sha256::initialState, 8, state256.begin());
+    std::array<std::uint32_t, 5> state1;
+    std::copy_n(crypto::Sha1::initialState, 5, state1.begin());
+    const auto blockNs = [&](auto compress, std::uint32_t *state) {
+        return bestHostMs([&] { compress(state, block.data()); }, iters) *
+               1e6;
+    };
+    const double sha256_ns =
+        blockNs(crypto::Sha256::compress, state256.data());
+    const double portable_ns =
+        blockNs(crypto::sha256CompressPortable, state256.data());
+    const double sha1_ns = blockNs(crypto::Sha1::compress, state1.data());
+    benchmark::DoNotOptimize(state256);
+    benchmark::DoNotOptimize(state1);
+    const char *kernel =
+        crypto::sha256UsesShaNi() ? "SHA-NI" : "portable";
+    benchutil::rowSimOnly(std::string("SHA-256 kernel (host): ") + kernel,
+                          1.0, "");
+    benchutil::rowSimOnly("SHA-256 block (host ns)", sha256_ns, "ns");
+    benchutil::rowSimOnly("SHA-256 block, portable (host ns)", portable_ns,
+                          "ns");
+    benchutil::rowSimOnly("SHA-1 block (host ns)", sha1_ns, "ns");
+    benchutil::counterDelta("host_ns_sha256_block", sha256_ns);
+    benchutil::counterDelta("host_ns_sha256_block_portable", portable_ns);
+    benchutil::counterDelta("host_ns_sha1_block", sha1_ns);
 }
 
 void
