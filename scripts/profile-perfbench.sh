@@ -10,8 +10,9 @@
 # directory with run.py's arguments: seed 1, --trace 0 and a temporary
 # --state-dir. gmon.out lands in build-gprof/, and the script prints
 # gprof's flat profile (gprof -b -p): self time, call count and time
-# per call for every function. Grep it, e.g. for `compress` (the
-# SHA-1/SHA-256 compression functions) or `hmacSha256`.
+# per call for every function. Grep it, e.g. case-insensitively for
+# `compress` (the SHA-1/SHA-256 compression functions, including the
+# `sha256CompressShaNi` kernel) or `hmacSha256`.
 #
 # Two gprof traps:
 #   - it drops compiler clones (symbols with a '.', such as
