@@ -256,22 +256,53 @@ TEST(ShardedService, ShardSessionsResumeAcrossDrains)
     EXPECT_EQ(svc.metrics().shardDrains, 2 * expected_shards.size());
 }
 
+/** Counts onRequestDone callbacks; every other milestone is ignored. */
+class DoneCounter : public ServiceObserver
+{
+  public:
+    void onDrainBegin(std::size_t) override {}
+    void onDrainEnd(std::size_t) override {}
+    void onSessionOpened() override {}
+    void onSessionResumed(std::uint64_t) override {}
+    void onAuditExchange(std::size_t) override {}
+    void onRequestDone(const ExecutionReport &) override { ++done; }
+
+    std::size_t done = 0;
+};
+
 TEST(ShardedService, ShardedDrainFailurePropagates)
 {
-    Machine m = Machine::forPlatform(PlatformId::recTestbed);
-    ServiceConfig config;
-    config.workers = 2;
-    config.auditPcr = 99; // every shard's audit flush is rejected
-    ExecutionService svc(m, config);
+    // One failure contract for every worker count: PALs that ran are
+    // counted and reach onRequestDone before the drain returns the
+    // audit flush's error.
+    for (std::uint32_t workers : {0u, 2u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        Machine m = Machine::forPlatform(PlatformId::recTestbed);
+        ServiceConfig config;
+        config.workers = workers;
+        config.auditPcr = 99; // every audit flush is rejected
+        ExecutionService svc(m, config);
+        DoneCounter counter;
+        svc.setObserver(&counter);
 
-    submitWorkload(svc, 4, "fail");
-    auto reports = svc.drain();
-    ASSERT_FALSE(reports.ok());
-    // Executed PALs are not requeued (same contract as inline drains).
-    EXPECT_EQ(svc.queueDepth(), 0u);
-    auto again = svc.drain();
-    ASSERT_TRUE(again.ok());
-    EXPECT_TRUE(again->empty());
+        // Sub-quantum PALs: each one runs to completion in one launch.
+        for (int i = 0; i < 4; ++i) {
+            ASSERT_TRUE(svc.submit(shardRequest("fail-" + std::to_string(i),
+                                                Duration::micros(500)))
+                            .ok());
+        }
+        auto reports = svc.drain();
+        ASSERT_FALSE(reports.ok());
+        EXPECT_EQ(svc.metrics().completed, 4u);
+        EXPECT_EQ(svc.metrics().launches, 4u);
+        EXPECT_EQ(counter.done, 4u);
+        // Executed PALs are not requeued.
+        EXPECT_EQ(svc.queueDepth(), 0u);
+        auto again = svc.drain();
+        ASSERT_TRUE(again.ok());
+        EXPECT_TRUE(again->empty());
+        EXPECT_EQ(svc.metrics().completed, 4u);
+    }
 }
 
 TEST(ShardedService, TeardownWithQueuedRequestsIsClean)
