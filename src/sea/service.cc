@@ -11,15 +11,17 @@
  * per report digest -- flows through the secure transport session,
  * batched into a single exchange when pipelining is on.
  *
- * With config.workers > 0 the same engine (runBatch + flushAudit) runs
- * once per *shard*: requests partition by affinity onto config.shards
- * independent machines, a work-stealing WorkerPool executes the shard
- * campaigns on real OS threads, and the merge sequencer below
- * (drainSharded) commits reports in submit order, replays transport
- * milestones in shard order, and reconciles the shard clocks onto the
- * front machine's timeline. Nothing a worker thread computes depends on
- * which worker ran it or when, which is the whole determinism argument
- * (DESIGN.md section 10).
+ * Every drain is a list of runs, each one campaign (runBatch +
+ * flushAudit) on one Engine. With config.workers == 0 the whole batch
+ * is one run on the front engine, executed on the calling thread. With
+ * config.workers > 0 requests partition by affinity onto config.shards
+ * independent machines and a work-stealing WorkerPool executes the
+ * shard runs on real OS threads. Either way the merge sequencer below
+ * (commit) folds reports in submit order, replays transport milestones
+ * in run order, and reconciles the run clocks onto the front machine's
+ * timeline. Nothing a worker thread computes depends on which worker
+ * ran it or when, which is the whole determinism argument (DESIGN.md
+ * section 10).
  */
 
 #include "sea/service.hh"
@@ -48,32 +50,24 @@ isNativeBackend(const std::string &name)
 
 } // namespace
 
-/** One shard of the sharded engine: an independent simulated machine
- *  (seed derived from the front machine's master seed), its secure
- *  executive, and a resumable transport session -- all persistent
- *  across drains so per-shard session resumption keeps paying off. */
+/** One shard: an independent simulated machine (seed derived from the
+ *  front machine's master seed) and the engine that runs on it. */
 struct ExecutionService::Shard
 {
-    std::uint32_t id;
     std::unique_ptr<machine::Machine> machine;
-    rec::SecureExecutive exec;
-    tpm::TpmTransportServer server;
-    Bytes sessionKey;
-    bool sessionLive = false;
+    Engine engine;
 
-    Shard(std::uint32_t id_, const machine::PlatformSpec &spec,
+    Shard(std::uint32_t id, const machine::PlatformSpec &spec,
           std::uint64_t master_seed, std::size_t sepcrs)
-        : id(id_),
-          machine(machine::Machine::forShard(spec, master_seed, id_)),
-          exec(*machine, sepcrs), server(machine->tpm())
+        : machine(machine::Machine::forShard(spec, master_seed, id)),
+          engine(*machine, sepcrs)
     {
     }
 };
 
 ExecutionService::ExecutionService(machine::Machine &machine,
                                    ServiceConfig config)
-    : machine_(machine), config_(config),
-      exec_(machine, config.sePcrs), server_(machine.tpm())
+    : config_(config), front_(machine, config.sePcrs)
 {
 }
 
@@ -151,7 +145,8 @@ ExecutionService::submit(PalRequest request)
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         id = nextId_++;
-        queue_.push_back(Pending{std::move(request), id, machine_.now()});
+        queue_.push_back(
+            Pending{std::move(request), id, front_.machine.now()});
         ++metrics_.submitted;
         metrics_.maxQueueDepth =
             std::max(metrics_.maxQueueDepth, queue_.size());
@@ -185,13 +180,62 @@ ExecutionService::drain()
     ++metrics_.drains;
     if (observer_)
         observer_->onDrainBegin(batch.size());
-    if (config_.workers > 0)
-        return drainSharded(std::move(batch));
-    return drainInline(std::move(batch));
+
+    const TimePoint epoch = front_.machine.now();
+    std::vector<Run> runs;
+    if (config_.workers == 0) {
+        runs.emplace_back(front_, 0, std::move(batch));
+        // The front clock moves as the run executes: no alignment
+        // before it and no service-CPU charge after it.
+        execute(runs.front(), epoch);
+        return commit(runs, epoch);
+    }
+
+    // Deterministic partition: a request's shard is a function of its
+    // affinity key and the shard count only -- never of the worker
+    // count or any host-side timing. Submit order is preserved within
+    // each shard.
+    const std::uint32_t shard_count =
+        std::max<std::uint32_t>(1, config_.shards);
+    std::vector<std::vector<Pending>> per_shard(shard_count);
+    for (Pending &p : batch) {
+        per_shard[shardOf(affinityOf(p.request), shard_count)]
+            .push_back(std::move(p));
+    }
+    for (std::uint32_t s = 0; s < shard_count; ++s) {
+        if (per_shard[s].empty())
+            continue;
+        // ensureShard's observer callback runs here, before the fork.
+        runs.emplace_back(ensureShard(s).engine, s,
+                          std::move(per_shard[s]));
+    }
+
+    if (!pool_)
+        pool_ = std::make_unique<WorkerPool>(config_.workers);
+    // runs lives on this stack frame until pool_->wait() returns, so
+    // the worker lambdas may hold references into it.
+    for (Run &run : runs) {
+        pool_->submit(
+            [this, &run, epoch] {
+                if (observer_)
+                    observer_->onShardBegin(run.shard, run.batch.size());
+                // Reconcile the shard onto the service timeline: every
+                // campaign in this drain starts at the same epoch.
+                run.engine->machine.alignTo(epoch);
+                execute(run, epoch);
+                if (observer_) {
+                    observer_->onShardEnd(run.shard,
+                                          run.out.reports.size());
+                }
+            },
+            run.shard % pool_->workers());
+    }
+    pool_->wait();
+    return commit(runs, epoch);
 }
 
 Result<ExecutionService::BatchOutcome>
-ExecutionService::runBatch(const EngineRefs &refs,
+ExecutionService::runBatch(Engine &engine,
                            const std::vector<Pending> &batch,
                            std::uint32_t shard_id)
 {
@@ -208,7 +252,7 @@ ExecutionService::runBatch(const EngineRefs &refs,
     const backend::BackendRegistry &reg = registry();
     // First PAL-eligible core (cores below legacyCpus stay legacy).
     const CpuId backend_cpu =
-        config_.legacyCpus < refs.machine.cpuCount()
+        config_.legacyCpus < engine.machine.cpuCount()
             ? static_cast<CpuId>(config_.legacyCpus)
             : 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -225,7 +269,7 @@ ExecutionService::runBatch(const EngineRefs &refs,
                                              p.request.backend +
                                              "' no longer registered");
         }
-        auto routed = b->run(refs.machine, p.request, backend_cpu);
+        auto routed = b->run(engine.machine, p.request, backend_cpu);
         if (!routed)
             return routed.error();
         ExecutionReport &r = out.reports[i];
@@ -243,13 +287,13 @@ ExecutionService::runBatch(const EngineRefs &refs,
     // (PalCompletion::seq counts accepted programs only).
     std::vector<backend::NativeSlot> slots(native.size());
     std::vector<std::size_t> added(native.size());
-    rec::OsScheduler sched(refs.exec, config_.quantum,
+    rec::OsScheduler sched(engine.exec, config_.quantum,
                            config_.legacyCpus);
     for (std::size_t n = 0; n < native.size(); ++n) {
         const Pending &p = batch[native[n]];
         slots[n].submittedAt = p.submittedAt;
         auto idx = sched.add(backend::nativeProgram(
-            refs.machine, p.request, config_.quantum, slots[n]));
+            engine.machine, p.request, config_.quantum, slots[n]));
         if (idx) {
             added[*idx] = n;
             continue;
@@ -282,52 +326,19 @@ ExecutionService::runBatch(const EngineRefs &refs,
     return out;
 }
 
-Result<std::vector<ExecutionReport>>
-ExecutionService::drainInline(std::vector<Pending> batch)
+void
+ExecutionService::execute(Run &run, TimePoint epoch)
 {
-    const TimePoint drain_start = machine_.now();
-    const EngineRefs refs{machine_, exec_, server_, sessionKey_,
-                          sessionLive_};
-
-    auto outcome = runBatch(refs, batch, 0);
-    if (!outcome)
-        return outcome.error();
-
-    for (const ExecutionReport &r : outcome->reports) {
-        ++metrics_.completed;
-        if (!r.status.ok())
-            ++metrics_.failed;
-        if (!r.deadlineMet)
-            ++metrics_.deadlinesMissed;
-        metrics_.queueWait.add(r.queueWait);
-        metrics_.turnaround.add(r.total);
-        metrics_.compute.add(r.phases.compute);
-        metrics_.launches += r.launches;
-        metrics_.yields += r.yields;
-        if (observer_)
-            observer_->onRequestDone(r);
+    auto outcome = runBatch(*run.engine, run.batch, run.shard);
+    if (!outcome) {
+        run.status = outcome.error();
+    } else {
+        run.out = outcome.take();
+        if (config_.auditTrail)
+            run.status =
+                flushAudit(*run.engine, run.out.reports, run.milestones);
     }
-    metrics_.preemptions += outcome->preemptions;
-    metrics_.slaunchRetries += outcome->slaunchRetries;
-    metrics_.legacyWorkUnits += outcome->legacyWorkUnits;
-    metrics_.backendRouted += outcome->backendRouted;
-
-    if (config_.auditTrail) {
-        AuditOutcome audit;
-        if (auto s = flushAudit(refs, outcome->reports, audit, observer_);
-            !s.ok()) {
-            return s.error();
-        }
-        metrics_.auditCommands += audit.commands;
-        metrics_.auditExchanges += audit.exchanges;
-        metrics_.sessionsAccepted += audit.opened;
-        metrics_.sessionsResumed += audit.resumed;
-    }
-
-    metrics_.busy += machine_.now() - drain_start;
-    if (observer_)
-        observer_->onDrainEnd(outcome->reports.size());
-    return std::move(outcome->reports);
+    run.elapsed = run.engine->machine.now() - epoch;
 }
 
 ExecutionService::Shard &
@@ -337,99 +348,26 @@ ExecutionService::ensureShard(std::uint32_t shard)
         shards_.resize(static_cast<std::size_t>(shard) + 1);
     if (!shards_[shard]) {
         shards_[shard] = std::make_unique<Shard>(
-            shard, machine_.spec(), machine_.seed(), config_.sePcrs);
+            shard, front_.machine.spec(), front_.machine.seed(),
+            config_.sePcrs);
         if (observer_) {
             observer_->onShardCreated(shard, *shards_[shard]->machine,
-                                      shards_[shard]->exec);
+                                      shards_[shard]->engine.exec);
         }
     }
     return *shards_[shard];
 }
 
 Result<std::vector<ExecutionReport>>
-ExecutionService::drainSharded(std::vector<Pending> batch)
+ExecutionService::commit(std::vector<Run> &runs, TimePoint epoch)
 {
-    const TimePoint epoch = machine_.now();
-    const std::uint32_t shard_count =
-        std::max<std::uint32_t>(1, config_.shards);
-    if (!pool_)
-        pool_ = std::make_unique<WorkerPool>(config_.workers);
-
-    // Deterministic partition: a request's shard is a function of its
-    // affinity key and the shard count only -- never of the worker
-    // count or any host-side timing. Submit order is preserved within
-    // each shard.
-    std::vector<std::vector<Pending>> per_shard(shard_count);
-    for (Pending &p : batch) {
-        per_shard[shardOf(affinityOf(p.request), shard_count)]
-            .push_back(std::move(p));
-    }
-
-    /** One shard campaign's scratch state; lives on this stack frame
-     *  until pool_->wait() returns, so worker lambdas may hold
-     *  references. */
-    struct Run
-    {
-        Shard *shard = nullptr;
-        std::vector<Pending> batch;
-        Status status = okStatus();
-        BatchOutcome out;
-        AuditOutcome audit;
-        Duration elapsed;
-    };
-    std::vector<Run> runs;
-    runs.reserve(shard_count);
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-        if (per_shard[s].empty())
-            continue;
-        Run run;
-        run.shard = &ensureShard(s); // observer callback: before fork
-        run.batch = std::move(per_shard[s]);
-        runs.push_back(std::move(run));
-    }
-
-    for (Run &run : runs) {
-        pool_->submit(
-            [this, &run, epoch] {
-                Shard &shard = *run.shard;
-                if (observer_)
-                    observer_->onShardBegin(shard.id, run.batch.size());
-                // Reconcile the shard onto the service timeline: every
-                // campaign in this drain starts at the same epoch.
-                shard.machine->alignTo(epoch);
-                const EngineRefs refs{*shard.machine, shard.exec,
-                                      shard.server, shard.sessionKey,
-                                      shard.sessionLive};
-                auto outcome = runBatch(refs, run.batch, shard.id);
-                if (!outcome) {
-                    run.status = outcome.error();
-                } else {
-                    run.out = outcome.take();
-                    if (config_.auditTrail) {
-                        run.status = flushAudit(refs, run.out.reports,
-                                                run.audit, nullptr);
-                    }
-                }
-                run.elapsed = shard.machine->now() - epoch;
-                if (observer_) {
-                    observer_->onShardEnd(shard.id,
-                                          run.out.reports.size());
-                }
-            },
-            run.shard->id % pool_->workers());
-    }
-    pool_->wait();
-
     // ---- merge sequencer: single-threaded and deterministic ----
-    for (const Run &run : runs) {
-        if (!run.status.ok())
-            return run.status.error();
-    }
-
+    const bool sharded = config_.workers > 0;
     std::vector<ExecutionReport> reports;
     for (Run &run : runs) {
-        for (ExecutionReport &r : run.out.reports)
-            reports.push_back(std::move(r));
+        reports.insert(reports.end(),
+                       std::make_move_iterator(run.out.reports.begin()),
+                       std::make_move_iterator(run.out.reports.end()));
     }
     // Stable submit-order commit (requestIds are unique and issued in
     // submission order).
@@ -453,47 +391,59 @@ ExecutionService::drainSharded(std::vector<Pending> batch)
             observer_->onRequestDone(r);
     }
 
+    Status first_error = okStatus();
     Duration max_elapsed;
     for (const Run &run : runs) {
+        if (first_error.ok())
+            first_error = run.status;
         metrics_.preemptions += run.out.preemptions;
         metrics_.slaunchRetries += run.out.slaunchRetries;
         metrics_.legacyWorkUnits += run.out.legacyWorkUnits;
         metrics_.backendRouted += run.out.backendRouted;
-        metrics_.auditCommands += run.audit.commands;
-        metrics_.auditExchanges += run.audit.exchanges;
-        metrics_.sessionsAccepted += run.audit.opened;
-        metrics_.sessionsResumed += run.audit.resumed;
-        ++metrics_.shardDrains;
-        if (observer_) {
-            // Transport milestones were recorded on the worker thread;
-            // replay them here in deterministic shard order.
-            for (const Milestone &m : run.audit.milestones) {
-                switch (m.kind) {
-                  case Milestone::Kind::sessionOpened:
+        // Transport milestones were recorded while the run executed;
+        // count and replay them here in deterministic run order.
+        for (const Milestone &m : run.milestones) {
+            switch (m.kind) {
+              case Milestone::Kind::sessionOpened:
+                ++metrics_.sessionsAccepted;
+                if (observer_)
                     observer_->onSessionOpened();
-                    break;
-                  case Milestone::Kind::sessionResumed:
+                break;
+              case Milestone::Kind::sessionResumed:
+                ++metrics_.sessionsResumed;
+                if (observer_)
                     observer_->onSessionResumed(m.value);
-                    break;
-                  case Milestone::Kind::auditExchange:
+                break;
+              case Milestone::Kind::auditExchange:
+                ++metrics_.auditExchanges;
+                metrics_.auditCommands += m.value;
+                if (observer_) {
                     observer_->onAuditExchange(
                         static_cast<std::size_t>(m.value));
-                    break;
                 }
+                break;
             }
-            observer_->onShardCommit(run.shard->id,
-                                     run.out.reports.size(), epoch,
-                                     epoch + run.elapsed);
+        }
+        if (sharded) {
+            ++metrics_.shardDrains;
+            if (observer_) {
+                observer_->onShardCommit(run.shard, run.out.reports.size(),
+                                         epoch, epoch + run.elapsed);
+            }
         }
         max_elapsed = std::max(max_elapsed, run.elapsed);
     }
 
-    // The campaign's simulated cost is the slowest shard -- the shards
-    // ran in parallel in virtual time too. Charge it to the service
-    // CPU so the front machine's clock reflects the drain.
-    machine_.cpu(config_.serviceCpu).advance(max_elapsed);
+    if (sharded) {
+        // The campaign's simulated cost is the slowest shard -- the
+        // shards ran in parallel in virtual time too. Charge it to the
+        // service CPU so the front machine's clock reflects the drain.
+        front_.machine.cpu(serviceCpu).advance(max_elapsed);
+        metrics_.steals = pool_->stats().steals;
+    }
     metrics_.busy += max_elapsed;
-    metrics_.steals = pool_->stats().steals;
+    if (!first_error.ok())
+        return first_error.error();
     if (observer_)
         observer_->onDrainEnd(reports.size());
     return reports;
@@ -514,49 +464,42 @@ ExecutionService::runOne(PalRequest request)
 }
 
 Result<tpm::TransportClient>
-ExecutionService::attachSession(const EngineRefs &refs, AuditOutcome &out,
-                                ServiceObserver *live)
+ExecutionService::attachSession(Engine &engine,
+                                std::vector<Milestone> &out)
 {
     // The session key must not be computable by the on-path bus
     // adversary, so it comes from the machine's seeded RNG (still
     // byte-identical across same-seed runs), never from a public label.
-    if (refs.sessionKey.empty())
-        refs.sessionKey = refs.machine.rng().bytes(32);
-    refs.machine.tpmAs(config_.serviceCpu); // TPM work charges our CPU
-    if (refs.sessionLive && config_.reuseTransportSession) {
+    if (engine.sessionKey.empty())
+        engine.sessionKey = engine.machine.rng().bytes(32);
+    engine.machine.tpmAs(serviceCpu); // TPM work charges our CPU
+    if (engine.sessionLive && config_.reuseTransportSession) {
         // Resuming still crosses the LPC bus once; only the RSA decrypt
         // is saved.
-        refs.machine.cpu(config_.serviceCpu).advance(busExchangeCost);
-        auto epoch = refs.server.acceptResumed(refs.sessionKey);
+        engine.machine.cpu(serviceCpu).advance(busExchangeCost);
+        auto epoch = engine.server.acceptResumed(engine.sessionKey);
         if (!epoch)
             return epoch.error();
-        ++out.resumed;
-        out.milestones.push_back(
-            {Milestone::Kind::sessionResumed, *epoch});
-        if (live)
-            live->onSessionResumed(*epoch);
-        return tpm::TransportClient::resume(refs.sessionKey, *epoch);
+        out.push_back({Milestone::Kind::sessionResumed, *epoch});
+        return tpm::TransportClient::resume(engine.sessionKey, *epoch);
     }
     auto opened = tpm::TransportClient::openWithKey(
-        refs.machine.tpm().srkPublic(), refs.machine.rng(),
-        refs.sessionKey);
+        engine.machine.tpm().srkPublic(), engine.machine.rng(),
+        engine.sessionKey);
     if (!opened)
         return opened.error();
-    refs.machine.cpu(config_.serviceCpu).advance(busExchangeCost);
-    if (auto s = refs.server.accept(opened->envelope); !s.ok())
+    engine.machine.cpu(serviceCpu).advance(busExchangeCost);
+    if (auto s = engine.server.accept(opened->envelope); !s.ok())
         return s.error();
-    refs.sessionLive = true;
-    ++out.opened;
-    out.milestones.push_back({Milestone::Kind::sessionOpened, 0});
-    if (live)
-        live->onSessionOpened();
+    engine.sessionLive = true;
+    out.push_back({Milestone::Kind::sessionOpened, 0});
     return std::move(opened->client);
 }
 
 Status
-ExecutionService::flushAudit(const EngineRefs &refs,
+ExecutionService::flushAudit(Engine &engine,
                              const std::vector<ExecutionReport> &reports,
-                             AuditOutcome &out, ServiceObserver *live)
+                             std::vector<Milestone> &out)
 {
     if (reports.empty())
         return okStatus();
@@ -570,15 +513,15 @@ ExecutionService::flushAudit(const EngineRefs &refs,
         commands.push_back(std::move(c));
     }
 
-    auto client = attachSession(refs, out, live);
+    auto client = attachSession(engine, out);
     if (!client)
         return client.error();
 
-    refs.machine.tpmAs(config_.serviceCpu);
+    engine.machine.tpmAs(serviceCpu);
     if (config_.pipelineTpm) {
         // One wrapped exchange carries the whole drain cycle's extends.
-        refs.machine.cpu(config_.serviceCpu).advance(busExchangeCost);
-        auto response = refs.server.execute(client->wrapBatch(commands));
+        engine.machine.cpu(serviceCpu).advance(busExchangeCost);
+        auto response = engine.server.execute(client->wrapBatch(commands));
         if (!response)
             return response.error();
         auto replies = client->unwrapBatchResponse(*response);
@@ -588,16 +531,11 @@ ExecutionService::flushAudit(const EngineRefs &refs,
             if (!reply.ok())
                 return Error(reply.status, "audit extend rejected");
         }
-        ++out.exchanges;
-        out.commands += commands.size();
-        out.milestones.push_back(
-            {Milestone::Kind::auditExchange, commands.size()});
-        if (live)
-            live->onAuditExchange(commands.size());
+        out.push_back({Milestone::Kind::auditExchange, commands.size()});
     } else {
         for (const tpm::TransportCommand &c : commands) {
-            refs.machine.cpu(config_.serviceCpu).advance(busExchangeCost);
-            auto response = refs.server.execute(
+            engine.machine.cpu(serviceCpu).advance(busExchangeCost);
+            auto response = engine.server.execute(
                 client->wrapCommand(c.op, c.pcr, c.payload));
             if (!response)
                 return response.error();
@@ -605,12 +543,7 @@ ExecutionService::flushAudit(const EngineRefs &refs,
                 !payload) {
                 return payload.error();
             }
-            ++out.exchanges;
-            ++out.commands;
-            out.milestones.push_back(
-                {Milestone::Kind::auditExchange, 1});
-            if (live)
-                live->onAuditExchange(1);
+            out.push_back({Milestone::Kind::auditExchange, 1});
         }
     }
     return okStatus();

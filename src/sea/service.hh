@@ -32,11 +32,12 @@
  * batch by PAL affinity into config.shards fixed virtual shards, each
  * owning an independent simulated machine + TPM + resumable transport
  * session, and runs the shard campaigns on a work-stealing pool of OS
- * threads. A deterministic merge sequencer commits reports in stable
- * submit order and reconciles per-shard sim-clocks onto the service
- * timeline, so the byte-identical-report guarantee holds for *any*
- * worker count (DESIGN.md section 10). This is the first path where
- * wall-clock time, not just simulated time, scales with the host.
+ * threads. With workers == 0 the whole batch is one run on the caller's
+ * machine, executed on the calling thread. Either way one deterministic
+ * merge sequencer commits reports in stable submit order and reconciles
+ * the runs' sim-clocks onto the service timeline, so the
+ * byte-identical-report guarantee holds for *any* worker count
+ * (DESIGN.md section 10).
  */
 
 #ifndef MINTCB_SEA_SERVICE_HH
@@ -93,9 +94,6 @@ struct ServiceConfig
     bool auditTrail = true;
     std::uint32_t auditPcr = 15;
 
-    /** CPU charged for service-side work (wrapping, bus traffic). */
-    CpuId serviceCpu = 0;
-
     /** @name Host parallelism (sharded drains; DESIGN.md section 10).
      * workers > 0 switches drain() to the sharded engine: requests are
      * partitioned by affinity into `shards` fixed virtual shards, each
@@ -103,8 +101,8 @@ struct ServiceConfig
      * session, and a work-stealing pool of `workers` OS threads runs
      * the shard campaigns concurrently. The partition depends only on
      * `shards` (never on `workers`), so reports are byte-identical for
-     * any worker count. workers == 0 (default) keeps the original
-     * inline drain over the caller's machine.
+     * any worker count. workers == 0 (default) runs the whole batch as
+     * one run on the caller's machine, on the draining thread.
      * @{ */
     std::uint32_t workers = 0;
     std::uint32_t shards = 8;
@@ -308,8 +306,10 @@ class ExecutionService
     /**
      * Run every queued request to completion across the machine's
      * cores and return their reports in requestId order. Infrastructure
-     * failures surface as the Result error; per-PAL application
-     * failures live in each report's status.
+     * failures surface as the Result error, returned only after every
+     * PAL that ran is counted in metrics() and passed to
+     * onRequestDone; per-PAL application failures live in each
+     * report's status.
      */
     Result<std::vector<ExecutionReport>> drain();
 
@@ -317,7 +317,7 @@ class ExecutionService
     Result<ExecutionReport> runOne(PalRequest request);
 
     const ServiceMetrics &metrics() const { return metrics_; }
-    rec::SecureExecutive &executive() { return exec_; }
+    rec::SecureExecutive &executive() { return front_.exec; }
 
     /** Attach (or with nullptr detach) the milestone observer. */
     void setObserver(ServiceObserver *obs) { observer_ = obs; }
@@ -326,6 +326,9 @@ class ExecutionService
     /** Modeled client-side cost per transport exchange (wrap + MAC +
      *  LPC bus round trip) -- what pipelining amortizes. */
     static constexpr Duration busExchangeCost = Duration::micros(50);
+
+    /** CPU charged for service-side work (wrapping, bus traffic). */
+    static constexpr CpuId serviceCpu = 0;
 
     /** The shard a request with @p affinity_key routes to under
      *  @p shard_count shards (exposed so tests and clients can predict
@@ -354,8 +357,9 @@ class ExecutionService
         TimePoint submittedAt;
     };
 
-    /** One recorded transport milestone, replayed to the observer in
-     *  deterministic shard order by the merge sequencer. */
+    /** One recorded transport milestone. The merge sequencer folds
+     *  them into the transport counters and replays them to the
+     *  observer in deterministic run order. */
     struct Milestone
     {
         enum class Kind
@@ -368,17 +372,6 @@ class ExecutionService
         std::uint64_t value = 0; //!< epoch / command count
     };
 
-    /** Transport-side outcome of one engine run (deltas, never live
-     *  totals, so shard outcomes merge associatively). */
-    struct AuditOutcome
-    {
-        std::uint64_t commands = 0;
-        std::uint64_t exchanges = 0;
-        std::uint64_t opened = 0;
-        std::uint64_t resumed = 0;
-        std::vector<Milestone> milestones;
-    };
-
     /** Scheduling-side outcome of one engine run. */
     struct BatchOutcome
     {
@@ -389,51 +382,72 @@ class ExecutionService
         std::uint64_t backendRouted = 0; //!< ran on a registry backend
     };
 
-    /** The machine-facing state one engine run executes against:
-     *  the service's own members (inline drain) or a shard's. */
-    struct EngineRefs
+    /** The machine-facing state runs execute against: the service's
+     *  front engine over the caller's machine, or a shard's. Persistent
+     *  across drains so session resumption keeps paying off. */
+    struct Engine
     {
         machine::Machine &machine;
-        rec::SecureExecutive &exec;
-        tpm::TpmTransportServer &server;
-        Bytes &sessionKey;
-        bool &sessionLive;
+        rec::SecureExecutive exec;
+        tpm::TpmTransportServer server;
+        Bytes sessionKey; //!< drawn from the machine RNG on first attach
+        bool sessionLive = false;
+
+        Engine(machine::Machine &m, std::size_t sepcrs)
+            : machine(m), exec(m, sepcrs), server(m.tpm())
+        {
+        }
     };
 
-    struct Shard; //!< owns one shard's machine/executive/session (.cc)
+    /** One campaign of a drain: a batch, the engine it runs on, and
+     *  everything the merge sequencer commits afterwards. */
+    struct Run
+    {
+        Run(Engine &e, std::uint32_t s, std::vector<Pending> b)
+            : engine(&e), shard(s), batch(std::move(b))
+        {
+        }
 
-    /** Schedule and run @p batch on @p refs; pure function of the
+        Engine *engine;
+        std::uint32_t shard; //!< stamped into every report
+        std::vector<Pending> batch;
+        Status status = okStatus();
+        BatchOutcome out;
+        std::vector<Milestone> milestones; //!< transport, in order
+        Duration elapsed; //!< engine time since the drain's epoch
+    };
+
+    struct Shard; //!< owns one shard's machine and engine (.cc)
+
+    /** Schedule and run @p batch on @p engine; pure function of the
      *  engine state (safe to run concurrently for distinct shards). */
-    Result<BatchOutcome> runBatch(const EngineRefs &refs,
+    Result<BatchOutcome> runBatch(Engine &engine,
                                   const std::vector<Pending> &batch,
                                   std::uint32_t shard_id);
-    /** Open or resume @p refs' transport session; milestones and
-     *  session counters land in @p out (and @p live, when set). */
-    Result<tpm::TransportClient> attachSession(const EngineRefs &refs,
-                                               AuditOutcome &out,
-                                               ServiceObserver *live);
+    /** Open or resume @p engine's transport session, recording the
+     *  milestone in @p out. */
+    Result<tpm::TransportClient> attachSession(Engine &engine,
+                                               std::vector<Milestone> &out);
     /** Extend a digest of every report into the audit PCR, batched or
      *  one-by-one. */
-    Status flushAudit(const EngineRefs &refs,
+    Status flushAudit(Engine &engine,
                       const std::vector<ExecutionReport> &reports,
-                      AuditOutcome &out, ServiceObserver *live);
+                      std::vector<Milestone> &out);
 
-    Result<std::vector<ExecutionReport>>
-    drainInline(std::vector<Pending> batch);
-    Result<std::vector<ExecutionReport>>
-    drainSharded(std::vector<Pending> batch);
+    /** Run @p run's campaign and audit flush on its engine. */
+    void execute(Run &run, TimePoint epoch);
+    /** The merge sequencer: commit every run's reports, counters and
+     *  milestones, then return the reports or the first run error. */
+    Result<std::vector<ExecutionReport>> commit(std::vector<Run> &runs,
+                                                TimePoint epoch);
     Shard &ensureShard(std::uint32_t shard);
 
-    machine::Machine &machine_;
     ServiceConfig config_;
-    rec::SecureExecutive exec_;
-    tpm::TpmTransportServer server_;
+    Engine front_;
     mutable std::mutex queueMutex_; //!< guards queue_, nextId_, and the
                                     //!< submit-side metrics fields
     std::vector<Pending> queue_;
     std::uint64_t nextId_ = 1;
-    Bytes sessionKey_; //!< drawn from the machine RNG on first attach
-    bool sessionLive_ = false;
     std::vector<std::unique_ptr<Shard>> shards_; //!< lazily built
     std::unique_ptr<WorkerPool> pool_;           //!< lazily started
     ServiceMetrics metrics_;
