@@ -69,7 +69,7 @@ GatewayClient::GatewayClient(ClientConfig config)
 Status
 GatewayClient::open(std::uint16_t port)
 {
-    auto stream = TcpStream::connectLoopback(port, config_.timeoutMillis);
+    auto stream = TcpStream::connectLoopback(port, timeoutMillis);
     if (!stream)
         return stream.error();
     channel_ = std::make_unique<FrameChannel>(stream.take());
@@ -121,20 +121,17 @@ GatewayClient::handshake(std::uint16_t port)
     if (!challenge)
         return abandon(challenge.error());
 
-    if (config_.verifyGateway) {
-        // The trust decision the paper gives the remote party: refuse
-        // to hand over inputs unless the platform proves, against our
-        // fresh nonce, that PCR 17 holds a whitelisted gateway PAL.
-        auto attestation =
-            sea::Attestation::decode(challenge->attestation);
-        if (!attestation)
-            return abandon(attestation.error());
-        auto verdict =
-            gatewayVerifier_.verify(*attestation, hello.nonce);
-        if (!verdict)
-            return abandon(verdict.error());
-        gatewaySubject_ = attestation->aikCert.subject;
-    }
+    // The trust decision the paper gives the remote party: refuse to
+    // hand over inputs unless the platform proves, against our fresh
+    // nonce, that PCR 17 holds a whitelisted gateway PAL.
+    auto gatewayAttestation =
+        sea::Attestation::decode(challenge->attestation);
+    if (!gatewayAttestation)
+        return abandon(gatewayAttestation.error());
+    auto verdict = gatewayVerifier_.verify(*gatewayAttestation, hello.nonce);
+    if (!verdict)
+        return abandon(verdict.error());
+    gatewaySubject_ = gatewayAttestation->aikCert.subject;
 
     auto attestation = identity_.attest(challenge->nonce);
     if (!attestation)
@@ -374,12 +371,12 @@ GatewayClient::runBatch(const std::vector<WireRequest> &requests)
             auto it = outstanding.find(busy->sequence);
             if (it == outstanding.end())
                 break; // stale busy for a request we already dropped
-            if (++retries[busy->sequence] > config_.maxBusyRetries) {
+            if (++retries[busy->sequence] > maxBusyRetries) {
                 return Error(Errc::resourceExhausted,
                              "request " +
                                  std::to_string(busy->sequence) +
                                  " still refused after " +
-                                 std::to_string(config_.maxBusyRetries) +
+                                 std::to_string(maxBusyRetries) +
                                  " busy retries");
             }
             config_.backoff(busy->retryAfterMillis);

@@ -57,16 +57,6 @@ struct ClientConfig
     /** Seed for the client's attested-identity machine. */
     std::uint64_t identitySeed = 2;
 
-    /** Socket connect/read timeout (ms). */
-    int timeoutMillis = 30000;
-
-    /** Verify the gateway's challenge attestation before proceeding
-     *  (disable only in tests probing the handshake itself). */
-    bool verifyGateway = true;
-
-    /** Give up after this many busy retries for one request. */
-    int maxBusyRetries = 1000;
-
     /** Called before each busy retry with the gateway's retry hint;
      *  defaults to sleeping that many milliseconds (capped at 100).
      *  Tests inject a no-op to keep wall time down. */
@@ -88,6 +78,12 @@ class GatewayClient
 {
   public:
     explicit GatewayClient(ClientConfig config = {});
+
+    /** Socket connect/read timeout (ms). */
+    static constexpr int timeoutMillis = 30000;
+
+    /** Give up after this many busy retries for one request. */
+    static constexpr int maxBusyRetries = 1000;
 
     /** Did the local identity machine launch? (Checked by connect.) */
     bool identityOk() const { return identity_.ok(); }

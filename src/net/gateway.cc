@@ -294,7 +294,7 @@ Gateway::reactorLoop()
         // connection gets its first poll next pass).
         const std::size_t polled = conns_.size();
         ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               config_.pollMillis);
+               pollMillis);
 
         const std::uint64_t now = config_.clock();
         const std::uint64_t framesBefore = stats_.framesRx;
@@ -688,8 +688,7 @@ Gateway::handleSubmit(Conn &conn, const Frame &frame)
         ++stats_.busyQueueFull;
         sendFrame(conn, FrameType::busy,
                   BusyPayload{wire->sequence, BusyReason::queueFull,
-                              static_cast<std::uint32_t>(
-                                  config_.pollMillis)});
+                              static_cast<std::uint32_t>(pollMillis)});
         return true;
     }
     pending_.push_back(

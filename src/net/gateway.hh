@@ -103,9 +103,6 @@ struct GatewayConfig
      *  what the byte-identity tests and bench do. */
     bool drainOnIdle = true;
 
-    /** Reactor poll granularity (host ms); bounds stop latency. */
-    int pollMillis = 20;
-
     /** Host clock used for rate limiting and idle reaping. */
     HostClock clock = steadyMillis;
 
@@ -231,6 +228,10 @@ class Gateway
 
     /** Pending (admitted, not yet drained) request count. */
     std::size_t pendingDepth() const;
+
+    /** Reactor poll granularity (host ms); bounds stop latency. Also
+     *  the retry hint a busy/queueFull frame carries. */
+    static constexpr int pollMillis = 20;
 
   private:
     struct Conn;

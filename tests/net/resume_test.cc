@@ -329,8 +329,8 @@ TEST(Resume, ShortOrForgedProofIsRefused)
 
 /**
  * A hand-driven peer in place of a gateway: it answers the handshake
- * without attesting (the client skips verification), then answers the
- * k-th flush with report frames for script[k]'s sequences.
+ * with a real gateway attestation over the client's nonce, then
+ * answers the k-th flush with report frames for script[k]'s sequences.
  */
 void
 scriptedPeer(TcpListener &listener,
@@ -341,9 +341,15 @@ scriptedPeer(TcpListener &listener,
     FrameChannel channel(stream.take());
     auto hello = channel.recv();
     ASSERT_TRUE(hello.ok());
+    auto helloPayload = decodeHello(hello->payload);
+    ASSERT_TRUE(helloPayload.ok());
+    AttestedIdentity identity("peer", AttestedIdentity::gatewayPal(), 82);
+    ASSERT_TRUE(identity.ok());
+    auto attestation = identity.attest(helloPayload->nonce);
+    ASSERT_TRUE(attestation.ok());
     ASSERT_TRUE(channel
                     .send({FrameType::challenge,
-                           encode(ChallengePayload{asciiBytes("none"),
+                           encode(ChallengePayload{attestation->encode(),
                                                    asciiBytes("nonce")})})
                     .ok());
     auto auth = channel.recv();
@@ -380,9 +386,7 @@ TEST(GatewayClient, RefusesStrayAndDuplicateReports)
                          {2},  // a late duplicate of it
                          {4, 4}}); // a duplicate inside one batch
 
-    ClientConfig config = quickClient(81);
-    config.verifyGateway = false;
-    GatewayClient client(config);
+    GatewayClient client(quickClient(81));
     ASSERT_TRUE(client.connect(listener->port()).ok());
     WireRequest request;
     request.palName = "echo";
