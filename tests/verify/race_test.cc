@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
+#include "obs/span.hh"
+#include "obs/telemetry.hh"
 #include "rec/scheduler.hh"
 #include "sea/service.hh"
 #include "verify/race.hh"
+#include "verify/trace.hh"
 
 namespace mintcb::verify
 {
@@ -203,6 +207,91 @@ TEST(HbRaceDetector, ServiceWorkloadIsRaceFree)
     EXPECT_EQ(reports->size(), 6u);
     EXPECT_TRUE(det.races().empty()) << det.str();
 }
+
+/** Who shares the executive's sync stream with the detector, in
+ *  attach order. */
+enum class SyncPeers
+{
+    detectorThenRecorder,  //!< detector, then TraceRecorder::attach(svc)
+    telemetryThenDetector, //!< TelemetrySession, detector, then a recorder
+};
+
+class SharedSyncStream : public ::testing::TestWithParam<SyncPeers>
+{
+};
+
+/** A later attach never displaces an earlier observer: the detector
+ *  counts exactly the sync edges the recorder logs, and telemetry
+ *  attached before both still opens one PAL slice per SLAUNCH. */
+TEST_P(SharedSyncStream, EveryObserverSeesEverySyncEdge)
+{
+    Machine m = Machine::forPlatform(PlatformId::recTestbed);
+    sea::ExecutionService svc(m);
+    obs::SpanTracer tracer;
+    obs::MetricsRegistry metrics;
+    obs::TelemetrySession telemetry(m, tracer, metrics);
+    HbRaceDetector det(m.cpuCount());
+    ExecutionTrace trace;
+    TraceRecorder recorder(trace);
+
+    const bool withTelemetry =
+        GetParam() == SyncPeers::telemetryThenDetector;
+    if (withTelemetry)
+        telemetry.attach(svc);
+    det.attach(m.memctrl());
+    det.attach(svc.executive());
+    // The service's own observer slot stays telemetry's when it holds it.
+    if (withTelemetry)
+        recorder.attach(svc.executive());
+    else
+        recorder.attach(svc);
+
+    for (int i = 0; i < 8; ++i) {
+        sea::PalRequest req(sea::Pal::fromLogic(
+            "shared-sync-" + std::to_string(i), 4 * 1024,
+            [](sea::PalContext &) { return okStatus(); }));
+        req.slicedCompute = Duration::millis(3); // forces preemptions
+        ASSERT_TRUE(svc.submit(std::move(req)).ok());
+    }
+    ASSERT_TRUE(svc.drain().ok());
+
+    std::uint64_t syncEdges = 0;
+    std::uint64_t launches = 0;
+    for (const TraceEvent &e : trace.events()) {
+        switch (e.kind) {
+          case TraceEventKind::slaunch:
+            ++launches;
+            [[fallthrough]];
+          case TraceEventKind::syield:
+          case TraceEventKind::sfree:
+          case TraceEventKind::skill:
+          case TraceEventKind::barrier:
+            ++syncEdges;
+            break;
+          default:
+            break;
+        }
+    }
+    EXPECT_GT(syncEdges, 0u);
+    EXPECT_EQ(det.syncEvents(), syncEdges);
+    EXPECT_TRUE(det.races().empty()) << det.str();
+    if (withTelemetry) {
+        std::uint64_t palSlices = 0;
+        for (const obs::Span &s : tracer.spans())
+            palSlices += s.name.rfind("pal:", 0) == 0 ? 1 : 0;
+        EXPECT_EQ(palSlices, launches);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orderings, SharedSyncStream,
+    ::testing::Values(SyncPeers::detectorThenRecorder,
+                      SyncPeers::telemetryThenDetector),
+    [](const ::testing::TestParamInfo<SyncPeers> &info) {
+        return info.param == SyncPeers::detectorThenRecorder
+                   ? std::string("DetectorThenRecorder")
+                   : std::string("TelemetryThenDetector");
+    });
 
 TEST(HbRaceDetector, DetachesOnDestruction)
 {
