@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/observers.hh"
 #include "common/simtime.hh"
 
 namespace mintcb::machine
@@ -23,7 +24,7 @@ namespace mintcb::machine
 /**
  * Observer of every bus transfer. The obs layer's telemetry session
  * implements this to attribute simulated time to LPC traffic; the bus
- * itself never behaves differently with an observer attached.
+ * itself never behaves differently with observers attached.
  */
 class LpcObserver
 {
@@ -66,13 +67,12 @@ class LpcBus
         const TimePoint start = clock.now();
         const Duration cost = transferTime(bytes);
         clock.advance(cost);
-        if (observer_)
-            observer_->onTransfer(bytes, start, cost);
+        for (LpcObserver *obs : observers_)
+            obs->onTransfer(bytes, start, cost);
     }
 
-    /** Attach (or with nullptr detach) the transfer observer. */
-    void setObserver(LpcObserver *obs) { observer_ = obs; }
-    LpcObserver *observer() const { return observer_; }
+    /** Watchers of every bus transfer. */
+    ObserverList<LpcObserver> &transferObservers() { return observers_; }
 
     /** Cumulative bytes moved (test observability). */
     std::uint64_t bytesMoved() const { return bytesMoved_; }
@@ -88,7 +88,7 @@ class LpcBus
   private:
     Duration perByte_;
     std::uint64_t bytesMoved_ = 0;
-    LpcObserver *observer_ = nullptr;
+    ObserverList<LpcObserver> observers_;
 };
 
 } // namespace mintcb::machine

@@ -67,29 +67,6 @@ MemoryController::check(Agent agent, PageNum page) const
 }
 
 void
-MemoryController::addAccessObserver(MemAccessObserver *obs)
-{
-    if (obs == nullptr || hasAccessObserver(obs))
-        return;
-    observers_.push_back(obs);
-}
-
-void
-MemoryController::removeAccessObserver(MemAccessObserver *obs)
-{
-    observers_.erase(
-        std::remove(observers_.begin(), observers_.end(), obs),
-        observers_.end());
-}
-
-bool
-MemoryController::hasAccessObserver(const MemAccessObserver *obs) const
-{
-    return std::find(observers_.begin(), observers_.end(), obs) !=
-           observers_.end();
-}
-
-void
 MemoryController::notifyAccess(const Agent &agent, PageNum page,
                                PhysAddr addr, std::uint64_t len,
                                bool isWrite, bool granted) const

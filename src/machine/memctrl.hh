@@ -27,9 +27,10 @@
 #include <optional>
 #include <vector>
 
+#include "common/counters.hh"
+#include "common/observers.hh"
 #include "common/result.hh"
 #include "common/types.hh"
-#include "common/counters.hh"
 #include "machine/memory.hh"
 
 namespace mintcb::machine
@@ -144,21 +145,12 @@ class MemoryController
     /** Access/denial counters (gem5-style observability). */
     const MemCtrlStats &stats() const { return stats_; }
 
-    /** @name Access-observer fan-out.
-     * Any number of observers may watch the mediated access stream
-     * concurrently (telemetry, the HB race detector, audit traces);
-     * each is notified in attach order for every page chunk. The old
-     * single-slot setAccessObserver() silently overwrote whichever
-     * observer attached first -- the footgun this multiplexer removes.
-     * @{ */
-    /** Attach @p obs (idempotent: re-adding an attached observer does
-     *  not duplicate its callbacks; nullptr is ignored). */
-    void addAccessObserver(MemAccessObserver *obs);
-    /** Detach @p obs (idempotent: unknown observers are ignored). */
-    void removeAccessObserver(MemAccessObserver *obs);
-    bool hasAccessObserver(const MemAccessObserver *obs) const;
-    std::size_t accessObserverCount() const { return observers_.size(); }
-    /** @} */
+    /** Watchers of the mediated access stream (telemetry, the HB race
+     *  detector, audit traces), each notified for every page chunk. */
+    ObserverList<MemAccessObserver> &accessObservers()
+    {
+        return observers_;
+    }
 
     /** Reset every protection (platform reboot). */
     void reset();
@@ -183,7 +175,7 @@ class MemoryController
     std::vector<bool> dev_;
     std::vector<AclEntry> acl_;
     mutable MemCtrlStats stats_;
-    std::vector<MemAccessObserver *> observers_;
+    ObserverList<MemAccessObserver> observers_;
 };
 
 } // namespace mintcb::machine

@@ -66,11 +66,11 @@ void
 TelemetrySession::attachExecutive(rec::SecureExecutive &exec)
 {
     exec_ = &exec;
-    exec.setSyncObserver(this);
-    machine_.memctrl().addAccessObserver(this);
-    machine_.lpc().setObserver(this);
+    exec.syncObservers().add(this);
+    machine_.memctrl().accessObservers().add(this);
+    machine_.lpc().transferObservers().add(this);
     if (machine_.hasTpm())
-        machine_.tpm().setCommandObserver(this);
+        machine_.tpm().commandObservers().add(this);
     if (!bridged_) {
         bridged_ = true;
         bridgeCounters(metrics_, machine_.memctrl().stats());
@@ -84,13 +84,12 @@ TelemetrySession::detach()
 {
     if (service_ && service_->observer() == this)
         service_->setObserver(nullptr);
-    if (exec_ && exec_->syncObserver() == this)
-        exec_->setSyncObserver(nullptr);
-    machine_.memctrl().removeAccessObserver(this);
-    if (machine_.lpc().observer() == this)
-        machine_.lpc().setObserver(nullptr);
-    if (machine_.hasTpm() && machine_.tpm().commandObserver() == this)
-        machine_.tpm().setCommandObserver(nullptr);
+    if (exec_)
+        exec_->syncObservers().remove(this);
+    machine_.memctrl().accessObservers().remove(this);
+    machine_.lpc().transferObservers().remove(this);
+    if (machine_.hasTpm())
+        machine_.tpm().commandObservers().remove(this);
     if (exec_ || service_)
         tracer_.closeAll(machine_.now());
     service_ = nullptr;

@@ -69,8 +69,9 @@ class TelemetrySession final : public rec::ExecSyncObserver,
     /** Executive-only attachment (workloads without a service). */
     void attachExecutive(rec::SecureExecutive &exec);
 
-    /** Unhook every observer slot this session occupies and close any
-     *  spans still open. Idempotent. */
+    /** Leave every hook this session joined (and the service's
+     *  observer slot if it still holds it), and close any spans still
+     *  open. Idempotent. */
     void detach();
 
     /** Track id -> display name pairs for exportChromeTrace(). */

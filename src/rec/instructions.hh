@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/observers.hh"
 #include "common/result.hh"
 #include "machine/machine.hh"
 #include "rec/secb.hh"
@@ -39,8 +40,8 @@ const char *execEventName(ExecEvent e);
 /**
  * Observer of the hardware extension's synchronization points. The
  * verify layer hangs its happens-before race detector and trace
- * recorder here; the executive never behaves differently with an
- * observer attached. SLAUNCH events are page *acquisitions* by @p cpu,
+ * recorder here; the executive never behaves differently with
+ * observers attached. SLAUNCH events are page *acquisitions* by @p cpu,
  * SYIELD/SFREE/SKILL events are *releases* (for SKILL the OS reclaims
  * an already-suspended PAL, so the reporting CPU is 0).
  */
@@ -160,16 +161,15 @@ class SecureExecutive
     /** @} */
 
     /** @name Verification hooks. @{ */
-    /** Attach (or with nullptr detach) the sync-point observer. */
-    void setSyncObserver(ExecSyncObserver *obs) { observer_ = obs; }
-    ExecSyncObserver *syncObserver() const { return observer_; }
+    /** Watchers of the synchronization points. */
+    ObserverList<ExecSyncObserver> &syncObservers() { return observers_; }
     /** Schedulers report their round barriers through the executive so
-     *  an attached observer sees every synchronization edge. */
+     *  every attached observer sees every synchronization edge. */
     void
     notifyBarrier()
     {
-        if (observer_)
-            observer_->onBarrier();
+        for (ExecSyncObserver *obs : observers_)
+            obs->onBarrier();
     }
     /** @} */
 
@@ -177,8 +177,8 @@ class SecureExecutive
     void
     notify(ExecEvent event, CpuId cpu, const Secb &secb)
     {
-        if (observer_)
-            observer_->onPalEvent(event, cpu, secb);
+        for (ExecSyncObserver *obs : observers_)
+            obs->onPalEvent(event, cpu, secb);
     }
 
     machine::Machine &machine_;
@@ -187,7 +187,7 @@ class SecureExecutive
     Duration contextSwitchTime_;
     std::uint64_t palInterrupts_ = 0;
     std::vector<Secb *> runningOnCpu_; //!< indexed by CpuId, may be null
-    ExecSyncObserver *observer_ = nullptr;
+    ObserverList<ExecSyncObserver> observers_;
 };
 
 } // namespace mintcb::rec

@@ -117,8 +117,8 @@ Tpm::charge(Duration mean, const char *op)
     const TimePoint start = clock->now();
     clock->advance(profile_.sample(mean, rng_));
     busyUntil_ = clock->now();
-    if (observer_)
-        observer_->onCommand(op ? op : "tpm", issued, start, busyUntil_);
+    for (TpmCommandObserver *obs : observers_)
+        obs->onCommand(op ? op : "tpm", issued, start, busyUntil_);
 }
 
 Status

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/observers.hh"
 #include "common/result.hh"
 #include "common/rng.hh"
 #include "common/simtime.hh"
@@ -71,7 +72,7 @@ Status verifyQuote(const crypto::RsaPublicKey &aik, const TpmQuote &quote,
 /**
  * Observer of every charged TPM command. The obs layer's telemetry
  * session implements this to build TPM command spans; the chip never
- * behaves differently with an observer attached.
+ * behaves differently with observers attached.
  */
 class TpmCommandObserver
 {
@@ -243,9 +244,11 @@ class Tpm
     /** Command counters (gem5-style observability). */
     const TpmStats &stats() const { return stats_; }
 
-    /** Attach (or with nullptr detach) the command observer. */
-    void setCommandObserver(TpmCommandObserver *obs) { observer_ = obs; }
-    TpmCommandObserver *commandObserver() const { return observer_; }
+    /** Watchers of every charged command. */
+    ObserverList<TpmCommandObserver> &commandObservers()
+    {
+        return observers_;
+    }
 
   private:
     Status requireHardware(Locality locality, const char *op) const;
@@ -284,7 +287,7 @@ class Tpm
                                 std::vector<std::uint64_t> &counters,
                                 std::vector<NvSpace> &spaces);
     mutable TpmStats stats_;
-    TpmCommandObserver *observer_ = nullptr;
+    ObserverList<TpmCommandObserver> observers_;
 };
 
 } // namespace mintcb::tpm

@@ -71,14 +71,14 @@ class WindowedAdversary : public Adversary, public machine::MemAccessObserver
     {
         detach();
         machine_ = &machine;
-        machine.memctrl().addAccessObserver(this);
+        machine.memctrl().accessObservers().add(this);
     }
 
     void
     detach() override
     {
         if (machine_)
-            machine_->memctrl().removeAccessObserver(this);
+            machine_->memctrl().accessObservers().remove(this);
         machine_ = nullptr;
     }
 

@@ -30,23 +30,23 @@ HbRaceDetector::HbRaceDetector(std::size_t cpus)
 HbRaceDetector::~HbRaceDetector()
 {
     if (ctrl_)
-        ctrl_->removeAccessObserver(this);
-    if (exec_ && exec_->syncObserver() == this)
-        exec_->setSyncObserver(nullptr);
+        ctrl_->accessObservers().remove(this);
+    if (exec_)
+        exec_->syncObservers().remove(this);
 }
 
 void
 HbRaceDetector::attach(machine::MemoryController &ctrl)
 {
     ctrl_ = &ctrl;
-    ctrl.addAccessObserver(this);
+    ctrl.accessObservers().add(this);
 }
 
 void
 HbRaceDetector::attach(rec::SecureExecutive &exec)
 {
     exec_ = &exec;
-    exec.setSyncObserver(this);
+    exec.syncObservers().add(this);
 }
 
 void

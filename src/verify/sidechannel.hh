@@ -102,7 +102,7 @@ class PageAccessTrace final : public machine::MemAccessObserver
     {
         detach();
         machine_ = &machine;
-        machine.memctrl().addAccessObserver(this);
+        machine.memctrl().accessObservers().add(this);
     }
 
     /** Leave the observer fan-out (idempotent). */
@@ -110,7 +110,7 @@ class PageAccessTrace final : public machine::MemAccessObserver
     detach()
     {
         if (machine_)
-            machine_->memctrl().removeAccessObserver(this);
+            machine_->memctrl().accessObservers().remove(this);
         machine_ = nullptr;
     }
 

@@ -130,8 +130,8 @@ ExecutionTrace::str() const
 
 TraceRecorder::~TraceRecorder()
 {
-    if (exec_ && exec_->syncObserver() == this)
-        exec_->setSyncObserver(nullptr);
+    if (exec_)
+        exec_->syncObservers().remove(this);
     if (service_ && service_->observer() == this)
         service_->setObserver(nullptr);
 }
@@ -140,7 +140,7 @@ void
 TraceRecorder::attach(rec::SecureExecutive &exec)
 {
     exec_ = &exec;
-    exec.setSyncObserver(this);
+    exec.syncObservers().add(this);
 }
 
 void

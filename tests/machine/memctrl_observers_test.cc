@@ -55,9 +55,9 @@ TEST_F(ObserverFanOut, EveryAttachedObserverSeesEveryAccess)
 {
     RecordingObserver a;
     RecordingObserver b;
-    m.memctrl().addAccessObserver(&a);
-    m.memctrl().addAccessObserver(&b);
-    EXPECT_EQ(m.memctrl().accessObserverCount(), 2u);
+    m.memctrl().accessObservers().add(&a);
+    m.memctrl().accessObservers().add(&b);
+    EXPECT_EQ(m.memctrl().accessObservers().size(), 2u);
 
     ASSERT_TRUE(m.readAs(0, pageBase(3) + 100, 8).ok());
     ASSERT_EQ(a.seen.size(), 1u);
@@ -69,8 +69,8 @@ TEST_F(ObserverFanOut, EveryAttachedObserverSeesEveryAccess)
     EXPECT_FALSE(a.seen[0].isWrite);
     EXPECT_TRUE(a.seen[0].granted);
 
-    m.memctrl().removeAccessObserver(&a);
-    m.memctrl().removeAccessObserver(&b);
+    m.memctrl().accessObservers().remove(&a);
+    m.memctrl().accessObservers().remove(&b);
 }
 
 TEST_F(ObserverFanOut, SecondObserverNoLongerDisplacesTheFirst)
@@ -79,8 +79,8 @@ TEST_F(ObserverFanOut, SecondObserverNoLongerDisplacesTheFirst)
     // attaching after the race detector silently disconnected it.
     RecordingObserver first;
     RecordingObserver second;
-    m.memctrl().addAccessObserver(&first);
-    m.memctrl().addAccessObserver(&second);
+    m.memctrl().accessObservers().add(&first);
+    m.memctrl().accessObservers().add(&second);
 
     ASSERT_TRUE(m.writeAs(0, pageBase(5), {1, 2, 3}).ok());
     EXPECT_EQ(first.seen.size(), 1u)
@@ -89,25 +89,25 @@ TEST_F(ObserverFanOut, SecondObserverNoLongerDisplacesTheFirst)
     EXPECT_TRUE(first.seen[0].isWrite);
     EXPECT_EQ(first.seen[0].len, 3u);
 
-    m.memctrl().removeAccessObserver(&first);
-    m.memctrl().removeAccessObserver(&second);
+    m.memctrl().accessObservers().remove(&first);
+    m.memctrl().accessObservers().remove(&second);
 }
 
 TEST_F(ObserverFanOut, AddIsIdempotentAndIgnoresNull)
 {
     RecordingObserver obs;
-    m.memctrl().addAccessObserver(&obs);
-    m.memctrl().addAccessObserver(&obs); // no duplicate callbacks
-    m.memctrl().addAccessObserver(nullptr);
-    EXPECT_EQ(m.memctrl().accessObserverCount(), 1u);
+    m.memctrl().accessObservers().add(&obs);
+    m.memctrl().accessObservers().add(&obs); // no duplicate callbacks
+    m.memctrl().accessObservers().add(nullptr);
+    EXPECT_EQ(m.memctrl().accessObservers().size(), 1u);
 
     ASSERT_TRUE(m.readAs(0, pageBase(1), 4).ok());
     EXPECT_EQ(obs.seen.size(), 1u);
 
-    m.memctrl().removeAccessObserver(&obs);
-    m.memctrl().removeAccessObserver(&obs); // idempotent
-    EXPECT_EQ(m.memctrl().accessObserverCount(), 0u);
-    EXPECT_FALSE(m.memctrl().hasAccessObserver(&obs));
+    m.memctrl().accessObservers().remove(&obs);
+    m.memctrl().accessObservers().remove(&obs); // idempotent
+    EXPECT_EQ(m.memctrl().accessObservers().size(), 0u);
+    EXPECT_FALSE(m.memctrl().accessObservers().contains(&obs));
 
     ASSERT_TRUE(m.readAs(0, pageBase(1), 4).ok());
     EXPECT_EQ(obs.seen.size(), 1u) << "detached observer still called";
@@ -116,7 +116,7 @@ TEST_F(ObserverFanOut, AddIsIdempotentAndIgnoresNull)
 TEST_F(ObserverFanOut, PageSpanningAccessReportsClippedChunks)
 {
     RecordingObserver obs;
-    m.memctrl().addAccessObserver(&obs);
+    m.memctrl().accessObservers().add(&obs);
 
     // 64 bytes straddling the page 7 / page 8 boundary: one callback
     // per page, each with the byte range inside that page.
@@ -130,24 +130,24 @@ TEST_F(ObserverFanOut, PageSpanningAccessReportsClippedChunks)
     EXPECT_EQ(obs.seen[1].offset, 0u);
     EXPECT_EQ(obs.seen[1].len, 40u);
 
-    m.memctrl().removeAccessObserver(&obs);
+    m.memctrl().accessObservers().remove(&obs);
 }
 
 TEST_F(ObserverFanOut, ZeroLengthProbeReportsItsOffset)
 {
     RecordingObserver obs;
-    m.memctrl().addAccessObserver(&obs);
+    m.memctrl().accessObservers().add(&obs);
     ASSERT_TRUE(m.readAs(0, pageBase(2) + 60, 0).ok());
     ASSERT_EQ(obs.seen.size(), 1u);
     EXPECT_EQ(obs.seen[0].offset, 60u);
     EXPECT_EQ(obs.seen[0].len, 0u);
-    m.memctrl().removeAccessObserver(&obs);
+    m.memctrl().accessObservers().remove(&obs);
 }
 
 TEST_F(ObserverFanOut, DeniedAccessesAreReportedAsNotGranted)
 {
     RecordingObserver obs;
-    m.memctrl().addAccessObserver(&obs);
+    m.memctrl().accessObservers().add(&obs);
 
     // CPU 1 owns page 9: CPU 0's probe is refused by the ACL table,
     // and the observer sees the denied attempt (the address leaks to
@@ -160,7 +160,7 @@ TEST_F(ObserverFanOut, DeniedAccessesAreReportedAsNotGranted)
     EXPECT_FALSE(obs.seen[0].granted);
 
     ASSERT_TRUE(m.memctrl().aclRelease({9}).ok());
-    m.memctrl().removeAccessObserver(&obs);
+    m.memctrl().accessObservers().remove(&obs);
 }
 
 TEST_F(ObserverFanOut, ObserversAreNotifiedInAttachOrder)
@@ -186,12 +186,12 @@ TEST_F(ObserverFanOut, ObserversAreNotifiedInAttachOrder)
     };
     Tagger t1(order, 1);
     Tagger t2(order, 2);
-    m.memctrl().addAccessObserver(&t1);
-    m.memctrl().addAccessObserver(&t2);
+    m.memctrl().accessObservers().add(&t1);
+    m.memctrl().accessObservers().add(&t2);
     ASSERT_TRUE(m.readAs(0, pageBase(4), 1).ok());
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    m.memctrl().removeAccessObserver(&t1);
-    m.memctrl().removeAccessObserver(&t2);
+    m.memctrl().accessObservers().remove(&t1);
+    m.memctrl().accessObservers().remove(&t2);
 }
 
 } // namespace

@@ -191,8 +191,8 @@ TEST(PageAccessTrace, ReattachMovesBetweenMachines)
     PageAccessTrace trace(0, 100);
     trace.attach(m1);
     trace.attach(m2); // implicit detach from m1
-    EXPECT_EQ(m1.memctrl().accessObserverCount(), 0u);
-    EXPECT_EQ(m2.memctrl().accessObserverCount(), 1u);
+    EXPECT_EQ(m1.memctrl().accessObservers().size(), 0u);
+    EXPECT_EQ(m2.memctrl().accessObservers().size(), 1u);
 
     ASSERT_TRUE(m1.readAs(0, pageBase(5), 8).ok());
     EXPECT_TRUE(trace.accesses().empty());
@@ -206,9 +206,9 @@ TEST(PageAccessTrace, DetachesOnDestruction)
     {
         PageAccessTrace trace(0, 100);
         trace.attach(m);
-        EXPECT_EQ(m.memctrl().accessObserverCount(), 1u);
+        EXPECT_EQ(m.memctrl().accessObservers().size(), 1u);
     }
-    EXPECT_EQ(m.memctrl().accessObserverCount(), 0u);
+    EXPECT_EQ(m.memctrl().accessObservers().size(), 0u);
 }
 
 } // namespace

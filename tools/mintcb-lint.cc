@@ -16,8 +16,10 @@
  *                               are flagged; exit 0 only if all pass.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/file.hh"
 #include "sea/service.hh"
@@ -30,12 +32,21 @@ namespace
 
 using namespace mintcb;
 
+/** What the race detector saw of the built-in workload. */
+struct RaceSummary
+{
+    std::string report;
+    std::size_t races = 0;
+    std::uint64_t syncEvents = 0;
+};
+
 /** A small but representative workload: two drain cycles (so the
  *  transport session is opened once and resumed once) over enough PALs
- *  to force preemption-timer yields and resumes. */
+ *  to force preemption-timer yields and resumes. One run feeds both the
+ *  trace recorder and the race detector. */
 Status
-runWorkload(verify::ExecutionTrace &trace, std::string &raceReport,
-            std::size_t &raceCount, sea::ServiceMetrics &metricsOut)
+runWorkload(verify::ExecutionTrace &trace, RaceSummary &raceOut,
+            sea::ServiceMetrics &metricsOut)
 {
     machine::Machine m =
         machine::Machine::forPlatform(machine::PlatformId::recTestbed);
@@ -43,16 +54,9 @@ runWorkload(verify::ExecutionTrace &trace, std::string &raceReport,
 
     verify::TraceRecorder recorder(trace);
     recorder.attach(svc);
-
-    // The race detector needs the executive's sync stream too; it runs
-    // against its own identical machine so both observers see a full
-    // run (the executive holds a single observer slot).
-    machine::Machine m2 =
-        machine::Machine::forPlatform(machine::PlatformId::recTestbed);
-    sea::ExecutionService svc2(m2);
-    verify::HbRaceDetector detector(m2.cpuCount());
-    detector.attach(m2.memctrl());
-    detector.attach(svc2.executive());
+    verify::HbRaceDetector detector(m.cpuCount());
+    detector.attach(m.memctrl());
+    detector.attach(svc.executive());
 
     for (int cycle = 0; cycle < 2; ++cycle) {
         for (int i = 0; i < 4; ++i) {
@@ -62,18 +66,14 @@ runWorkload(verify::ExecutionTrace &trace, std::string &raceReport,
                 name, 4 * 1024,
                 [](sea::PalContext &) { return okStatus(); }));
             req.slicedCompute = Duration::millis(3);
-            for (sea::ExecutionService *s : {&svc, &svc2}) {
-                if (auto id = s->submit(req); !id)
-                    return id.error();
-            }
+            if (auto id = svc.submit(std::move(req)); !id)
+                return id.error();
         }
-        for (sea::ExecutionService *s : {&svc, &svc2}) {
-            if (auto reports = s->drain(); !reports)
-                return reports.error();
-        }
+        if (auto reports = svc.drain(); !reports)
+            return reports.error();
     }
-    raceReport = detector.str();
-    raceCount = detector.races().size();
+    raceOut = {detector.str(), detector.races().size(),
+               detector.syncEvents()};
     metricsOut = svc.metrics();
     return okStatus();
 }
@@ -107,11 +107,9 @@ int
 recordMode(const std::string &path)
 {
     verify::ExecutionTrace trace;
-    std::string raceReport;
-    std::size_t races = 0;
+    RaceSummary races;
     sea::ServiceMetrics metrics;
-    if (auto s = runWorkload(trace, raceReport, races, metrics);
-        !s.ok()) {
+    if (auto s = runWorkload(trace, races, metrics); !s.ok()) {
         std::fprintf(stderr, "mintcb-lint: workload failed: %s\n",
                      s.error().str().c_str());
         return 2;
@@ -151,11 +149,9 @@ selftest()
 
     bool ok = true;
     verify::ExecutionTrace trace;
-    std::string raceReport;
-    std::size_t races = 0;
+    RaceSummary races;
     sea::ServiceMetrics metrics;
-    if (auto s = runWorkload(trace, raceReport, races, metrics);
-        !s.ok()) {
+    if (auto s = runWorkload(trace, races, metrics); !s.ok()) {
         std::fprintf(stderr, "workload failed: %s\n",
                      s.error().str().c_str());
         return 1;
@@ -170,8 +166,14 @@ selftest()
     std::printf("metrics: %s\n", counters.str().c_str());
     ok &= counters.ok();
 
-    std::printf("races: %s\n", raceReport.c_str());
-    ok &= races == 0;
+    std::printf("races: %s\n", races.report.c_str());
+    ok &= races.races == 0;
+    // A detector that saw no sync edge passes any workload that shares
+    // no page; demand that it watched the run.
+    if (races.syncEvents == 0) {
+        std::printf("race detector saw no sync events\n");
+        ok = false;
+    }
 
     // Serialization must round-trip the live trace exactly.
     auto back = verify::ExecutionTrace::decode(trace.encode());
