@@ -48,9 +48,6 @@ constexpr std::uint32_t requests = 104;
 /** Network gateway: drain cycles, handshake verdicts, session
  *  admission (net/gateway.hh). */
 constexpr std::uint32_t gateway = 105;
-/** Durable sealed-state engine: WAL commits, checkpoints, recovery
- *  replays, migrations (store/engine.hh). */
-constexpr std::uint32_t store = 106;
 /** Sharded execution service: shard N's campaigns render on track
  *  shardBase + N (one swim-lane per shard, mirroring the one-lane-per
  *  host-worker view a wall-clock profiler would show). */

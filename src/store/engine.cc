@@ -21,6 +21,10 @@ namespace mintcb::store
 namespace
 {
 
+/** The identity machine's platform. */
+constexpr machine::PlatformId identityPlatform =
+    machine::PlatformId::hpDc5750;
+
 /** Where the identity SLB is staged for the launch. */
 constexpr PhysAddr storeSlbAddr = 0x10000;
 
@@ -211,7 +215,7 @@ SealedStore::SealedStore(StoreConfig cfg)
       snapPath_(config_.dir + "/snapshot.mss"),
       nvPath_(config_.nvPath.empty() ? config_.dir + ".tpmnv"
                                      : config_.nvPath),
-      idMachine_(machine::PlatformSpec::forPlatform(config_.platform),
+      idMachine_(machine::PlatformSpec::forPlatform(identityPlatform),
                  config_.seed)
 {
 }
@@ -652,7 +656,6 @@ SealedStore::openInternal()
         commitsSinceCheckpoint_ = 0;
         ++stats_.recoveryRekeys;
     }
-    traceInstant("store:open");
     return okStatus();
 }
 
@@ -696,15 +699,6 @@ SealedStore::observe(SyncPoint point)
     if (config_.observer == nullptr)
         return false;
     return config_.observer->onSyncPoint(point, epoch_);
-}
-
-void
-SealedStore::traceInstant(const char *name)
-{
-    if (config_.tracer != nullptr) {
-        config_.tracer->instant(obs::track::store, name, "store",
-                                idMachine_.now());
-    }
 }
 
 Status
@@ -820,7 +814,6 @@ SealedStore::commit()
     pending_ = 0;
     ++stats_.commits;
     ++commitsSinceCheckpoint_;
-    traceInstant("store:commit");
 
     if (config_.snapshotEvery > 0 &&
         commitsSinceCheckpoint_ >= config_.snapshotEvery) {
@@ -860,7 +853,6 @@ SealedStore::checkpointLocked()
         return die("walRewritten");
     commitsSinceCheckpoint_ = 0;
     ++stats_.checkpoints;
-    traceInstant("store:checkpoint");
     return okStatus();
 }
 
@@ -1020,7 +1012,6 @@ SealedStore::exportForMigration(
             .error();
     }
     ++stats_.migrationsOut;
-    traceInstant("store:migrate-out");
     fatal(okStatus(), "state migrated away");
     return bundle;
 }
@@ -1053,7 +1044,6 @@ SealedStore::adoptMigrated(const Bytes &snapshot_payload)
             return s;
     }
     ++stats_.migrationsIn;
-    traceInstant("store:migrate-in");
     return okStatus();
 }
 

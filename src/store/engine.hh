@@ -47,7 +47,6 @@
 #include "common/file.hh"
 #include "common/result.hh"
 #include "machine/machine.hh"
-#include "obs/span.hh"
 #include "sea/attestation.hh"
 #include "sea/pal.hh"
 #include "sea/statestore.hh"
@@ -201,17 +200,11 @@ struct StoreConfig
      *  same SRK => old blobs still unseal). */
     std::uint64_t seed = 0x53544f52; // "STOR"
 
-    machine::PlatformId platform = machine::PlatformId::hpDc5750;
-
     /** Auto-checkpoint after this many commits (0 = manual only). */
     std::size_t snapshotEvery = 64;
 
     /** Crash-injection hook (tests). */
     StoreObserver *observer = nullptr;
-
-    /** Optional sim-time tracer: commits/checkpoints/recoveries land
-     *  on obs::track::store. */
-    obs::SpanTracer *tracer = nullptr;
 };
 
 class MigrationBundle;
@@ -347,7 +340,6 @@ class SealedStore final : public sea::SealedStateStore
     Bytes srkPublicEncodedLocked() const;
     bool observe(SyncPoint point);
     Status requireAlive() const;
-    void traceInstant(const char *name);
 
     StoreConfig config_;
     std::string walPath_;
