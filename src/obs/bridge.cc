@@ -11,21 +11,6 @@
 namespace mintcb::obs
 {
 
-namespace
-{
-
-/** Event time: recorded sim-time when present (v2), else a synthetic
- *  1 us-per-event ramp so v1 traces still order correctly. */
-TimePoint
-eventTime(const verify::TraceEvent &e)
-{
-    if (e.at != TimePoint())
-        return e.at;
-    return TimePoint(Duration::micros(static_cast<double>(e.seq)));
-}
-
-} // namespace
-
 std::size_t
 spansFromTrace(const verify::ExecutionTrace &trace, SpanTracer &tracer)
 {
@@ -50,7 +35,7 @@ spansFromTrace(const verify::ExecutionTrace &trace, SpanTracer &tracer)
     };
 
     for (const verify::TraceEvent &e : trace.events()) {
-        const TimePoint at = eventTime(e);
+        const TimePoint at = e.at;
         last = std::max(last, at);
         switch (e.kind) {
           case TraceEventKind::slaunch: {

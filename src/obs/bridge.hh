@@ -5,10 +5,8 @@
  * One recorded run can now feed both offline consumers without
  * re-executing: mintcb-lint checks its temporal properties, and
  * mintcb-trace renders it as spans (--top attribution or Chrome JSON).
- * Trace format v2 carries per-event simulated time, which maps
- * directly onto span begin/end instants; v1 traces carry none, so the
- * bridge falls back to one microsecond per sequence number -- ordering
- * is preserved, durations are synthetic.
+ * Every trace event carries its simulated time, which maps directly
+ * onto span begin/end instants.
  */
 
 #ifndef MINTCB_OBS_BRIDGE_HH

@@ -13,8 +13,7 @@ namespace mintcb::verify
 namespace
 {
 
-constexpr std::uint32_t traceMagicV1 = 0x4d544c31; // "MTL1": no times
-constexpr std::uint32_t traceMagicV2 = 0x4d544c32; // "MTL2": + sim-time
+constexpr std::uint32_t traceMagic = 0x4d544c32; // "MTL2"
 constexpr std::uint8_t kindMin = 1;
 constexpr std::uint8_t kindMax =
     static_cast<std::uint8_t>(TraceEventKind::transportExchange);
@@ -73,7 +72,7 @@ Bytes
 ExecutionTrace::encode() const
 {
     ByteWriter w;
-    w.u32(traceMagicV2);
+    w.u32(traceMagic);
     w.u32(static_cast<std::uint32_t>(events_.size()));
     for (const TraceEvent &e : events_) {
         w.u8(static_cast<std::uint8_t>(e.kind));
@@ -90,9 +89,8 @@ ExecutionTrace::decode(const Bytes &blob)
 {
     ByteReader r(blob);
     const std::uint32_t magic = r.getU32();
-    if (r.ok() && magic != traceMagicV1 && magic != traceMagicV2)
+    if (r.ok() && magic != traceMagic)
         return Error(Errc::integrityFailure, "not a mintcb trace blob");
-    const bool timed = magic == traceMagicV2;
 
     ExecutionTrace trace;
     const std::uint32_t count = r.getU32();
@@ -106,7 +104,7 @@ ExecutionTrace::decode(const Bytes &blob)
         const std::uint32_t cpu = r.getU32();
         std::string subject = r.getStr();
         const std::uint64_t arg = r.getU64();
-        const std::uint64_t ticks = timed ? r.getU64() : 0;
+        const std::uint64_t ticks = r.getU64();
         if (!r.ok())
             break;
         trace.append(static_cast<TraceEventKind>(kind), cpu,

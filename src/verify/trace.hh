@@ -51,16 +51,14 @@ struct TraceEvent
     CpuId cpu = 0;           //!< reporting CPU (0 for service events)
     std::string subject;     //!< PAL name; empty for platform events
     std::uint64_t arg = 0;   //!< kind-specific payload
-    /** Simulated time on the reporting clock. Epoch (zero) in traces
-     *  decoded from the v1 format, which carried no timestamps. */
+    /** Simulated time on the reporting clock. */
     TimePoint at;
 
     std::string str() const;
 };
 
-/** An append-only sequence of TraceEvents with a canonical encoding.
- *  Encodes as format v2 ("MTL2", per-event sim-time); decode() also
- *  accepts v1 ("MTL1") blobs, whose events get a zero timestamp. */
+/** An append-only sequence of TraceEvents with a canonical encoding
+ *  ("MTL2": per-event sim-time); decode() refuses any other magic. */
 class ExecutionTrace
 {
   public:

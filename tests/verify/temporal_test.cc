@@ -122,6 +122,12 @@ TEST(ExecutionTrace, DecodeRejectsCorruptBlobs)
     EXPECT_FALSE(ExecutionTrace::decode(trailing).ok());
 
     EXPECT_FALSE(ExecutionTrace::decode(Bytes{}).ok());
+
+    // The retired untimed format: an empty "MTL1" trace is refused.
+    const auto v1 = ExecutionTrace::decode(
+        Bytes{'M', 'T', 'L', '1', 0, 0, 0, 0});
+    ASSERT_FALSE(v1.ok());
+    EXPECT_EQ(v1.error().message, "not a mintcb trace blob");
 }
 
 TEST(TemporalChecker, UnpairedSlaunchIsFlagged)
