@@ -27,10 +27,10 @@
 #include <optional>
 #include <vector>
 
-#include "common/counters.hh"
 #include "common/observers.hh"
 #include "common/result.hh"
 #include "common/types.hh"
+#include "common/counters.hh"
 #include "machine/memory.hh"
 
 namespace mintcb::machine
