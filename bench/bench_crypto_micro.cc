@@ -1,10 +1,10 @@
 /**
  * @file
  * Crypto hot-path microbenchmark: RSA-CRT + windowed Montgomery vs the
- * plain full-width modexp fallback, the 16-limb Montgomery squaring vs
- * the multiply, incremental SHA/HMAC contexts vs one-shot digests, and
- * the SHA-256 compression kernel this host dispatches to vs the
- * portable one.
+ * plain full-width modexp fallback, the Montgomery products at 16 and 32
+ * limbs on the body this host dispatches to vs the portable one,
+ * incremental SHA/HMAC contexts vs one-shot digests, and the SHA-256
+ * compression kernel this host dispatches to vs the portable one.
  *
  * Unlike the figure benches, the interesting quantity here is *host*
  * wall time -- the simulated-time model is deliberately untouched by
@@ -161,49 +161,109 @@ rsaSection()
     benchutil::counterDelta("host_ms_rsa_encrypt", encrypt_ms);
 }
 
-/** @p v as 16 little-endian limbs (v < 2^1024). */
-std::array<std::uint64_t, 16>
-limbs16(const crypto::BigNum &v)
+/** @p v as K little-endian limbs (v < 2^(64K)). */
+template <std::size_t K>
+std::array<std::uint64_t, K>
+limbsOf(const crypto::BigNum &v)
 {
-    const Bytes be = v.toBytesBE(128);
-    std::array<std::uint64_t, 16> out{};
+    const Bytes be = v.toBytesBE(8 * K);
+    std::array<std::uint64_t, K> out{};
     for (std::size_t i = 0; i < be.size(); ++i)
-        out[15 - i / 8] = (out[15 - i / 8] << 8) | be[i];
+        out[K - 1 - i / 8] = (out[K - 1 - i / 8] << 8) | be[i];
     return out;
+}
+
+/** Host ns per product for one Montgomery body; each call feeds the
+ *  next, so the timing is one dependent chain. */
+template <typename F>
+double
+montNs(F &&product)
+{
+    constexpr int iters = 20000;
+    return bestHostMs(product, iters) * 1e6;
+}
+
+/** Both bodies of MontKernel<K> over modulus @p n and residues @p a and
+ *  @p b: the dispatched products and the portable ones, timed and
+ *  reported as host_ns_mont<K>_{mul,sqr}[_portable]. Returns whether
+ *  the ADX body (where this CPU runs it) matched the portable one. */
+template <std::size_t K>
+bool
+montWidth(const crypto::BigNum &n, const crypto::BigNum &a,
+          const crypto::BigNum &b)
+{
+    const auto nl = limbsOf<K>(n);
+    const auto al = limbsOf<K>(a);
+    const auto bl = limbsOf<K>(b);
+    const crypto::MontKernel<K> mont(nl.data(), K);
+
+    auto squared = al;
+    auto product = al;
+    mont.sqr(squared.data(), squared.data());
+    mont.mul(product.data(), al.data(), al.data());
+    const std::string width = std::to_string(K) + "-limb";
+    benchutil::check("montSqr(a) == montMul(a, a), " + width,
+                     squared == product);
+
+    bool agree = true;
+#if MINTCB_MONT_ADX
+    if (crypto::montAdxAvailable()) {
+        for (const auto &y : {al, bl}) {
+            auto adx = al;
+            auto portable = al;
+            mont.mulAdx(adx.data(), al.data(), y.data());
+            mont.mulPortable(portable.data(), al.data(), y.data());
+            agree &= adx == portable;
+            mont.sqrAdx(adx.data(), y.data());
+            mont.sqrPortable(portable.data(), y.data());
+            agree &= adx == portable;
+        }
+    }
+#endif
+
+    auto x = al;
+    const double mul_ns =
+        montNs([&] { mont.mul(x.data(), x.data(), bl.data()); });
+    const double sqr_ns = montNs([&] { mont.sqr(x.data(), x.data()); });
+    const double mul_portable_ns =
+        montNs([&] { mont.mulPortable(x.data(), x.data(), bl.data()); });
+    const double sqr_portable_ns =
+        montNs([&] { mont.sqrPortable(x.data(), x.data()); });
+    benchmark::DoNotOptimize(x);
+
+    benchutil::rowSimOnly(width + " montMul (host ns)", mul_ns, "ns");
+    benchutil::rowSimOnly(width + " montSqr (host ns)", sqr_ns, "ns");
+    benchutil::rowSimOnly(width + " montMul portable (host ns)",
+                          mul_portable_ns, "ns");
+    benchutil::rowSimOnly(width + " montSqr portable (host ns)",
+                          sqr_portable_ns, "ns");
+    benchutil::rowSimOnly(width + " montSqr / montMul (host)",
+                          sqr_ns / mul_ns, "x");
+    const std::string key = "host_ns_mont" + std::to_string(K);
+    benchutil::counterDelta(key + "_mul", mul_ns);
+    benchutil::counterDelta(key + "_sqr", sqr_ns);
+    benchutil::counterDelta(key + "_mul_portable", mul_portable_ns);
+    benchutil::counterDelta(key + "_sqr_portable", sqr_portable_ns);
+    return agree;
 }
 
 void
 montSection()
 {
-    benchutil::heading("Montgomery kernels: 16-limb squaring vs multiply");
+    benchutil::heading(
+        "Montgomery kernels: ADX and portable bodies at 16 and 32 limbs");
 
-    // A CRT half's modulus and two residues below it.
+    // A CRT half's modulus and two residues below it, then the public
+    // modulus and two residues below that.
     const crypto::RsaPrivateKey &key = benchKey();
-    const auto p = limbs16(key.p);
-    const auto a = limbs16(key.dP);
-    const auto b = limbs16(key.qInv);
-    const crypto::MontKernel<16> mont(p.data(), p.size());
+    const bool agree16 = montWidth<16>(key.p, key.dP, key.qInv);
+    const bool agree32 = montWidth<32>(key.pub.n, key.d, key.p * key.dQ);
+    benchutil::check("ADX body == portable body at 16 and 32 limbs",
+                     agree16 && agree32);
 
-    auto squared = a;
-    auto product = a;
-    mont.sqr(squared.data(), squared.data());
-    mont.mul(product.data(), a.data(), a.data());
-    benchutil::check("montSqr(a) == montMul(a, a)", squared == product);
-
-    // Each call feeds the next, so the timing is one dependent chain.
-    constexpr int iters = 20000;
-    auto x = a;
-    const double mul_ns =
-        bestHostMs([&] { mont.mul(x.data(), x.data(), b.data()); }, iters) *
-        1e6;
-    const double sqr_ns =
-        bestHostMs([&] { mont.sqr(x.data(), x.data()); }, iters) * 1e6;
-    benchmark::DoNotOptimize(x);
-    benchutil::rowSimOnly("16-limb montMul (host ns)", mul_ns, "ns");
-    benchutil::rowSimOnly("16-limb montSqr (host ns)", sqr_ns, "ns");
-    benchutil::rowSimOnly("montSqr / montMul (host)", sqr_ns / mul_ns, "x");
-    benchutil::counterDelta("host_ns_mont16_mul", mul_ns);
-    benchutil::counterDelta("host_ns_mont16_sqr", sqr_ns);
+    const char *kernel = crypto::montUsesAdx() ? "ADX" : "portable";
+    benchutil::rowSimOnly(std::string("Montgomery kernel (host): ") + kernel,
+                          1.0, "");
 }
 
 void

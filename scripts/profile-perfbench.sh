@@ -12,15 +12,21 @@
 # gprof's flat profile (gprof -b -p): self time, call count and time
 # per call for every function. Grep it, e.g. case-insensitively for
 # `compress` (the SHA-1/SHA-256 compression functions, including the
-# `sha256CompressShaNi` kernel) or `hmacSha256`.
+# `sha256CompressShaNi` kernel), `mont` or `hmacSha256`.
 #
 # Two gprof traps:
 #   - it drops compiler clones (symbols with a '.', such as
 #     `[clone .isra.0]`) and books their time and calls under the
 #     symbol just before them in the binary. The Montgomery kernels
-#     are not such a clone: they are inlined into
-#     `BigNum::montExp<16>`, `<32>` and `<0>`, which gprof lists by
-#     name, one call per modular exponentiation;
+#     are not such a clone. On a CPU with ADX and BMI2 the 16- and
+#     32-limb products run in the assembly bodies `mintcbMontMulAdx16`,
+#     `mintcbMontSqrAdx16`, `mintcbMontMulAdx32` and
+#     `mintcbMontSqrAdx32`, listed by name with their self time but no
+#     call count (they are not built with -pg); use
+#     `crypto::montCounts()` for counts. The portable body is inlined
+#     into `BigNum::montExp<16>`, `<32>` and `<0>`, which gprof lists
+#     by name, one call per modular exponentiation, and `<0>` always
+#     runs it;
 #   - it splits a callee's time among its callers by call count, so
 #     read the call counts, not the inherited times.
 #

@@ -1,12 +1,17 @@
 /**
  * @file
- * Montgomery arithmetic for BigNum::modExp: one kernel body over a
- * limb-count parameter, with a CIOS multiply and a dedicated squaring.
+ * Montgomery arithmetic for BigNum::modExp: one portable kernel body
+ * over a limb-count parameter, with a CIOS multiply and a dedicated
+ * squaring, and for the 16- and 32-limb widths a second body built on
+ * MULX/ADCX/ADOX (crypto/montgomery.cc).
  *
- * modExp instantiates it at 16 limbs (the CRT halves of an RSA-2048
- * key), at 32 limbs (the 2048-bit public operation) and once at run-time
- * width for every other odd modulus up to montMaxLimbs. Operands and
- * scratch live on the stack; nothing here allocates.
+ * modExp instantiates the kernel at 16 limbs (the CRT halves of an
+ * RSA-2048 key), at 32 limbs (the 2048-bit public operation) and once at
+ * run-time width for every other odd modulus up to montMaxLimbs. At 16
+ * and 32 limbs, mul and sqr run the ADX body when a once-per-process
+ * CPUID probe finds ADX and BMI2, and the portable body otherwise; both
+ * give the same result for every input. Operands and scratch live on
+ * the stack; nothing here allocates.
  */
 
 #ifndef MINTCB_CRYPTO_MONTGOMERY_HH
@@ -17,8 +22,38 @@
 #include <cstddef>
 #include <cstdint>
 
+#if defined(__x86_64__) && defined(__ELF__)
+#define MINTCB_MONT_ADX 1
+#endif
+
 namespace mintcb::crypto
 {
+
+/** Whether this CPU has the ADX and BMI2 extensions the ADX body needs;
+ *  always false where the ADX body is not built. */
+bool montAdxAvailable();
+
+/** Whether MontKernel<16> and <32> run the ADX body in this process. */
+bool montUsesAdx();
+
+#if MINTCB_MONT_ADX
+extern "C" {
+/** The ADX bodies for a 16- or 32-limb odd @p n, with n0inv = -n^-1 mod
+ *  2^64: out = a * b * R^-1 mod n, and out = a^2 * R^-1 mod n. No
+ *  counting; call them only when montAdxAvailable(). @p out may alias
+ *  an input. */
+void mintcbMontMulAdx16(std::uint64_t *out, const std::uint64_t *a,
+                        const std::uint64_t *b, const std::uint64_t *n,
+                        std::uint64_t n0inv);
+void mintcbMontMulAdx32(std::uint64_t *out, const std::uint64_t *a,
+                        const std::uint64_t *b, const std::uint64_t *n,
+                        std::uint64_t n0inv);
+void mintcbMontSqrAdx16(std::uint64_t *out, const std::uint64_t *a,
+                        const std::uint64_t *n, std::uint64_t n0inv);
+void mintcbMontSqrAdx32(std::uint64_t *out, const std::uint64_t *a,
+                        const std::uint64_t *n, std::uint64_t n0inv);
+}
+#endif
 
 /** Montgomery products made on this thread, by kernel. They are exact
  *  and host-independent, so a test gates an RSA operation's modular
@@ -53,6 +88,10 @@ montN0Inv(std::uint64_t n0)
  * fixes k at compile time, so every loop has a constant trip count;
  * K == 0 takes k at run time (k <= montMaxLimbs). Operands are k-limb
  * little-endian arrays below n, and @p out may alias an input.
+ *
+ * mul and sqr count the product and run the body this process picked;
+ * the bodies themselves (mulPortable, sqrPortable and, at 16 and 32
+ * limbs on x86-64, mulAdx and sqrAdx) count nothing.
  */
 template <std::size_t K>
 class MontKernel
@@ -64,18 +103,77 @@ class MontKernel
     /** Limbs a caller's stack operand needs. */
     static constexpr std::size_t capacity = K ? K : montMaxLimbs;
 
+#if MINTCB_MONT_ADX
+    /** Whether this width has an ADX body. */
+    static constexpr bool hasAdx = K == 16 || K == 32;
+#else
+    static constexpr bool hasAdx = false;
+#endif
+
     MontKernel(const u64 *n, std::size_t k)
-        : n_(n), k_(k), n0inv_(montN0Inv(n[0]))
+        : n_(n), k_(k), n0inv_(montN0Inv(n[0])),
+          useAdx_(hasAdx && montUsesAdx())
     {
         assert(K ? k == K : k >= 1 && k <= montMaxLimbs);
     }
 
-    /** out = a * b * R^-1 mod n, by CIOS: each row adds a[i] * b, then
-     *  one reduction step shifts the sum down a limb. */
+    /** out = a * b * R^-1 mod n, counted, on this process's body. */
     void
     mul(u64 *out, const u64 *a, const u64 *b) const
     {
         ++threadMontCounts.mul;
+        if constexpr (hasAdx) {
+            if (useAdx_)
+                return mulAdx(out, a, b);
+        }
+        mulPortable(out, a, b);
+    }
+
+    /** out = a^2 * R^-1 mod n, counted, on this process's body. */
+    void
+    sqr(u64 *out, const u64 *a) const
+    {
+        ++threadMontCounts.sqr;
+        if constexpr (hasAdx) {
+            if (useAdx_)
+                return sqrAdx(out, a);
+        }
+        sqrPortable(out, a);
+    }
+
+#if MINTCB_MONT_ADX
+    /** The ADX multiply: CIOS rows on MULX, with the low halves carried
+     *  on ADCX and the high halves on ADOX, and a branch-free final
+     *  subtraction. */
+    void
+    mulAdx(u64 *out, const u64 *a, const u64 *b) const
+        requires hasAdx
+    {
+        if constexpr (K == 16)
+            mintcbMontMulAdx16(out, a, b, n_, n0inv_);
+        else
+            mintcbMontMulAdx32(out, a, b, n_, n0inv_);
+    }
+
+    /** The ADX squaring: the products a[i] * a[j] for i < j once,
+     *  doubled, plus the diagonal, then REDC, all on MULX/ADCX/ADOX,
+     *  and the same branch-free final subtraction. */
+    void
+    sqrAdx(u64 *out, const u64 *a) const
+        requires hasAdx
+    {
+        if constexpr (K == 16)
+            mintcbMontSqrAdx16(out, a, n_, n0inv_);
+        else
+            mintcbMontSqrAdx32(out, a, n_, n0inv_);
+    }
+#endif
+
+    /** The portable multiply, by CIOS: each row adds a[i] * b, then one
+     *  reduction step shifts the sum down a limb. */
+    void
+    mulPortable(u64 *out, const u64 *a, const u64 *b) const
+    {
         const std::size_t k = limbs();
         u64 t[capacity + 2] = {};
         for (std::size_t i = 0; i < k; ++i) {
@@ -106,13 +204,12 @@ class MontKernel
         reduceInto(out, t, t[k]);
     }
 
-    /** out = a^2 * R^-1 mod n: the products a[i] * a[j] for i < j
-     *  once, doubled, plus the diagonal a[i]^2, then REDC (Montgomery
+    /** The portable squaring: the products a[i] * a[j] for i < j once,
+     *  doubled, plus the diagonal a[i]^2, then REDC (Montgomery
      *  reduction) of the 2k-limb square. */
     void
-    sqr(u64 *out, const u64 *a) const
+    sqrPortable(u64 *out, const u64 *a) const
     {
-        ++threadMontCounts.sqr;
         const std::size_t k = limbs();
         u64 t[2 * capacity] = {};
         for (std::size_t i = 0; i + 1 < k; ++i) {
@@ -168,7 +265,8 @@ class MontKernel
     std::size_t limbs() const { return K ? K : k_; }
 
     /** out = (carry:t) mod n for a (k+1)-limb value below 2n: a
-     *  conditional final subtraction. */
+     *  conditional final subtraction, which compares and branches (the
+     *  ADX body subtracts unconditionally and selects). */
     void
     reduceInto(u64 *out, const u64 *t, u64 carry) const
     {
@@ -198,6 +296,7 @@ class MontKernel
     const u64 *n_;
     std::size_t k_;
     u64 n0inv_;
+    bool useAdx_;
 };
 
 } // namespace mintcb::crypto

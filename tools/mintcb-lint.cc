@@ -9,7 +9,8 @@
  *                               check it; exit 1 if any property fails.
  *   mintcb-lint --record <file> run the built-in service workload,
  *                               record its trace, and write it to
- *                               <file> (then lint it).
+ *                               <file>; exit 1 if the trace fails the
+ *                               lint or the race detector's verdict.
  *   mintcb-lint --selftest      run the built-in workload in-process,
  *                               lint trace + metrics + races, then
  *                               verify that seeded-bad synthetic traces
@@ -103,6 +104,20 @@ lintFile(const std::string &path)
     return lintTrace(*trace, /*verbose=*/false);
 }
 
+/** The race detector's verdict on the built-in workload: no race, and
+ *  at least one sync event seen. A detector that saw no sync edge passes
+ *  any workload that shares no page, so it must have watched the run. */
+bool
+racesClean(const RaceSummary &races)
+{
+    std::printf("races: %s\n", races.report.c_str());
+    if (races.syncEvents == 0) {
+        std::printf("race detector saw no sync events\n");
+        return false;
+    }
+    return races.races == 0;
+}
+
 int
 recordMode(const std::string &path)
 {
@@ -121,7 +136,8 @@ recordMode(const std::string &path)
     }
     std::printf("recorded %zu events to %s\n", trace.size(),
                 path.c_str());
-    return lintTrace(trace, /*verbose=*/false);
+    const bool clean = racesClean(races);
+    return lintTrace(trace, /*verbose=*/false) == 0 && clean ? 0 : 1;
 }
 
 /** One synthetic-violation expectation. */
@@ -166,14 +182,7 @@ selftest()
     std::printf("metrics: %s\n", counters.str().c_str());
     ok &= counters.ok();
 
-    std::printf("races: %s\n", races.report.c_str());
-    ok &= races.races == 0;
-    // A detector that saw no sync edge passes any workload that shares
-    // no page; demand that it watched the run.
-    if (races.syncEvents == 0) {
-        std::printf("race detector saw no sync events\n");
-        ok = false;
-    }
+    ok &= racesClean(races);
 
     // Serialization must round-trip the live trace exactly.
     auto back = verify::ExecutionTrace::decode(trace.encode());
