@@ -187,6 +187,88 @@ TEST(Tracer, MultiCpuSchedulingStaysWellNested)
     EXPECT_GE(palTracks.size(), 2u);
 }
 
+/** Requests that share a PAL name still get their own slices: every
+ *  `pal:` slice carries the id of the request whose SECB it ran. The
+ *  requests differ in compute, so each runs its own number of slices,
+ *  and the last of them ends on the CPU its report names. */
+TEST(Tracer, SameNamePalSlicesCarryTheirOwnRequest)
+{
+    machine::Machine m =
+        machine::Machine::forPlatform(machine::PlatformId::recTestbed);
+    sea::ExecutionService svc(m);
+    SpanTracer tracer;
+    MetricsRegistry metrics;
+    TelemetrySession telemetry(m, tracer, metrics);
+    telemetry.attach(svc);
+    for (int i = 0; i < 4; ++i) {
+        sea::PalRequest req(sea::Pal::fromLogic(
+            "same-name-pal", 4 * 1024,
+            [](sea::PalContext &) { return okStatus(); }));
+        req.slicedCompute = Duration::millis(1 + i);
+        ASSERT_TRUE(svc.submit(std::move(req)).ok());
+    }
+    auto reports = svc.drain();
+    ASSERT_TRUE(reports.ok());
+    telemetry.detach();
+
+    std::size_t slices = 0;
+    for (const Span &s : tracer.spans())
+        slices += s.category == "rec" ? 1 : 0;
+    std::uint64_t launches = 0;
+    for (const sea::ExecutionReport &r : *reports) {
+        launches += r.launches;
+        std::uint64_t own = 0;
+        const Span *last = nullptr;
+        for (const Span &s : tracer.spans()) {
+            if (s.category != "rec" || s.correlation != r.requestId)
+                continue;
+            ++own;
+            if (last == nullptr || last->end < s.end)
+                last = &s;
+        }
+        EXPECT_EQ(own, r.launches) << "request " << r.requestId;
+        ASSERT_NE(last, nullptr) << "request " << r.requestId;
+        EXPECT_EQ(last->track, r.cpu) << "request " << r.requestId;
+    }
+    EXPECT_EQ(slices, launches);
+}
+
+/** A recorder attached to the same service after telemetry joins the
+ *  service's milestones without taking them from telemetry. */
+TEST(Telemetry, RecorderOnTheSameServiceLeavesTelemetryItsStream)
+{
+    machine::Machine m =
+        machine::Machine::forPlatform(machine::PlatformId::recTestbed);
+    sea::ExecutionService svc(m);
+    SpanTracer tracer;
+    MetricsRegistry metrics;
+    TelemetrySession telemetry(m, tracer, metrics);
+    verify::ExecutionTrace trace;
+    verify::TraceRecorder recorder(trace);
+    telemetry.attach(svc);
+    recorder.attach(svc);
+
+    sea::PalRequest req(sea::Pal::fromLogic(
+        "shared-service-pal", 4 * 1024,
+        [](sea::PalContext &) { return okStatus(); }));
+    ASSERT_TRUE(svc.submit(std::move(req)).ok());
+    ASSERT_TRUE(svc.drain().ok());
+    telemetry.detach();
+
+    std::size_t drains = 0;
+    std::size_t requests = 0;
+    for (const Span &s : tracer.spans()) {
+        drains += s.name == "drain" ? 1 : 0;
+        requests += s.track == track::requests ? 1 : 0;
+    }
+    EXPECT_EQ(drains, 1u);
+    EXPECT_EQ(requests, 1u);
+    std::size_t recordedDrains = 0;
+    for (const verify::TraceEvent &e : trace.events())
+        recordedDrains += e.kind == verify::TraceEventKind::drainEnd;
+    EXPECT_EQ(recordedDrains, 1u);
+}
+
 TEST(Tracer, ChromeExportRoundTrips)
 {
     SpanTracer tracer;

@@ -240,11 +240,7 @@ TEST_P(SharedSyncStream, EveryObserverSeesEverySyncEdge)
         telemetry.attach(svc);
     det.attach(m.memctrl());
     det.attach(svc.executive());
-    // The service's own observer slot stays telemetry's when it holds it.
-    if (withTelemetry)
-        recorder.attach(svc.executive());
-    else
-        recorder.attach(svc);
+    recorder.attach(svc);
 
     for (int i = 0; i < 8; ++i) {
         sea::PalRequest req(sea::Pal::fromLogic(
@@ -276,10 +272,16 @@ TEST_P(SharedSyncStream, EveryObserverSeesEverySyncEdge)
     EXPECT_EQ(det.syncEvents(), syncEdges);
     EXPECT_TRUE(det.races().empty()) << det.str();
     if (withTelemetry) {
+        // The recorder joined the service's milestones too; telemetry
+        // still draws the drain it attached for.
         std::uint64_t palSlices = 0;
-        for (const obs::Span &s : tracer.spans())
+        std::uint64_t drains = 0;
+        for (const obs::Span &s : tracer.spans()) {
             palSlices += s.name.rfind("pal:", 0) == 0 ? 1 : 0;
+            drains += s.name == "drain" ? 1 : 0;
+        }
         EXPECT_EQ(palSlices, launches);
+        EXPECT_EQ(drains, 1u);
     }
 }
 

@@ -58,6 +58,29 @@ TEST(ExecutionTrace, RealServiceRunSatisfiesAllProperties)
     EXPECT_TRUE(counters.ok()) << counters.str();
 }
 
+/** Four requests for one PAL name, the traffic shape of a gateway
+ *  serving one client PAL: each request's SECB has its own lifecycle,
+ *  so none of them may read as a relaunch of another's done SECB. */
+TEST(ExecutionTrace, SameNameRequestsLintClean)
+{
+    Machine m = Machine::forPlatform(PlatformId::recTestbed);
+    sea::ExecutionService svc(m);
+    ExecutionTrace trace;
+    TraceRecorder recorder(trace);
+    recorder.attach(svc);
+    for (int i = 0; i < 4; ++i) {
+        sea::PalRequest req(sea::Pal::fromLogic(
+            "same-name-pal", 4 * 1024,
+            [](sea::PalContext &) { return okStatus(); }));
+        req.slicedCompute = Duration::millis(2);
+        ASSERT_TRUE(svc.submit(std::move(req)).ok());
+    }
+    ASSERT_TRUE(svc.drain().ok());
+
+    const TemporalReport report = checkTemporal(trace);
+    EXPECT_TRUE(report.ok()) << report.str() << trace.str();
+}
+
 TEST(ExecutionTrace, RecordsTheExpectedEventMix)
 {
     const ExecutionTrace trace = recordedServiceRun();
