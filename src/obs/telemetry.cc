@@ -10,22 +10,13 @@
 namespace mintcb::obs
 {
 
-namespace
-{
-
-std::string
-u64str(std::uint64_t v)
-{
-    return std::to_string(static_cast<unsigned long long>(v));
-}
-
-} // namespace
-
 TelemetrySession::TelemetrySession(machine::Machine &machine,
                                    SpanTracer &tracer,
                                    MetricsRegistry &metrics)
-    : machine_(machine), tracer_(tracer), metrics_(metrics)
+    : machine_(machine), tracer_(tracer), metrics_(metrics),
+      syncSpans_(tracer)
 {
+    clock_ = &machine;
     memGranted_ = &metrics_.counter(
         "mintcb_mem_accesses_total",
         "Per-page memory accesses seen by the access-control check",
@@ -44,9 +35,6 @@ TelemetrySession::TelemetrySession(machine::Machine &machine,
     tpmQueueWait_ = &metrics_.histogram(
         "mintcb_tpm_command_queue_wait",
         "Wait behind another CPU's in-flight TPM command");
-    requestTurnaround_ = &metrics_.histogram(
-        "mintcb_request_turnaround",
-        "PalRequest first SLAUNCH -> final report");
 }
 
 TelemetrySession::~TelemetrySession()
@@ -58,15 +46,8 @@ void
 TelemetrySession::attach(sea::ExecutionService &service)
 {
     service_ = &service;
-    service.setObserver(this);
-    attachExecutive(service.executive());
-}
-
-void
-TelemetrySession::attachExecutive(rec::SecureExecutive &exec)
-{
-    exec_ = &exec;
-    exec.syncObservers().add(this);
+    service.observers().add(this);
+    service.executive().syncObservers().add(this);
     machine_.memctrl().accessObservers().add(this);
     machine_.lpc().transferObservers().add(this);
     if (machine_.hasTpm())
@@ -82,23 +63,19 @@ TelemetrySession::attachExecutive(rec::SecureExecutive &exec)
 void
 TelemetrySession::detach()
 {
-    if (service_ && service_->observer() == this)
-        service_->setObserver(nullptr);
-    if (exec_)
-        exec_->syncObservers().remove(this);
+    if (service_) {
+        service_->observers().remove(this);
+        service_->executive().syncObservers().remove(this);
+    }
     machine_.memctrl().accessObservers().remove(this);
     machine_.lpc().transferObservers().remove(this);
     if (machine_.hasTpm())
         machine_.tpm().commandObservers().remove(this);
-    if (exec_ || service_)
+    if (service_)
         tracer_.closeAll(machine_.now());
     service_ = nullptr;
-    exec_ = nullptr;
-    palSlices_.clear();
-    palRequests_.clear();
+    syncSpans_.reset();
     requestSpans_.clear();
-    drainSpan_ = 0;
-    roundSpan_ = 0;
 }
 
 std::vector<std::pair<std::uint32_t, std::string>>
@@ -107,14 +84,14 @@ TelemetrySession::trackNames() const
     std::vector<std::pair<std::uint32_t, std::string>> names;
     for (std::size_t c = 0; c < machine_.cpuCount(); ++c)
         names.emplace_back(static_cast<std::uint32_t>(c),
-                           "cpu " + u64str(c));
+                           "cpu " + std::to_string(c));
     names.emplace_back(track::tpm, "tpm");
     names.emplace_back(track::lpc, "lpc bus");
     names.emplace_back(track::service, "execution service");
     names.emplace_back(track::scheduler, "scheduler");
     names.emplace_back(track::requests, "requests");
     for (std::uint32_t s : shardIds_)
-        names.emplace_back(track::shardBase + s, "shard " + u64str(s));
+        names.emplace_back(track::shardBase + s, "shard " + std::to_string(s));
     for (std::size_t b = 0; b < backendNames_.size(); ++b) {
         names.emplace_back(
             track::backendBase + static_cast<std::uint32_t>(b),
@@ -135,123 +112,27 @@ TelemetrySession::backendTrack(const std::string &backend)
            static_cast<std::uint32_t>(backendNames_.size() - 1);
 }
 
-std::uint64_t
-TelemetrySession::requestFor(const std::string &pal) const
-{
-    for (const auto &[name, id] : palRequests_) {
-        if (name == pal)
-            return id;
-    }
-    return 0;
-}
-
 void
 TelemetrySession::onPalEvent(rec::ExecEvent event, CpuId cpu,
                              const rec::Secb &secb)
 {
-    const TimePoint at = machine_.cpu(cpu).now();
     metrics_
         .counter("mintcb_exec_events_total",
                  "PAL life-cycle events by kind",
                  {{"event", rec::execEventName(event)}})
         .inc();
-    switch (event) {
-      case rec::ExecEvent::slaunchMeasure:
-      case rec::ExecEvent::slaunchResume: {
-        const std::uint64_t id = tracer_.beginSpan(
-            static_cast<std::uint32_t>(cpu), "pal:" + secb.palName,
-            "rec", at, requestFor(secb.palName));
-        tracer_.annotate(id, "launch",
-                         event == rec::ExecEvent::slaunchMeasure
-                             ? "measure"
-                             : "resume");
-        palSlices_.emplace_back(secb.palName, id);
-        break;
-      }
-      case rec::ExecEvent::syield:
-      case rec::ExecEvent::sfree:
-      case rec::ExecEvent::skill: {
-        // Close the innermost open slice for this PAL.
-        for (auto it = palSlices_.rbegin(); it != palSlices_.rend();
-             ++it) {
-            if (it->first == secb.palName) {
-                tracer_.annotate(it->second, "exit",
-                                 rec::execEventName(event));
-                tracer_.endSpan(it->second, at);
-                palSlices_.erase(std::next(it).base());
-                break;
-            }
-        }
-        break;
-      }
-    }
+    TraceEventSource::onPalEvent(event, cpu, secb);
 }
 
 void
-TelemetrySession::onBarrier()
+TelemetrySession::onTraceEvent(verify::TraceEvent e)
 {
-    const TimePoint at = machine_.now();
-    if (roundSpan_ != 0)
-        tracer_.endSpan(roundSpan_, at);
-    ++roundIndex_;
-    roundSpan_ = tracer_.beginSpan(track::scheduler,
-                                   "round " + u64str(roundIndex_),
-                                   "sched", at);
-}
-
-void
-TelemetrySession::onDrainBegin(std::size_t queued)
-{
-    const TimePoint at = machine_.now();
-    drainSpan_ = tracer_.beginSpan(track::service, "drain", "sea", at);
-    tracer_.annotate(drainSpan_, "queued", u64str(queued));
-    roundIndex_ = 0;
-    roundSpan_ = tracer_.beginSpan(track::scheduler, "round 0", "sched",
-                                   at);
-}
-
-void
-TelemetrySession::onDrainEnd(std::size_t completed)
-{
-    const TimePoint at = machine_.now();
-    if (roundSpan_ != 0) {
-        tracer_.endSpan(roundSpan_, at);
-        roundSpan_ = 0;
-    }
-    if (drainSpan_ != 0) {
-        tracer_.annotate(drainSpan_, "completed", u64str(completed));
-        tracer_.endSpan(drainSpan_, at);
-        drainSpan_ = 0;
-    }
-}
-
-void
-TelemetrySession::onSessionOpened()
-{
-    tracer_.instant(track::service, "session:open", "sea",
-                    machine_.now());
-}
-
-void
-TelemetrySession::onSessionResumed(std::uint64_t epoch)
-{
-    const std::uint64_t id = tracer_.instant(
-        track::service, "session:resume", "sea", machine_.now());
-    tracer_.annotate(id, "epoch", u64str(epoch));
-}
-
-void
-TelemetrySession::onAuditExchange(std::size_t commands)
-{
-    const std::uint64_t id = tracer_.instant(
-        track::service, "audit:exchange", "sea", machine_.now());
-    tracer_.annotate(id, "commands", u64str(commands));
+    syncSpans_.add(e);
 }
 
 void
 TelemetrySession::onSubmit(std::uint64_t id, const std::string &pal)
 {
-    palRequests_.emplace_back(pal, id);
     const std::uint64_t span = tracer_.beginAsync(
         track::requests, "request:" + pal, "sea", machine_.now(), id);
     requestSpans_.emplace_back(id, span);
@@ -270,15 +151,6 @@ TelemetrySession::onRequestDone(const sea::ExecutionReport &report)
             break;
         }
     }
-    for (auto it = palRequests_.begin(); it != palRequests_.end();
-         ++it) {
-        if (it->second == report.requestId) {
-            palRequests_.erase(it);
-            break;
-        }
-    }
-    requestTurnaround_->add(report.finishedAt - report.startedAt);
-
     // Per-backend series: every report says which TEE cost model ran
     // it, so backends become label values, not separate metric names.
     if (!report.backend.empty()) {
@@ -323,11 +195,11 @@ TelemetrySession::onShardCreated(std::uint32_t shard,
     // labeled series next to the front machine's.
     if (machine.hasTpm()) {
         bridgeCounters(metrics_, machine.tpm().stats(),
-                       {{"shard", u64str(shard)}});
+                       {{"shard", std::to_string(shard)}});
     }
     const std::uint64_t id = tracer_.instant(
-        track::service, "shard:create", "sea", machine_.now());
-    tracer_.annotate(id, "shard", u64str(shard));
+        track::shardBase + shard, "shard:create", "sea", machine_.now());
+    tracer_.annotate(id, "shard", std::to_string(shard));
 }
 
 void
@@ -338,17 +210,17 @@ TelemetrySession::onShardCommit(std::uint32_t shard,
     metrics_
         .counter("mintcb_shard_commits_total",
                  "Shard campaigns committed by the merge sequencer",
-                 {{"shard", u64str(shard)}})
+                 {{"shard", std::to_string(shard)}})
         .inc();
     metrics_
         .counter("mintcb_shard_reports_total",
                  "ExecutionReports committed per shard",
-                 {{"shard", u64str(shard)}})
+                 {{"shard", std::to_string(shard)}})
         .inc(completed);
     const std::uint64_t id = tracer_.completeSpan(
-        track::shardBase + shard, "shard:" + u64str(shard), "sea",
+        track::shardBase + shard, "shard:" + std::to_string(shard), "sea",
         begin, end);
-    tracer_.annotate(id, "completed", u64str(completed));
+    tracer_.annotate(id, "completed", std::to_string(completed));
 }
 
 void
@@ -372,7 +244,7 @@ TelemetrySession::onTransfer(std::uint64_t bytes, TimePoint start,
     lpcBytes_->inc(bytes);
     const std::uint64_t id = tracer_.completeSpan(
         track::lpc, "lpc:transfer", "lpc", start, start + cost);
-    tracer_.annotate(id, "bytes", u64str(bytes));
+    tracer_.annotate(id, "bytes", std::to_string(bytes));
 }
 
 void

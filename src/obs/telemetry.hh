@@ -15,13 +15,16 @@
  *
  *   CPU tracks (tid = CpuId)  nested "pal:<name>" slices between
  *                             SLAUNCH and SYIELD/SFREE/SKILL, tagged
- *                             with the originating PalRequest id
+ *                             with the request id their SECB carries
  *   track::tpm                one complete span per charged TPM
  *                             command (queueing wait annotated)
  *   track::lpc                one complete span per bus transfer
  *   track::service            drain() cycles, session/audit instants
  *   track::scheduler          scheduler rounds between barriers
  *   track::requests           async submit -> report span per request
+ *
+ * The CPU, scheduler and service tracks are the recorder's TraceEvents
+ * drawn through obs::SyncSpanMapping, as spansFromTrace replays them.
  */
 
 #ifndef MINTCB_OBS_TELEMETRY_HH
@@ -35,18 +38,17 @@
 #include "machine/lpc.hh"
 #include "machine/machine.hh"
 #include "machine/memctrl.hh"
+#include "obs/bridge.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "rec/instructions.hh"
-#include "sea/service.hh"
 #include "tpm/tpm.hh"
+#include "verify/trace.hh"
 
 namespace mintcb::obs
 {
 
 /** The all-hooks listener. Attach, run a workload, read the tracer. */
-class TelemetrySession final : public rec::ExecSyncObserver,
-                               public sea::ServiceObserver,
+class TelemetrySession final : public verify::TraceEventSource,
                                public machine::MemAccessObserver,
                                public machine::LpcObserver,
                                public tpm::TpmCommandObserver
@@ -66,11 +68,7 @@ class TelemetrySession final : public rec::ExecSyncObserver,
      *  component counter structs into the metrics registry. */
     void attach(sea::ExecutionService &service);
 
-    /** Executive-only attachment (workloads without a service). */
-    void attachExecutive(rec::SecureExecutive &exec);
-
-    /** Leave every hook this session joined (and the service's
-     *  observer slot if it still holds it), and close any spans still
+    /** Leave every hook this session joined and close any spans still
      *  open. Idempotent. */
     void detach();
 
@@ -78,18 +76,11 @@ class TelemetrySession final : public rec::ExecSyncObserver,
     std::vector<std::pair<std::uint32_t, std::string>>
     trackNames() const;
 
-    /** @name rec::ExecSyncObserver @{ */
+    /** Counts the event by kind, then hands it to TraceEventSource. */
     void onPalEvent(rec::ExecEvent event, CpuId cpu,
                     const rec::Secb &secb) override;
-    void onBarrier() override;
-    /** @} */
 
-    /** @name sea::ServiceObserver @{ */
-    void onDrainBegin(std::size_t queued) override;
-    void onDrainEnd(std::size_t completed) override;
-    void onSessionOpened() override;
-    void onSessionResumed(std::uint64_t epoch) override;
-    void onAuditExchange(std::size_t commands) override;
+    /** @name sea::ServiceObserver, beyond the sync-event stream @{ */
     void onSubmit(std::uint64_t id, const std::string &pal) override;
     void onRequestDone(const sea::ExecutionReport &report) override;
     /** Sharded drains: both hooks below run on the draining thread in
@@ -119,10 +110,10 @@ class TelemetrySession final : public rec::ExecSyncObserver,
                    TimePoint end) override;
     /** @} */
 
-  private:
-    /** RequestId a PAL name maps to (0 = unknown). */
-    std::uint64_t requestFor(const std::string &pal) const;
+  protected:
+    void onTraceEvent(verify::TraceEvent e) override;
 
+  private:
     /** Track id for @p backend (track::backendBase + first-seen
      *  index), registering the swim-lane on first use. */
     std::uint32_t backendTrack(const std::string &backend);
@@ -132,18 +123,11 @@ class TelemetrySession final : public rec::ExecSyncObserver,
     MetricsRegistry &metrics_;
 
     sea::ExecutionService *service_ = nullptr;
-    rec::SecureExecutive *exec_ = nullptr;
 
-    /** Open PAL slice: palName -> sync span id. */
-    std::vector<std::pair<std::string, std::uint64_t>> palSlices_;
-    /** Submitted-not-done: palName -> requestId. */
-    std::vector<std::pair<std::string, std::uint64_t>> palRequests_;
+    SyncSpanMapping syncSpans_;
     /** In-flight async request spans: requestId -> span id. */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> requestSpans_;
 
-    std::uint64_t drainSpan_ = 0;
-    std::uint64_t roundSpan_ = 0;
-    std::uint64_t roundIndex_ = 0;
     bool bridged_ = false; //!< counter bridges registered once
     /** Shards whose machines have been bridged (track names + dedup). */
     std::vector<std::uint32_t> shardIds_;
@@ -157,7 +141,6 @@ class TelemetrySession final : public rec::ExecSyncObserver,
     Counter *lpcBytes_ = nullptr;
     LatencyHistogram *tpmLatency_ = nullptr;
     LatencyHistogram *tpmQueueWait_ = nullptr;
-    LatencyHistogram *requestTurnaround_ = nullptr;
     /** @} */
 };
 

@@ -68,6 +68,7 @@ OsScheduler::add(const PalProgram &program)
     if (!secb)
         return secb.error();
     nextBase_ += (secb->pages.size() + 1) * pageSize;
+    secb->requestId = program.requestId;
     tasks_.push_back(Task{.program = program,
                           .secb = secb.take(),
                           .remaining = program.totalCompute,

@@ -33,6 +33,7 @@ struct PalProgram
     explicit PalProgram(sea::Pal pal_) : pal(std::move(pal_)) {}
 
     sea::Pal pal;                     //!< measured identity (SLB image)
+    std::uint64_t requestId = 0;      //!< OS-side label, copied to the SECB
     std::size_t dataPages = 1;        //!< extra pages for PAL data
     Duration totalCompute;            //!< work the PAL must retire
     int priority = 0;                 //!< higher runs sooner (aged)

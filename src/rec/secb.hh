@@ -45,6 +45,9 @@ struct Secb
 {
     /** @name Filled in by the untrusted OS at allocation time. @{ */
     std::string palName;           //!< OS-side label (not trusted)
+    /** OS-side label too: the service request this SECB runs (0 when
+     *  the PAL was scheduled outside ExecutionService). */
+    std::uint64_t requestId = 0;
     PhysAddr base = 0;             //!< start of the PAL image in memory
     std::vector<PageNum> pages;    //!< physical pages allocated to the PAL
     Duration preemptionTimer;      //!< CPU budget per scheduling slice

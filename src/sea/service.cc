@@ -151,9 +151,9 @@ ExecutionService::submit(PalRequest request)
         metrics_.maxQueueDepth =
             std::max(metrics_.maxQueueDepth, queue_.size());
     }
-    // Notify outside the lock: the observer may reenter submit().
-    if (observer_)
-        observer_->onSubmit(id, pal_name);
+    // Notify outside the lock: an observer may reenter submit().
+    for (ServiceObserver *o : observers_)
+        o->onSubmit(id, pal_name);
     return id;
 }
 
@@ -178,8 +178,8 @@ ExecutionService::drain()
     // callback lands in the (now empty) queue for the next drain
     // instead of deadlocking on the lock or re-entering this batch.
     ++metrics_.drains;
-    if (observer_)
-        observer_->onDrainBegin(batch.size());
+    for (ServiceObserver *o : observers_)
+        o->onDrainBegin(batch.size());
 
     const TimePoint epoch = front_.machine.now();
     std::vector<Run> runs;
@@ -217,16 +217,14 @@ ExecutionService::drain()
     for (Run &run : runs) {
         pool_->submit(
             [this, &run, epoch] {
-                if (observer_)
-                    observer_->onShardBegin(run.shard, run.batch.size());
+                for (ServiceObserver *o : observers_)
+                    o->onShardBegin(run.shard, run.batch.size());
                 // Reconcile the shard onto the service timeline: every
                 // campaign in this drain starts at the same epoch.
                 run.engine->machine.alignTo(epoch);
                 execute(run, epoch);
-                if (observer_) {
-                    observer_->onShardEnd(run.shard,
-                                          run.out.reports.size());
-                }
+                for (ServiceObserver *o : observers_)
+                    o->onShardEnd(run.shard, run.out.reports.size());
             },
             run.shard % pool_->workers());
     }
@@ -292,8 +290,10 @@ ExecutionService::runBatch(Engine &engine,
     for (std::size_t n = 0; n < native.size(); ++n) {
         const Pending &p = batch[native[n]];
         slots[n].submittedAt = p.submittedAt;
-        auto idx = sched.add(backend::nativeProgram(
-            engine.machine, p.request, config_.quantum, slots[n]));
+        rec::PalProgram prog = backend::nativeProgram(
+            engine.machine, p.request, config_.quantum, slots[n]);
+        prog.requestId = p.id;
+        auto idx = sched.add(prog);
         if (idx) {
             added[*idx] = n;
             continue;
@@ -350,9 +350,9 @@ ExecutionService::ensureShard(std::uint32_t shard)
         shards_[shard] = std::make_unique<Shard>(
             shard, front_.machine.spec(), front_.machine.seed(),
             config_.sePcrs);
-        if (observer_) {
-            observer_->onShardCreated(shard, *shards_[shard]->machine,
-                                      shards_[shard]->engine.exec);
+        for (ServiceObserver *o : observers_) {
+            o->onShardCreated(shard, *shards_[shard]->machine,
+                              shards_[shard]->engine.exec);
         }
     }
     return *shards_[shard];
@@ -387,8 +387,8 @@ ExecutionService::commit(std::vector<Run> &runs, TimePoint epoch)
         metrics_.compute.add(r.phases.compute);
         metrics_.launches += r.launches;
         metrics_.yields += r.yields;
-        if (observer_)
-            observer_->onRequestDone(r);
+        for (ServiceObserver *o : observers_)
+            o->onRequestDone(r);
     }
 
     Status first_error = okStatus();
@@ -406,29 +406,27 @@ ExecutionService::commit(std::vector<Run> &runs, TimePoint epoch)
             switch (m.kind) {
               case Milestone::Kind::sessionOpened:
                 ++metrics_.sessionsAccepted;
-                if (observer_)
-                    observer_->onSessionOpened();
+                for (ServiceObserver *o : observers_)
+                    o->onSessionOpened();
                 break;
               case Milestone::Kind::sessionResumed:
                 ++metrics_.sessionsResumed;
-                if (observer_)
-                    observer_->onSessionResumed(m.value);
+                for (ServiceObserver *o : observers_)
+                    o->onSessionResumed(m.value);
                 break;
               case Milestone::Kind::auditExchange:
                 ++metrics_.auditExchanges;
                 metrics_.auditCommands += m.value;
-                if (observer_) {
-                    observer_->onAuditExchange(
-                        static_cast<std::size_t>(m.value));
-                }
+                for (ServiceObserver *o : observers_)
+                    o->onAuditExchange(static_cast<std::size_t>(m.value));
                 break;
             }
         }
         if (sharded) {
             ++metrics_.shardDrains;
-            if (observer_) {
-                observer_->onShardCommit(run.shard, run.out.reports.size(),
-                                         epoch, epoch + run.elapsed);
+            for (ServiceObserver *o : observers_) {
+                o->onShardCommit(run.shard, run.out.reports.size(), epoch,
+                                 epoch + run.elapsed);
             }
         }
         max_elapsed = std::max(max_elapsed, run.elapsed);
@@ -444,8 +442,8 @@ ExecutionService::commit(std::vector<Run> &runs, TimePoint epoch)
     metrics_.busy += max_elapsed;
     if (!first_error.ok())
         return first_error.error();
-    if (observer_)
-        observer_->onDrainEnd(reports.size());
+    for (ServiceObserver *o : observers_)
+        o->onDrainEnd(reports.size());
     return reports;
 }
 

@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "common/observers.hh"
 #include "common/result.hh"
 #include "common/stats.hh"
 #include "rec/scheduler.hh"
@@ -185,8 +186,9 @@ struct ServiceMetrics
 
 /**
  * Observer of the service's scheduling and transport milestones. The
- * verify layer's trace recorder implements this; the service never
- * behaves differently with an observer attached.
+ * trace recorder, telemetry and test probes implement this, any number
+ * at once (ExecutionService::observers()); the service never behaves
+ * differently with observers attached.
  */
 class ServiceObserver
 {
@@ -319,9 +321,13 @@ class ExecutionService
     const ServiceMetrics &metrics() const { return metrics_; }
     rec::SecureExecutive &executive() { return front_.exec; }
 
-    /** Attach (or with nullptr detach) the milestone observer. */
-    void setObserver(ServiceObserver *obs) { observer_ = obs; }
-    ServiceObserver *observer() const { return observer_; }
+    /** The milestone observers, notified in attach order. Pool
+     *  workers read the list (onShardBegin/onShardEnd), so attach and
+     *  detach only between drains. */
+    ObserverList<ServiceObserver> &observers() { return observers_; }
+    /** observers().add(obs); the request-path benchmark (perfbench/)
+     *  still calls it. */
+    void setObserver(ServiceObserver *obs) { observers_.add(obs); }
 
     /** Modeled client-side cost per transport exchange (wrap + MAC +
      *  LPC bus round trip) -- what pipelining amortizes. */
@@ -451,7 +457,7 @@ class ExecutionService
     std::vector<std::unique_ptr<Shard>> shards_; //!< lazily built
     std::unique_ptr<WorkerPool> pool_;           //!< lazily started
     ServiceMetrics metrics_;
-    ServiceObserver *observer_ = nullptr;
+    ObserverList<ServiceObserver> observers_;
 };
 
 } // namespace mintcb::sea

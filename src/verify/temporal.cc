@@ -46,19 +46,27 @@ checkTemporal(const ExecutionTrace &trace)
             {property, seq, std::move(detail)});
     };
 
-    // Per-PAL lifecycle replay; rec::checkTransition decides legality.
-    std::map<std::string, PalState> pals;
+    // Per-SECB lifecycle replay keyed by (request id, PAL name), so
+    // requests may share a name; rec::checkTransition decides legality.
+    using SecbKey = std::pair<std::uint64_t, std::string>;
+    auto label = [](const SecbKey &key) {
+        return key.first == 0 ? key.second
+                              : key.second + " (request " +
+                                    std::to_string(key.first) + ")";
+    };
+    std::map<SecbKey, PalState> pals;
     auto step = [&](const TraceEvent &e, PalState to) {
-        auto it = pals.find(e.subject);
+        const SecbKey key{e.requestId, e.subject};
+        auto it = pals.find(key);
         const PalState from =
             it == pals.end() ? PalState::start : it->second;
         if (auto s = rec::checkTransition(from, to); !s.ok()) {
             finding("lifecycle", e.seq,
-                    e.subject + ": " + std::string(traceEventKindName(
-                                           e.kind)) +
-                        " -- " + s.error().str());
+                    label(key) + ": " +
+                        std::string(traceEventKindName(e.kind)) + " -- " +
+                        s.error().str());
         }
-        pals[e.subject] = to;
+        pals[key] = to;
     };
 
     // Session protocol: opened / resumed / closed / used.
@@ -114,10 +122,10 @@ checkTemporal(const ExecutionTrace &trace)
 
     // Liveness at end of trace: every launched PAL reached Done, so its
     // pages and sePCR were surrendered (SFREE or SKILL happened).
-    for (const auto &[name, state] : pals) {
+    for (const auto &[key, state] : pals) {
         if (state != PalState::done) {
             finding("slaunch-unpaired", trace.size(),
-                    name + " ends the trace in state " +
+                    label(key) + " ends the trace in state " +
                         std::string(rec::palStateName(state)) +
                         " (no SFREE/SKILL)");
         }

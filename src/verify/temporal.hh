@@ -13,8 +13,9 @@
  *  - the TPM transport is never used after the session closed, and
  *    never resumed before it was opened.
  *
- * Traces are keyed by PAL name, so workloads feeding the checker must
- * name PALs uniquely (every in-repo workload does).
+ * Lifecycles are keyed by (request id, PAL name), so service
+ * recordings may reuse a PAL name across requests; traces without
+ * request ids (synthetic ones, a bare SecureExecutive's) key by name.
  */
 
 #ifndef MINTCB_VERIFY_TEMPORAL_HH

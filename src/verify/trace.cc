@@ -13,7 +13,7 @@ namespace mintcb::verify
 namespace
 {
 
-constexpr std::uint32_t traceMagic = 0x4d544c32; // "MTL2"
+constexpr std::uint32_t traceMagic = 0x4d544c33; // "MTL3"
 constexpr std::uint8_t kindMin = 1;
 constexpr std::uint8_t kindMax =
     static_cast<std::uint8_t>(TraceEventKind::transportExchange);
@@ -49,23 +49,25 @@ TraceEvent::str() const
     out += " cpu=" + std::to_string(cpu);
     if (arg != 0)
         out += " arg=" + std::to_string(arg);
+    if (requestId != 0)
+        out += " req=" + std::to_string(requestId);
     if (at != TimePoint())
         out += " t=" + at.sinceEpoch().str();
     return out;
 }
 
 void
+ExecutionTrace::append(TraceEvent e)
+{
+    e.seq = events_.size();
+    events_.push_back(std::move(e));
+}
+
+void
 ExecutionTrace::append(TraceEventKind kind, CpuId cpu, std::string subject,
                        std::uint64_t arg, TimePoint at)
 {
-    TraceEvent e;
-    e.kind = kind;
-    e.seq = events_.size();
-    e.cpu = cpu;
-    e.subject = std::move(subject);
-    e.arg = arg;
-    e.at = at;
-    events_.push_back(std::move(e));
+    append(TraceEvent{kind, 0, cpu, std::move(subject), arg, at, 0});
 }
 
 Bytes
@@ -80,6 +82,7 @@ ExecutionTrace::encode() const
         w.str(e.subject);
         w.u64(e.arg);
         w.u64(static_cast<std::uint64_t>(e.at.sinceEpoch().ticks()));
+        w.u64(e.requestId);
     }
     return w.take();
 }
@@ -101,16 +104,17 @@ ExecutionTrace::decode(const Bytes &blob)
                          "unknown trace event kind " +
                              std::to_string(kind));
         }
-        const std::uint32_t cpu = r.getU32();
-        std::string subject = r.getStr();
-        const std::uint64_t arg = r.getU64();
-        const std::uint64_t ticks = r.getU64();
+        TraceEvent e;
+        e.kind = static_cast<TraceEventKind>(kind);
+        e.cpu = r.getU32();
+        e.subject = r.getStr();
+        e.arg = r.getU64();
+        e.at = TimePoint(
+            Duration::picos(static_cast<std::int64_t>(r.getU64())));
+        e.requestId = r.getU64();
         if (!r.ok())
             break;
-        trace.append(static_cast<TraceEventKind>(kind), cpu,
-                     std::move(subject), arg,
-                     TimePoint(Duration::picos(
-                         static_cast<std::int64_t>(ticks))));
+        trace.append(std::move(e));
     }
     return r.finish(std::move(trace), Errc::integrityFailure,
                     "trailing trace bytes");
@@ -126,18 +130,51 @@ ExecutionTrace::str() const
     return out;
 }
 
+void
+TraceEventSource::onPalEvent(rec::ExecEvent event, CpuId cpu,
+                             const rec::Secb &secb)
+{
+    TraceEvent e;
+    switch (event) {
+      case rec::ExecEvent::slaunchMeasure:
+      case rec::ExecEvent::slaunchResume:
+        e.kind = TraceEventKind::slaunch;
+        break;
+      case rec::ExecEvent::syield: e.kind = TraceEventKind::syield; break;
+      case rec::ExecEvent::sfree: e.kind = TraceEventKind::sfree; break;
+      case rec::ExecEvent::skill: e.kind = TraceEventKind::skill; break;
+    }
+    e.cpu = cpu;
+    e.subject = secb.palName;
+    e.arg = event == rec::ExecEvent::slaunchResume ? 1 : 0;
+    e.at = clock_ ? clock_->cpu(cpu).now() : TimePoint();
+    e.requestId = secb.requestId;
+    onTraceEvent(std::move(e));
+}
+
+void
+TraceEventSource::platformEvent(TraceEventKind kind, std::uint64_t arg)
+{
+    TraceEvent e;
+    e.kind = kind;
+    e.arg = arg;
+    e.at = clock_ ? clock_->now() : TimePoint();
+    onTraceEvent(std::move(e));
+}
+
 TraceRecorder::~TraceRecorder()
 {
     if (exec_)
         exec_->syncObservers().remove(this);
-    if (service_ && service_->observer() == this)
-        service_->setObserver(nullptr);
+    if (service_)
+        service_->observers().remove(this);
 }
 
 void
 TraceRecorder::attach(rec::SecureExecutive &exec)
 {
     exec_ = &exec;
+    clock_ = &exec.machine();
     exec.syncObservers().add(this);
 }
 
@@ -145,82 +182,20 @@ void
 TraceRecorder::attach(sea::ExecutionService &service)
 {
     service_ = &service;
-    service.setObserver(this);
+    service.observers().add(this);
     attach(service.executive());
-}
-
-TimePoint
-TraceRecorder::stamp(CpuId cpu) const
-{
-    if (!exec_)
-        return {};
-    return exec_->machine().cpu(cpu).now();
-}
-
-void
-TraceRecorder::onPalEvent(rec::ExecEvent event, CpuId cpu,
-                          const rec::Secb &secb)
-{
-    const TimePoint at = stamp(cpu);
-    switch (event) {
-      case rec::ExecEvent::slaunchMeasure:
-        trace_.append(TraceEventKind::slaunch, cpu, secb.palName, 0, at);
-        break;
-      case rec::ExecEvent::slaunchResume:
-        trace_.append(TraceEventKind::slaunch, cpu, secb.palName, 1, at);
-        break;
-      case rec::ExecEvent::syield:
-        trace_.append(TraceEventKind::syield, cpu, secb.palName, 0, at);
-        break;
-      case rec::ExecEvent::sfree:
-        trace_.append(TraceEventKind::sfree, cpu, secb.palName, 0, at);
-        break;
-      case rec::ExecEvent::skill:
-        trace_.append(TraceEventKind::skill, cpu, secb.palName, 0, at);
-        break;
-    }
-}
-
-void
-TraceRecorder::onBarrier()
-{
-    trace_.append(TraceEventKind::barrier, 0, {}, 0, stamp(0));
-}
-
-void
-TraceRecorder::onDrainBegin(std::size_t queued)
-{
-    trace_.append(TraceEventKind::drainBegin, 0, {}, queued, stamp(0));
-}
-
-void
-TraceRecorder::onDrainEnd(std::size_t completed)
-{
-    trace_.append(TraceEventKind::drainEnd, 0, {}, completed, stamp(0));
-}
-
-void
-TraceRecorder::onSessionOpened()
-{
-    trace_.append(TraceEventKind::sessionOpen, 0, {}, 0, stamp(0));
-}
-
-void
-TraceRecorder::onSessionResumed(std::uint64_t epoch)
-{
-    trace_.append(TraceEventKind::sessionResume, 0, {}, epoch, stamp(0));
-}
-
-void
-TraceRecorder::onAuditExchange(std::size_t commands)
-{
-    trace_.append(TraceEventKind::transportExchange, 0, {}, commands, stamp(0));
 }
 
 void
 TraceRecorder::noteSessionClose()
 {
-    trace_.append(TraceEventKind::sessionClose, 0, {}, 0, stamp(0));
+    platformEvent(TraceEventKind::sessionClose);
+}
+
+void
+TraceRecorder::onTraceEvent(TraceEvent e)
+{
+    trace_.append(std::move(e));
 }
 
 } // namespace mintcb::verify

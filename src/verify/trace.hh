@@ -2,11 +2,11 @@
  * @file
  * Recorded execution traces for offline lint checking.
  *
- * A TraceRecorder rides on the ExecSyncObserver / ServiceObserver hooks
- * and appends every life-cycle and transport milestone to an
- * ExecutionTrace. The trace serializes to the repo's canonical
- * big-endian encoding, so a run can be recorded once and linted later
- * (tools/mintcb-lint) against the temporal properties in temporal.hh.
+ * A TraceRecorder turns every life-cycle and transport milestone into a
+ * TraceEvent and appends it to an ExecutionTrace. The trace serializes
+ * to the repo's canonical big-endian encoding, so a run can be recorded
+ * once and linted later (tools/mintcb-lint) against the temporal
+ * properties in temporal.hh.
  */
 
 #ifndef MINTCB_VERIFY_TRACE_HH
@@ -53,15 +53,21 @@ struct TraceEvent
     std::uint64_t arg = 0;   //!< kind-specific payload
     /** Simulated time on the reporting clock. */
     TimePoint at;
+    /** The request whose SECB raised a PAL event (rec::Secb::requestId);
+     *  0 for platform events and for PALs run outside the service. */
+    std::uint64_t requestId = 0;
 
     std::string str() const;
 };
 
 /** An append-only sequence of TraceEvents with a canonical encoding
- *  ("MTL2": per-event sim-time); decode() refuses any other magic. */
+ *  ("MTL3": per-event sim-time and request id); decode() refuses any
+ *  other magic. */
 class ExecutionTrace
 {
   public:
+    /** Append @p e as the next event (its seq is overwritten). */
+    void append(TraceEvent e);
     void append(TraceEventKind kind, CpuId cpu, std::string subject,
                 std::uint64_t arg = 0, TimePoint at = {});
 
@@ -81,12 +87,53 @@ class ExecutionTrace
 };
 
 /**
- * Observer that records a live run into an ExecutionTrace. Attach to a
+ * The one translation from the sync and service hooks to TraceEvents,
+ * shared by TraceRecorder and obs::TelemetrySession. PAL events carry
+ * their SECB's request id and the reporting CPU's time; platform events
+ * are stamped at Machine::now().
+ */
+class TraceEventSource : public rec::ExecSyncObserver,
+                         public sea::ServiceObserver
+{
+  public:
+    void onPalEvent(rec::ExecEvent event, CpuId cpu,
+                    const rec::Secb &secb) override;
+    void onBarrier() override { platformEvent(TraceEventKind::barrier); }
+    void onDrainBegin(std::size_t queued) override
+    {
+        platformEvent(TraceEventKind::drainBegin, queued);
+    }
+    void onDrainEnd(std::size_t completed) override
+    {
+        platformEvent(TraceEventKind::drainEnd, completed);
+    }
+    void onSessionOpened() override
+    {
+        platformEvent(TraceEventKind::sessionOpen);
+    }
+    void onSessionResumed(std::uint64_t epoch) override
+    {
+        platformEvent(TraceEventKind::sessionResume, epoch);
+    }
+    void onAuditExchange(std::size_t commands) override
+    {
+        platformEvent(TraceEventKind::transportExchange, commands);
+    }
+
+  protected:
+    /** Every hook arrives here as one event (seq left 0). */
+    virtual void onTraceEvent(TraceEvent e) = 0;
+    void platformEvent(TraceEventKind kind, std::uint64_t arg = 0);
+
+    const machine::Machine *clock_ = nullptr; //!< nullptr: the epoch
+};
+
+/**
+ * Records a live run into an ExecutionTrace. Attach to a
  * SecureExecutive, an ExecutionService, or both; the recorder detaches
  * itself on destruction.
  */
-class TraceRecorder : public rec::ExecSyncObserver,
-                      public sea::ServiceObserver
+class TraceRecorder : public TraceEventSource
 {
   public:
     explicit TraceRecorder(ExecutionTrace &trace) : trace_(trace) {}
@@ -98,29 +145,15 @@ class TraceRecorder : public rec::ExecSyncObserver,
     void attach(rec::SecureExecutive &exec);
     void attach(sea::ExecutionService &service);
 
-    /** @name ExecSyncObserver. @{ */
-    void onPalEvent(rec::ExecEvent event, CpuId cpu,
-                    const rec::Secb &secb) override;
-    void onBarrier() override;
-    /** @} */
-
-    /** @name ServiceObserver. @{ */
-    void onDrainBegin(std::size_t queued) override;
-    void onDrainEnd(std::size_t completed) override;
-    void onSessionOpened() override;
-    void onSessionResumed(std::uint64_t epoch) override;
-    void onAuditExchange(std::size_t commands) override;
-    /** @} */
-
     /** The service model never tears sessions down; a harness that does
      *  (or a synthetic trace) marks the closure explicitly so the
      *  no-use-after-close property has teeth. */
     void noteSessionClose();
 
-  private:
-    /** Sim-time on @p cpu's clock (epoch before any attach()). */
-    TimePoint stamp(CpuId cpu) const;
+  protected:
+    void onTraceEvent(TraceEvent e) override;
 
+  private:
     ExecutionTrace &trace_;
     rec::SecureExecutive *exec_ = nullptr;
     sea::ExecutionService *service_ = nullptr;

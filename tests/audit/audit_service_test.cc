@@ -124,7 +124,7 @@ TEST(AuditService, ObserversNeverPerturbReportsAtAnyWorkerCount)
             ShardAdversaries watchers; // after svc: destroyed first
             if (observed) {
                 watchers.watch(m); // workers == 1 drains inline
-                svc.setObserver(&watchers);
+                svc.observers().add(&watchers);
             }
             for (int i = 0; i < 6; ++i) {
                 sea::PalRequest req = zooRequest(
@@ -144,7 +144,7 @@ TEST(AuditService, ObserversNeverPerturbReportsAtAnyWorkerCount)
                     << name << " workers=" << workers
                     << ": adversaries attached but saw no traffic";
             }
-            svc.setObserver(nullptr);
+            svc.observers().remove(&watchers);
             return wires;
         };
 

@@ -428,8 +428,13 @@ otherOracles()
     key.qInv = crypto::BigNum(38);
 
     verify::ExecutionTrace trace;
-    trace.append(verify::TraceEventKind::slaunch, 0, "pal", 1,
-                 TimePoint(Duration::picos(5)));
+    verify::TraceEvent launch;
+    launch.kind = verify::TraceEventKind::slaunch;
+    launch.subject = "pal";
+    launch.arg = 1;
+    launch.at = TimePoint(Duration::picos(5));
+    launch.requestId = 7;
+    trace.append(launch);
     trace.append(verify::TraceEventKind::drainEnd, 2, "drain", 3,
                  TimePoint(Duration::picos(9)));
 
@@ -445,7 +450,7 @@ otherOracles()
          "b3ff3ed5cfccc1d8aca3186557d2d7ca08121a8c23b5bf7fa4a8d86592601619"},
         {"ExecutionTrace::decode", trace.encode(), {{4, 2}},
          decoder(verify::ExecutionTrace::decode),
-         "92a38f82292af1104a422939e02a5bf35c18669d843f4e2881858d064e683941"},
+         "2565a29878bb5d356159a8c61fcf6b0d08bda7d6e8024493bdd13912069837fd"},
         {"decodeKvImage",
          apps::encodeKvImage(7, {{"a", asciiBytes("1")},
                                  {"bb", asciiBytes("22")}}),

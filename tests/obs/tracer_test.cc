@@ -269,6 +269,86 @@ TEST(Telemetry, RecorderOnTheSameServiceLeavesTelemetryItsStream)
     EXPECT_EQ(recordedDrains, 1u);
 }
 
+/** The sync-event stream's spans: CPU, scheduler and service tracks,
+ *  in completion order. */
+std::vector<const Span *>
+syncTrackSpans(const SpanTracer &tracer)
+{
+    std::vector<const Span *> out;
+    for (const Span &s : tracer.spans()) {
+        if (s.track < track::tpm || s.track == track::scheduler ||
+            s.track == track::service) {
+            out.push_back(&s);
+        }
+    }
+    return out;
+}
+
+/** One run, two renderings: live telemetry and a replay of the same
+ *  run's recording (through the MTL3 encoding) draw identical CPU,
+ *  scheduler and service tracks. Two drains (a session opened, then
+ *  resumed), preempting PALs, and two requests sharing a PAL name. */
+TEST(Telemetry, LiveTracksEqualTheReplayedRecording)
+{
+    machine::Machine m =
+        machine::Machine::forPlatform(machine::PlatformId::recTestbed);
+    sea::ExecutionService svc(m);
+    SpanTracer live;
+    MetricsRegistry metrics;
+    TelemetrySession telemetry(m, live, metrics);
+    verify::ExecutionTrace trace;
+    verify::TraceRecorder recorder(trace);
+    telemetry.attach(svc);
+    recorder.attach(svc);
+    for (int cycle = 0; cycle < 2; ++cycle) {
+        for (int i = 0; i < 4; ++i) {
+            sea::PalRequest req(sea::Pal::fromLogic(
+                "replay-pal-" + std::to_string(i % 3), 4 * 1024,
+                [](sea::PalContext &) { return okStatus(); }));
+            req.slicedCompute = Duration::millis(1 + i);
+            ASSERT_TRUE(svc.submit(std::move(req)).ok());
+        }
+        ASSERT_TRUE(svc.drain().ok());
+    }
+    telemetry.detach();
+
+    auto decoded = verify::ExecutionTrace::decode(trace.encode());
+    ASSERT_TRUE(decoded.ok()) << decoded.error().str();
+    SpanTracer replay;
+    spansFromTrace(*decoded, replay);
+    EXPECT_EQ(replay.openCount(), 0u);
+
+    const std::vector<const Span *> a = syncTrackSpans(live);
+    const std::vector<const Span *> b = syncTrackSpans(replay);
+    ASSERT_EQ(a.size(), b.size());
+    std::map<std::string, int> kinds;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i]->name, b[i]->name) << i;
+        EXPECT_EQ(a[i]->track, b[i]->track) << i;
+        EXPECT_EQ(a[i]->begin, b[i]->begin) << i << " " << a[i]->name;
+        EXPECT_EQ(a[i]->end, b[i]->end) << i << " " << a[i]->name;
+        EXPECT_EQ(a[i]->correlation, b[i]->correlation) << i;
+        EXPECT_EQ(a[i]->args, b[i]->args) << i << " " << a[i]->name;
+        ++kinds[a[i]->name.substr(0, a[i]->name.find_first_of(": "))];
+    }
+    // Every part of the mapping took part.
+    EXPECT_EQ(kinds["drain"], 2);
+    EXPECT_GT(kinds["round"], 2);
+    EXPECT_EQ(kinds["session"], 2);
+    EXPECT_EQ(kinds["audit"], 2);
+    EXPECT_GT(kinds["pal"], 8);
+    EXPECT_EQ(syncSpanDiff(live, replay), "");
+
+    // The shared comparison notices a moved span.
+    SpanTracer shifted;
+    for (const verify::TraceEvent &e : decoded->events()) {
+        verify::TraceEvent late = e;
+        late.at = late.at + Duration::picos(1);
+        SyncSpanMapping(shifted).add(late);
+    }
+    EXPECT_NE(syncSpanDiff(live, shifted), "");
+}
+
 TEST(Tracer, ChromeExportRoundTrips)
 {
     SpanTracer tracer;

@@ -331,7 +331,7 @@ TEST(ExecutionService, ObserverMaySubmitFromRequestDoneCallback)
     Machine m = Machine::forPlatform(PlatformId::recTestbed);
     ExecutionService svc(m);
     ResubmittingObserver obs(svc);
-    svc.setObserver(&obs);
+    svc.observers().add(&obs);
 
     ASSERT_TRUE(
         svc.submit(lightRequest("seedreq", Duration::millis(1))).ok());

@@ -202,7 +202,7 @@ TEST(ShardedService, PerShardHappensBeforeDisciplineHolds)
     config.workers = 4;
     ExecutionService svc(m, config);
     ShardProbe probe;
-    svc.setObserver(&probe);
+    svc.observers().add(&probe);
 
     submitWorkload(svc, 12, "hb");
     ASSERT_TRUE(svc.drain().ok());
@@ -283,7 +283,7 @@ TEST(ShardedService, ShardedDrainFailurePropagates)
         config.auditPcr = 99; // every audit flush is rejected
         ExecutionService svc(m, config);
         DoneCounter counter;
-        svc.setObserver(&counter);
+        svc.observers().add(&counter);
 
         // Sub-quantum PALs: each one runs to completion in one launch.
         for (int i = 0; i < 4; ++i) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytebuf.hh"
 #include "sea/service.hh"
 #include "verify/temporal.hh"
 #include "verify/trace.hh"
@@ -124,6 +125,8 @@ TEST(ExecutionTrace, EncodeDecodeRoundTrips)
         EXPECT_EQ(a.cpu, b.cpu) << i;
         EXPECT_EQ(a.subject, b.subject) << i;
         EXPECT_EQ(a.arg, b.arg) << i;
+        EXPECT_EQ(a.at, b.at) << i;
+        EXPECT_EQ(a.requestId, b.requestId) << i;
     }
     EXPECT_EQ(back->encode(), blob);
 }
@@ -151,6 +154,24 @@ TEST(ExecutionTrace, DecodeRejectsCorruptBlobs)
         Bytes{'M', 'T', 'L', '1', 0, 0, 0, 0});
     ASSERT_FALSE(v1.ok());
     EXPECT_EQ(v1.error().message, "not a mintcb trace blob");
+}
+
+/** MTL2 events had no request id; a reader cannot tell which SECB an
+ *  MTL2 PAL event belongs to, so decode refuses the format outright. */
+TEST(ExecutionTrace, DecodeRefusesTheRetiredMtl2Format)
+{
+    ByteWriter w;
+    w.u32(0x4d544c32); // "MTL2"
+    w.u32(1);
+    w.u8(static_cast<std::uint8_t>(TraceEventKind::slaunch));
+    w.u32(1);
+    w.str("pal");
+    w.u64(0);
+    w.u64(5);
+    const auto v2 = ExecutionTrace::decode(w.take());
+    ASSERT_FALSE(v2.ok());
+    EXPECT_EQ(v2.error().code, Errc::integrityFailure);
+    EXPECT_EQ(v2.error().message, "not a mintcb trace blob");
 }
 
 TEST(TemporalChecker, UnpairedSlaunchIsFlagged)

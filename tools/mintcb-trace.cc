@@ -13,13 +13,16 @@
  *   mintcb-trace --table           same run; flat per-span listing.
  *   mintcb-trace --metrics         same run; Prometheus exposition of
  *                                  the metrics registry.
- *   mintcb-trace <trace-file>      replay a recorded ExecutionTrace
+ *   mintcb-trace <trace-file>      replay a recorded MTL3 ExecutionTrace
  *                                  (mintcb-lint --record) into spans
  *                                  and print --top for it; combine
- *                                  with --export to render it.
+ *                                  with --export to render it; exit 1
+ *                                  on no spans or a span left open.
  *   mintcb-trace --selftest        run the workload, export, re-parse,
  *                                  and structurally verify the
- *                                  round-trip; exit 0 only if all pass.
+ *                                  round-trip; require the replayed
+ *                                  recording to draw the live spans;
+ *                                  exit 0 only if all pass.
  */
 
 #include <cstdio>
@@ -40,26 +43,36 @@ namespace
 
 using namespace mintcb;
 
+/** One run of the built-in workload, as telemetry drew it live and as
+ *  a recorder on the same service logged it. */
+struct Recording
+{
+    obs::SpanTracer tracer;
+    obs::MetricsRegistry metrics;
+    std::vector<std::pair<std::uint32_t, std::string>> tracks;
+    verify::ExecutionTrace trace;
+};
+
 /**
  * The mintcb-lint workload shape: two drain cycles (session opened
  * then resumed) over enough PALs to force preemption yields.
  *
  * The metrics registry's bridged series read the machine's counter
- * structs at render time, so anything that consumes @p metrics must run
- * inside @p consume -- after the machine dies those series dangle.
+ * structs at render time, so anything that consumes the metrics must
+ * run inside @p consume -- after the machine dies those series dangle.
  */
 Status
-runWorkload(obs::SpanTracer &tracer, obs::MetricsRegistry &metrics,
-            std::vector<std::pair<std::uint32_t, std::string>> &tracks,
-            const std::function<void()> &consume = {})
+runWorkload(Recording &out, const std::function<void()> &consume = {})
 {
     machine::Machine m =
         machine::Machine::forPlatform(machine::PlatformId::recTestbed);
     sea::ExecutionService svc(m);
 
-    obs::TelemetrySession telemetry(m, tracer, metrics);
+    obs::TelemetrySession telemetry(m, out.tracer, out.metrics);
     telemetry.attach(svc);
-    tracks = telemetry.trackNames();
+    verify::TraceRecorder recorder(out.trace);
+    recorder.attach(svc);
+    out.tracks = telemetry.trackNames();
 
     for (int cycle = 0; cycle < 2; ++cycle) {
         for (int i = 0; i < 4; ++i) {
@@ -113,8 +126,14 @@ replayFile(const std::string &path, const std::string &exportPath)
     }
     obs::SpanTracer tracer;
     const std::size_t n = obs::spansFromTrace(*trace, tracer);
-    std::printf("%s: %zu events -> %zu spans\n", path.c_str(),
-                trace->size(), n);
+    const std::size_t open = tracer.openCount();
+    std::printf("%s: %zu events -> %zu spans, %zu left open\n",
+                path.c_str(), trace->size(), n, open);
+    if (n == 0 || open != 0) {
+        std::fprintf(stderr, "mintcb-trace: %s: %s\n", path.c_str(),
+                     open != 0 ? "spans left open" : "no spans");
+        return 1;
+    }
     if (!exportPath.empty())
         return writeExport(tracer, {}, exportPath);
     std::fputs(tracer.topTable().c_str(), stdout);
@@ -125,14 +144,13 @@ int
 selftest()
 {
     bool ok = true;
-    obs::SpanTracer tracer;
-    obs::MetricsRegistry metrics;
-    std::vector<std::pair<std::uint32_t, std::string>> tracks;
+    Recording rec;
+    const obs::SpanTracer &tracer = rec.tracer;
     std::size_t series = 0;
     double extends = 0.0;
-    if (auto s = runWorkload(tracer, metrics, tracks, [&] {
-            series = metrics.seriesCount();
-            extends = metrics.value("mintcb_tpm_extends_total");
+    if (auto s = runWorkload(rec, [&] {
+            series = rec.metrics.seriesCount();
+            extends = rec.metrics.value("mintcb_tpm_extends_total");
         });
         !s.ok()) {
         std::fprintf(stderr, "workload failed: %s\n",
@@ -162,7 +180,7 @@ selftest()
     // through a real file proves the artifact --export writes is
     // structurally valid, not just the in-memory string.
     const std::string path = "trace_selftest.json";
-    if (writeExport(tracer, tracks, path) != 0)
+    if (writeExport(tracer, rec.tracks, path) != 0)
         ok = false;
     const auto file = readFile(path);
     const std::string json = file ? std::string(file->begin(), file->end())
@@ -177,6 +195,18 @@ selftest()
                     parsed->spanCount(), spans);
         ok &= parsed->spanCount() == spans;
     }
+
+    // Replaying the run's own recording draws the sync-event stream
+    // exactly as telemetry drew it live.
+    auto decoded = verify::ExecutionTrace::decode(rec.trace.encode());
+    obs::SpanTracer replay;
+    if (decoded)
+        obs::spansFromTrace(*decoded, replay);
+    const std::string diff = decoded ? obs::syncSpanDiff(tracer, replay)
+                                     : decoded.error().str();
+    std::printf("live vs replay: %s\n",
+                diff.empty() ? "identical" : diff.c_str());
+    ok &= diff.empty();
 
     // The registry saw the bridged counters and the obs histograms.
     std::printf("metrics: %zu series, %.0f TPM extends\n", series,
@@ -215,12 +245,11 @@ main(int argc, char **argv)
 
     if (mode == "--top" || mode == "--table" || mode == "--metrics" ||
         mode == "--export") {
-        obs::SpanTracer tracer;
-        obs::MetricsRegistry metrics;
-        std::vector<std::pair<std::uint32_t, std::string>> tracks;
+        Recording rec;
+        const obs::SpanTracer &tracer = rec.tracer;
         std::string exposition;
-        if (auto s = runWorkload(tracer, metrics, tracks, [&] {
-                exposition = metrics.renderPrometheus();
+        if (auto s = runWorkload(rec, [&] {
+                exposition = rec.metrics.renderPrometheus();
             });
             !s.ok()) {
             std::fprintf(stderr, "mintcb-trace: workload failed: %s\n",
@@ -228,7 +257,7 @@ main(int argc, char **argv)
             return 2;
         }
         if (mode == "--export")
-            return writeExport(tracer, tracks, file);
+            return writeExport(tracer, rec.tracks, file);
         if (mode == "--table")
             std::fputs(tracer.table().c_str(), stdout);
         else if (mode == "--metrics")
@@ -241,6 +270,8 @@ main(int argc, char **argv)
     std::fprintf(stderr,
                  "usage: mintcb-trace --top | --table | --metrics | "
                  "--export <file>.json | --selftest | <trace-file> "
-                 "[--export <file>.json]\n");
+                 "[--export <file>.json]\n"
+                 "  <trace-file> is an MTL3 ExecutionTrace "
+                 "(mintcb-lint --record)\n");
     return 2;
 }
